@@ -45,9 +45,8 @@ int main() {
   opt.max_iterations = 3;
   opt.tolerance = 0;
   std::printf("%-12s %-14s %-12s\n", "engine", "mttkrp/iter", "fit@3");
-  for (EngineKind k : {EngineKind::kCsf, EngineKind::kDTreeBdt,
-                       EngineKind::kAuto}) {
-    opt.engine = k;
+  for (const char* engine : {"csf", "dtree-bdt", "auto"}) {
+    opt.engine = engine;
     const auto r = cp_als(ehr, opt);
     std::printf("%-12s %-14.4f %-12.5f\n", r.engine_name.c_str(),
                 r.mttkrp_seconds / r.iterations,
@@ -55,7 +54,7 @@ int main() {
   }
 
   // (b) Phenotype extraction with the tuned engine, run to convergence.
-  opt.engine = EngineKind::kAuto;
+  opt.engine = "auto";
   opt.max_iterations = 20;
   opt.tolerance = 1e-5;
   const auto result = cp_als(ehr, opt);

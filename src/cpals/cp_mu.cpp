@@ -16,8 +16,7 @@ constexpr real_t kEps = 1e-12;  // denominator guard
 }
 
 CpAlsResult cp_mu(const CooTensor& tensor, const CpAlsOptions& options) {
-  const auto engine = make_engine(tensor, options.engine, options.rank,
-                                  options.memory_budget_bytes);
+  const auto engine = make_cp_engine(options);
   return cp_mu(tensor, *engine, options);
 }
 
@@ -31,6 +30,7 @@ CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
   const mode_t order = tensor.order();
   const index_t rank = options.rank;
   engine.invalidate_all();
+  if (!engine.prepared()) engine.prepare(tensor, rank);
 
   CpAlsResult result;
   result.engine_name = engine.name();

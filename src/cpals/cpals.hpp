@@ -25,33 +25,6 @@ class HistoryStore;
 class RunReporter;
 }  // namespace obs
 
-/// Selectable MTTKRP computation strategies. Each kind maps to an
-/// EngineRegistry name (engine_kind_name); new engines registered at runtime
-/// are reachable through CpAlsOptions::engine_name without extending this
-/// enum.
-enum class EngineKind {
-  kCoo,             ///< direct COO kernel (no factoring, no memoization)
-  kBlockedCoo,      ///< HiCOO-style blocked COO (8-bit local offsets)
-  kTtvChain,        ///< column-at-a-time TTV chains (Tensor-Toolbox style)
-  kCsf,             ///< SPLATT-style CSF, one tree per mode (state of the art)
-  kCsfOne,          ///< SPLATT-style CSF, single tree (memory-efficient)
-  kDTreeFlat,       ///< dimension tree, root→leaves (index-compressed only)
-  kDTreeThreeLevel, ///< dimension tree, one intermediate level (Phan-style)
-  kDTreeBdt,        ///< full balanced binary dimension tree
-  kAuto,            ///< model-driven: predict & pick the best strategy
-  kAutoProbed,      ///< model shortlist + one measured sweep per candidate
-};
-
-const char* engine_kind_name(EngineKind kind);
-
-/// Constructs a prepared engine of the requested kind via the registry.
-/// `rank` sizes workspace scratch and drives the model for kAuto;
-/// `memory_budget_bytes` is consulted only by kAuto/kAutoProbed (0 budget =
-/// unlimited). The tensor must outlive the engine.
-std::unique_ptr<MttkrpEngine> make_engine(const CooTensor& tensor,
-                                          EngineKind kind, index_t rank = 16,
-                                          std::size_t memory_budget_bytes = 0);
-
 struct CpAlsOptions {
   index_t rank = 16;
   int max_iterations = 50;
@@ -61,11 +34,12 @@ struct CpAlsOptions {
   /// become collinear; 0 disables.
   real_t ridge = 0;
   std::uint64_t seed = 42;   ///< factor initialization seed
-  EngineKind engine = EngineKind::kDTreeBdt;
-  /// Registry engine name; when non-empty it overrides `engine`. This is how
-  /// the CLI and engines registered at runtime are selected.
-  std::string engine_name;
-  std::size_t memory_budget_bytes = 0;  ///< for kAuto; 0 = unlimited
+  /// EngineRegistry name of the MTTKRP engine; "auto" / "auto+probe" select
+  /// the model-driven tuner.
+  std::string engine = "dtree-bdt";
+  /// Kernel memory budget in bytes (0 = unlimited), enforced on any engine;
+  /// the auto engines also plan a degradation chain under it.
+  std::size_t memory_budget_bytes = 0;
   /// Projected nonnegative ALS: clamp each factor update at zero before
   /// normalization (multilinear NMF-style decompositions for count data).
   bool nonnegative = false;
@@ -167,8 +141,12 @@ struct CpAlsResult {
   real_t final_fit() const { return fits.empty() ? 0 : fits.back(); }
 };
 
-/// Runs CP-ALS with an engine created according to `options.engine_name`
-/// (falling back to `options.engine`).
+/// Creates the unprepared engine `options.engine` names, bound to the
+/// memory budget and, for the model-driven engines, the history overlay.
+/// cp_als, cp_als_best_of, and cp_mu build their engine through it.
+std::unique_ptr<MttkrpEngine> make_cp_engine(const CpAlsOptions& options);
+
+/// Runs CP-ALS with the engine `options.engine` names.
 CpAlsResult cp_als(const CooTensor& tensor, const CpAlsOptions& options);
 
 /// Runs CP-ALS with a caller-provided engine (reused across calls — the

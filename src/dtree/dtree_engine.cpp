@@ -14,6 +14,11 @@ DTreeMttkrpEngine::DTreeMttkrpEngine(TreeSpec spec, std::string display_name,
                                      KernelContext ctx)
     : MttkrpEngine(ctx), spec_(std::move(spec)), name_(std::move(display_name)) {}
 
+DTreeMttkrpEngine::DTreeMttkrpEngine(TreeRecipe recipe,
+                                     std::string display_name,
+                                     KernelContext ctx)
+    : MttkrpEngine(ctx), recipe_(recipe), name_(std::move(display_name)) {}
+
 DTreeMttkrpEngine::DTreeMttkrpEngine(const CooTensor& tensor,
                                      const TreeSpec& spec,
                                      std::string display_name,
@@ -23,6 +28,7 @@ DTreeMttkrpEngine::DTreeMttkrpEngine(const CooTensor& tensor,
 }
 
 void DTreeMttkrpEngine::do_prepare(index_t rank) {
+  if (recipe_ != nullptr) spec_ = recipe_(tensor().order());
   tree_ = std::make_unique<DimensionTree>(tensor(), spec_);
   rank_ = 0;
   peak_bytes_ = memory_bytes();
@@ -92,32 +98,40 @@ std::size_t DTreeMttkrpEngine::memory_bytes() const {
 }
 
 namespace {
-std::vector<mode_t> natural_order(const CooTensor& t) {
-  std::vector<mode_t> o(t.order());
+std::vector<mode_t> natural_order(mode_t order) {
+  std::vector<mode_t> o(order);
   std::iota(o.begin(), o.end(), mode_t{0});
   return o;
 }
 }  // namespace
 
+TreeSpec flat_tree(mode_t order) {
+  return TreeSpec::flat(natural_order(order));
+}
+
+TreeSpec three_level_tree(mode_t order) {
+  return TreeSpec::three_level(natural_order(order),
+                               static_cast<mode_t>((order + 1) / 2));
+}
+
+TreeSpec bdt_tree(mode_t order) { return TreeSpec::bdt(natural_order(order)); }
+
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_flat(const CooTensor& tensor,
                                                    KernelContext ctx) {
   return std::make_unique<DTreeMttkrpEngine>(
-      tensor, TreeSpec::flat(natural_order(tensor)), "dtree-flat", ctx);
+      tensor, flat_tree(tensor.order()), "dtree-flat", ctx);
 }
 
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_three_level(
     const CooTensor& tensor, KernelContext ctx) {
-  const auto order = natural_order(tensor);
   return std::make_unique<DTreeMttkrpEngine>(
-      tensor,
-      TreeSpec::three_level(order, static_cast<mode_t>((order.size() + 1) / 2)),
-      "dtree-3lvl", ctx);
+      tensor, three_level_tree(tensor.order()), "dtree-3lvl", ctx);
 }
 
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_bdt(const CooTensor& tensor,
                                                   KernelContext ctx) {
   return std::make_unique<DTreeMttkrpEngine>(
-      tensor, TreeSpec::bdt(natural_order(tensor)), "dtree-bdt", ctx);
+      tensor, bdt_tree(tensor.order()), "dtree-bdt", ctx);
 }
 
 }  // namespace mdcp

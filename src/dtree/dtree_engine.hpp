@@ -17,12 +17,24 @@
 
 namespace mdcp {
 
+/// Builds a tree shape for a tensor of order `order`.
+using TreeRecipe = TreeSpec (*)(mode_t order);
+
+/// The three canonical shapes over the natural mode order 0..N-1.
+TreeSpec flat_tree(mode_t order);
+TreeSpec three_level_tree(mode_t order);
+TreeSpec bdt_tree(mode_t order);
+
 class DTreeMttkrpEngine final : public MttkrpEngine {
  public:
   /// Deferred form: the tree is built by prepare(). `display_name` appears
   /// in logs and benchmark tables ("dtree-bdt", "dtree-flat", ...).
   explicit DTreeMttkrpEngine(TreeSpec spec, std::string display_name = "dtree",
                              KernelContext ctx = {});
+  /// Recipe form: every prepare() builds the shape from `recipe` for the
+  /// order of the tensor being prepared.
+  DTreeMttkrpEngine(TreeRecipe recipe, std::string display_name,
+                    KernelContext ctx = {});
   /// Convenience: construct and prepare in one step. The tensor must outlive
   /// the engine.
   DTreeMttkrpEngine(const CooTensor& tensor, const TreeSpec& spec,
@@ -43,6 +55,7 @@ class DTreeMttkrpEngine final : public MttkrpEngine {
                   Matrix& out) override;
 
  private:
+  TreeRecipe recipe_ = nullptr;  // null = spec_ is fixed
   TreeSpec spec_;
   std::unique_ptr<DimensionTree> tree_;
   std::string name_;
@@ -50,8 +63,8 @@ class DTreeMttkrpEngine final : public MttkrpEngine {
   std::size_t peak_bytes_ = 0;
 };
 
-/// Convenience factories for the three canonical shapes, using the natural
-/// mode order 0..N-1.
+/// Convenience factories for the three canonical shapes, prepared for
+/// `tensor`.
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_flat(const CooTensor& tensor,
                                                    KernelContext ctx = {});
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_three_level(

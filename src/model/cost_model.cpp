@@ -1,11 +1,8 @@
 #include "model/cost_model.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
-#include <string>
 
-#include "csf/csf_tensor.hpp"
 #include "dtree/dtree_engine.hpp"
 #include "mttkrp/microkernel.hpp"
 #include "sched/schedule.hpp"
@@ -114,174 +111,22 @@ StrategyPrediction predict_strategy(const CooTensor& tensor,
   return pred;
 }
 
-namespace {
-
-// Shared pieces of the fallback-engine footprint formulas, mirroring the
-// actual container layouts in mttkrp/ and csf/.
-
-// One per-mode scatter plan (coo engine, csf1 non-root modes): a
-// permutation, distinct output rows, and a CSR-style row_start.
-std::size_t scatter_plan_bytes(nnz_t nnz, nnz_t distinct_rows) {
-  return static_cast<std::size_t>(nnz) * sizeof(nnz_t) +
-         static_cast<std::size_t>(distinct_rows) * sizeof(index_t) +
-         static_cast<std::size_t>(distinct_rows + 1) * sizeof(nnz_t);
+nnz_t predicted_distinct_rows(const CooTensor& t, mode_t m,
+                              ProjectionCounter* counter) {
+  const nnz_t d = counter != nullptr ? counter->count(mode_set_t{1} << m)
+                                     : std::min<nnz_t>(t.nnz(), t.dim(m));
+  return std::min(d, t.nnz());
 }
 
-// Total linearization bits the alto engine's packed key needs (the codec's
-// bit budget: ceil(log2(dim)) per mode). Zero-sized modes contribute
-// nothing here — the engine itself rejects them at prepare().
-index_t alto_key_bits(const CooTensor& t) {
-  index_t total = 0;
-  for (mode_t m = 0; m < t.order(); ++m)
-    if (t.dim(m) > 1)
-      total += static_cast<index_t>(std::bit_width(t.dim(m) - 1));
-  return total;
-}
-
-// One CSF trie rooted at `root`: values, per-level fiber ids, per-non-leaf
-// fptr. Level l fiber counts are the distinct counts of the mode-order
-// prefixes (nnz upper bound without a counter).
-std::size_t csf_tree_bytes(const CooTensor& t, mode_t root,
-                           ProjectionCounter* counter) {
-  const mode_t order = t.order();
-  const std::vector<mode_t> mode_order = CsfTensor::default_order(t, root);
-  std::size_t b = static_cast<std::size_t>(t.nnz()) * sizeof(real_t);
-  mode_set_t prefix = 0;
-  for (mode_t l = 0; l < order; ++l) {
-    prefix |= mode_set_t{1} << mode_order[l];
-    const nnz_t fibers =
-        (l + 1 == order) ? t.nnz()
-        : counter != nullptr ? std::min(counter->count(prefix), t.nnz())
-                             : t.nnz();
-    b += static_cast<std::size_t>(fibers) * sizeof(index_t);
-    if (l + 1 < order)
-      b += static_cast<std::size_t>(fibers + 1) * sizeof(nnz_t);
-  }
-  return b;
-}
-
-// Worst-case privatized partial-output slabs a launch may claim, charged
-// only when the auto heuristic is allowed to pick the privatized schedule
-// and the work clears its gate.
 std::size_t privatized_envelope_bytes(const CooTensor& t, index_t rank,
                                       int threads, ScheduleMode sched_mode) {
+  // Charged only when the auto heuristic may pick the privatized schedule
+  // and the work clears its gate.
   if (sched_mode == ScheduleMode::kOwner || threads <= 1) return 0;
   if (static_cast<nnz_t>(t.nnz()) * rank < sched::kMinPrivatizeWork) return 0;
   index_t max_dim = 0;
   for (mode_t m = 0; m < t.order(); ++m) max_dim = std::max(max_dim, t.dim(m));
   return sched::privatized_partial_bytes(threads, max_dim, rank);
-}
-
-}  // namespace
-
-std::size_t predict_engine_footprint(const CooTensor& tensor,
-                                     const std::string& engine, index_t rank,
-                                     ProjectionCounter* counter,
-                                     const CostModelParams& params,
-                                     ScheduleMode sched_mode) {
-  const mode_t order = tensor.order();
-  const nnz_t nnz = tensor.nnz();
-  const int threads = std::max(1, params.threads);
-  const auto distinct = [&](mode_t m) -> nnz_t {
-    const nnz_t d = counter != nullptr
-                        ? counter->count(mode_set_t{1} << m)
-                        : std::min<nnz_t>(nnz, tensor.dim(m));
-    return std::min(d, nnz);
-  };
-
-  std::size_t b = 0;
-  if (engine == "coo") {
-    for (mode_t m = 0; m < order; ++m)
-      b += scatter_plan_bytes(nnz, distinct(m));
-    // Owner-computes tile accumulator: one R-row per thread.
-    b += static_cast<std::size_t>(threads) * rank * sizeof(real_t);
-  } else if (engine == "bcoo") {
-    // Block-sorted copy: per-nonzero block-local bytes + value, plus block
-    // directory (bounded by nnz).
-    b += static_cast<std::size_t>(nnz) *
-         (order * sizeof(std::uint8_t) + sizeof(real_t));
-    b += static_cast<std::size_t>(nnz) *
-         (order * sizeof(index_t) / 4 + sizeof(nnz_t));
-  } else if (engine == "alto") {
-    // Linearized copy: one packed key per nonzero (8 B on the 64-bit fast
-    // path, 16 B when the shape's bit budget exceeds 64) plus the value
-    // stream, the mode-0 row grouping, and — transiently — one set of
-    // per-partition dense accumulator windows for the output mode, bounded
-    // by the distinct rows the mode can have.
-    b += static_cast<std::size_t>(nnz) *
-         ((alto_key_bits(tensor) <= 64 ? 8 : 16) + sizeof(real_t));
-    b += static_cast<std::size_t>(distinct(0)) *
-         (sizeof(index_t) + sizeof(nnz_t));
-    nnz_t max_rows = 0;
-    for (mode_t m = 0; m < order; ++m)
-      max_rows = std::max(max_rows, distinct(m));
-    b += static_cast<std::size_t>(max_rows) * mk::padded_rank(rank) *
-         sizeof(real_t);
-    b += static_cast<std::size_t>(threads) * mk::padded_rank(rank) *
-         sizeof(real_t);
-  } else if (engine == "ttv-chain") {
-    // Every worker thread owns a full working copy of the tuples: two index
-    // arrays per mode (idx/idx2), two value arrays, and a sort permutation.
-    const std::size_t per_thread =
-        static_cast<std::size_t>(nnz) *
-        (2 * order * sizeof(index_t) + 2 * sizeof(real_t) + sizeof(nnz_t));
-    b += static_cast<std::size_t>(threads) * per_thread;
-  } else if (engine == "csf") {
-    for (mode_t m = 0; m < order; ++m) b += csf_tree_bytes(tensor, m, counter);
-    b += static_cast<std::size_t>(threads) * order * rank * sizeof(real_t);
-  } else if (engine == "csf1") {
-    b += csf_tree_bytes(tensor, 0, counter);
-    for (mode_t m = 1; m < order; ++m)
-      b += scatter_plan_bytes(nnz, distinct(m));
-    // Fiber-buffer reused across non-root modes (one R-vector per live
-    // fiber, bounded by nnz).
-    b += static_cast<std::size_t>(nnz) * rank * sizeof(real_t) /
-         std::max<std::size_t>(1, order);
-    b += static_cast<std::size_t>(threads) * order * rank * sizeof(real_t);
-  } else {
-    MDCP_CHECK_MSG(false, "predict_engine_footprint: unknown fixed engine '"
-                              << engine << "'");
-  }
-  return b + privatized_envelope_bytes(tensor, rank, threads, sched_mode);
-}
-
-double predict_engine_seconds(const CooTensor& tensor,
-                              const std::string& engine, index_t rank,
-                              const CostModelParams& params) {
-  const double n = static_cast<double>(tensor.nnz());
-  const double r = static_cast<double>(rank);
-  // Rank-blocked engines issue whole SIMD lanes, so their flop term uses
-  // the padded rank; ttv-chain contracts column-at-a-time (no rank loop)
-  // and keeps the true r.
-  const double rv = static_cast<double>(mk::padded_rank(rank));
-  const double ord = static_cast<double>(tensor.order());
-  // Per-sweep (all modes) element work; the relative weights express the
-  // well-known ordering coo ≈ bcoo > csf (fiber sharing) ≪ ttv-chain
-  // (re-contracts the whole tensor per column).
-  double flops = 0;
-  if (engine == "coo" || engine == "bcoo") {
-    flops = ord * n * rv * ord;
-  } else if (engine == "alto") {
-    // Same fused per-nonzero kernels as coo, plus the on-the-fly decode
-    // (one shift + mask per mode per nonzero) and the partition-window
-    // merge, charged as one extra op per mode per nonzero.
-    flops = ord * n * (rv * ord + ord);
-  } else if (engine == "csf" || engine == "csf1") {
-    flops = ord * n * rv * 2;  // fiber sharing amortizes the Hadamard chain
-  } else if (engine == "ttv-chain") {
-    flops = ord * n * r * ord * 2;  // + per-column collapse sorting costs
-  } else {
-    MDCP_CHECK_MSG(false, "predict_engine_seconds: unknown fixed engine '"
-                              << engine << "'");
-  }
-  // Per-nonzero index traffic: every engine streams order × 4-byte indices
-  // except alto, whose packed key is 8 bytes (16 past the 64-bit budget).
-  const double index_bytes =
-      engine == "alto" ? (alto_key_bits(tensor) <= 64 ? 8.0 : 16.0)
-                       : ord * sizeof(index_t);
-  const double bytes =
-      ord * n * (index_bytes + sizeof(real_t) + r * sizeof(real_t));
-  return params.seconds_per_flop * flops + params.seconds_per_byte * bytes;
 }
 
 CostModelParams calibrate_cost_model(index_t rank, std::uint64_t seed) {

@@ -20,7 +20,6 @@
 // microprobe if desired.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "dtree/dimension_tree.hpp"
@@ -78,30 +77,21 @@ StrategyPrediction predict_strategy(const CooTensor& tensor,
                                     ProjectionCounter& counter,
                                     const CostModelParams& params = {});
 
-/// Coarse resident-footprint envelope for one of the fixed (non-dimension-
-/// tree) engines — the degradation-chain side of the model. Covers the
-/// engine's persistent structures (scatter plans, CSF tries, per-thread
-/// tuple copies, linearized key streams) plus the worst-case transient the
-/// parallel schedule may claim (privatized partial-output slabs, partition
-/// accumulator windows). `engine` is a registry name:
-/// "coo", "bcoo", "alto", "ttv-chain", "csf", or "csf1". A ProjectionCounter
-/// sharpens the CSF/scatter-plan estimates with distinct-prefix counts;
-/// without one, per-level fiber counts fall back to the nnz upper bound.
-/// `sched_mode` narrows the envelope: pinning owner-computes drops the
-/// privatized-slab term, which is how the AutoEngine keeps the last resorts
-/// of its chain viable under tight budgets.
-std::size_t predict_engine_footprint(
-    const CooTensor& tensor, const std::string& engine, index_t rank,
-    ProjectionCounter* counter = nullptr, const CostModelParams& params = {},
-    ScheduleMode sched_mode = ScheduleMode::kAuto);
+// Shared pieces of the fixed engines' footprint predictors (the
+// degradation-chain side of the model). Each predictor lives next to its
+// kernel and is registered with it (EngineRegistry::Entry::footprint).
 
-/// Coarse per-iteration time prediction for the same fixed engines, on the
-/// same α·flops + β·bytes scale as predict_strategy — comparable enough to
-/// rank the degradation chain against the dtree candidates. One CP-ALS
-/// iteration = one MTTKRP per mode.
-double predict_engine_seconds(const CooTensor& tensor,
-                              const std::string& engine, index_t rank,
-                              const CostModelParams& params = {});
+/// Distinct indices of mode `m` (bounded by nnz): the counter's count when
+/// one is given, else the min(nnz, dim(m)) upper bound.
+nnz_t predicted_distinct_rows(const CooTensor& t, mode_t m,
+                              ProjectionCounter* counter);
+
+/// Worst-case privatized partial-output slabs one launch may claim: charged
+/// on top of every fixed engine's footprint unless `sched_mode` pins
+/// owner-computes, which is how the AutoEngine keeps the last resorts of
+/// its chain viable under tight budgets.
+std::size_t privatized_envelope_bytes(const CooTensor& t, index_t rank,
+                                      int threads, ScheduleMode sched_mode);
 
 /// Fits `seconds_per_flop` by timing a small synthetic contraction probe on
 /// this machine; `seconds_per_byte` keeps the default machine-balance ratio.

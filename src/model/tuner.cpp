@@ -231,9 +231,10 @@ void AutoEngine::do_prepare(index_t rank) {
   const char* prefix = probed_ ? "auto+probe:" : "auto:";
 
   // Plan the degradation chain: the dtree winner first, then (under a
-  // budget) the fixed fallbacks in decreasing-speed order. Fallbacks whose
-  // privatized-schedule envelope alone blows the budget are retried with
-  // owner-computes pinned before being ruled out.
+  // budget) every registry entry that has a footprint predictor, in
+  // registration order. Fallbacks whose privatized-schedule envelope alone
+  // blows the budget are retried with owner-computes pinned before being
+  // ruled out.
   chain_.clear();
   chain_pos_ = 0;
   ChainEntry head;
@@ -245,21 +246,22 @@ void AutoEngine::do_prepare(index_t rank) {
 
   if (memory_budget_bytes_ != 0) {
     ProjectionCounter counter(tensor());
-    for (const char* fallback : {"alto", "ttv-chain", "csf", "coo"}) {
+    const int threads = std::max(1, params_.threads);
+    const std::size_t envelope = privatized_envelope_bytes(
+        tensor(), rank, threads, ScheduleMode::kAuto);
+    for (const auto& fallback : EngineRegistry::instance().entries()) {
+      if (fallback.footprint == nullptr) continue;
       ChainEntry e;
-      e.engine = fallback;
-      e.label = std::string(prefix) + fallback;
-      e.predicted_bytes = predict_engine_footprint(
-          tensor(), fallback, rank, &counter, params_, ScheduleMode::kAuto);
+      e.engine = fallback.name;
+      e.label = prefix + fallback.name;
+      const std::size_t owner_bytes =
+          fallback.footprint(tensor(), rank, &counter, threads);
+      e.predicted_bytes = owner_bytes + envelope;
       e.fits_budget = e.predicted_bytes <= memory_budget_bytes_;
-      if (!e.fits_budget) {
-        const std::size_t owner_bytes = predict_engine_footprint(
-            tensor(), fallback, rank, &counter, params_, ScheduleMode::kOwner);
-        if (owner_bytes <= memory_budget_bytes_) {
-          e.predicted_bytes = owner_bytes;
-          e.fits_budget = true;
-          e.forced_sched = ScheduleMode::kOwner;
-        }
+      if (!e.fits_budget && owner_bytes <= memory_budget_bytes_) {
+        e.predicted_bytes = owner_bytes;
+        e.fits_budget = true;
+        e.forced_sched = ScheduleMode::kOwner;
       }
       chain_.push_back(std::move(e));
     }
@@ -404,26 +406,6 @@ std::size_t AutoEngine::memory_bytes() const {
 std::size_t AutoEngine::peak_memory_bytes() const {
   return std::max(retired_peak_bytes_,
                   inner_ ? inner_->peak_memory_bytes() : 0);
-}
-
-std::unique_ptr<MttkrpEngine> make_auto_engine(const CooTensor& tensor,
-                                               index_t rank,
-                                               std::size_t memory_budget_bytes,
-                                               const CostModelParams& params) {
-  auto engine = std::make_unique<AutoEngine>(/*probed=*/false,
-                                             memory_budget_bytes, params, 3);
-  engine->prepare(tensor, rank);
-  return engine;
-}
-
-std::unique_ptr<MttkrpEngine> make_probed_engine(
-    const CooTensor& tensor, index_t rank, std::size_t memory_budget_bytes,
-    const CostModelParams& params, int shortlist) {
-  auto engine = std::make_unique<AutoEngine>(/*probed=*/true,
-                                             memory_budget_bytes, params,
-                                             shortlist);
-  engine->prepare(tensor, rank);
-  return engine;
 }
 
 }  // namespace mdcp

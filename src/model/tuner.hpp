@@ -94,8 +94,8 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
 ///
 /// Under a memory budget (KernelContext::mem_budget or the constructor
 /// argument) the engine also plans a degradation chain: the dtree winner,
-/// then the fixed fallbacks alto → ttv-chain → csf → coo, each annotated
-/// with its
+/// then every EngineRegistry entry with a footprint predictor in
+/// registration order (alto → csf → coo), each annotated with its
 /// predicted footprint. Levels the model predicts over budget are skipped up
 /// front ("predicted-over-budget"); a budget_error or bad_alloc escaping the
 /// active level at prepare or compute time advances the chain and retries
@@ -163,18 +163,5 @@ class AutoEngine final : public MttkrpEngine {
   std::size_t retired_peak_bytes_ = 0;  ///< peaks of degraded-away engines
   std::unique_ptr<MttkrpEngine> inner_;
 };
-
-/// Builds the engine the tuner selected. name() reports
-/// "auto:<strategy-name>". The tensor must outlive the engine.
-std::unique_ptr<MttkrpEngine> make_auto_engine(
-    const CooTensor& tensor, index_t rank,
-    std::size_t memory_budget_bytes = 0, const CostModelParams& params = {});
-
-/// Engine built from the probed selection; name() reports
-/// "auto+probe:<strategy-name>".
-std::unique_ptr<MttkrpEngine> make_probed_engine(
-    const CooTensor& tensor, index_t rank,
-    std::size_t memory_budget_bytes = 0, const CostModelParams& params = {},
-    int shortlist = 3);
 
 }  // namespace mdcp

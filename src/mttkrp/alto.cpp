@@ -6,6 +6,7 @@
 #include <numeric>
 #include <type_traits>
 
+#include "model/cost_model.hpp"
 #include "sched/reduce.hpp"
 #include "util/parallel.hpp"
 
@@ -467,6 +468,30 @@ std::size_t AltoMttkrpEngine::memory_bytes() const {
   for (const auto& p : parts_)
     b += sizeof(AltoPartition) + 2 * p.lo.size() * sizeof(index_t);
   return b;
+}
+
+std::size_t alto_footprint_bytes(const CooTensor& tensor, index_t rank,
+                                 ProjectionCounter* counter, int threads) {
+  // The codec's bit budget. Zero-sized modes contribute nothing here — the
+  // engine itself rejects them at prepare().
+  index_t key_bits = 0;
+  for (mode_t m = 0; m < tensor.order(); ++m)
+    if (tensor.dim(m) > 1) key_bits += AltoCodec::bits_for_dim(tensor.dim(m));
+  const auto nnz = static_cast<std::size_t>(tensor.nnz());
+  const std::size_t padded = mk::padded_rank(rank);
+  // Linearized copy: one packed key per nonzero (8 B on the 64-bit fast
+  // path, 16 B past it) plus the value stream, and the mode-0 row grouping.
+  std::size_t b = nnz * ((key_bits <= 64 ? 8 : 16) + sizeof(real_t));
+  b += static_cast<std::size_t>(predicted_distinct_rows(tensor, 0, counter)) *
+       (sizeof(index_t) + sizeof(nnz_t));
+  // Transiently, one set of per-partition dense accumulator windows for the
+  // output mode, bounded by the distinct rows the mode can have, plus one
+  // padded R-row per thread.
+  nnz_t max_rows = 0;
+  for (mode_t m = 0; m < tensor.order(); ++m)
+    max_rows = std::max(max_rows, predicted_distinct_rows(tensor, m, counter));
+  b += static_cast<std::size_t>(max_rows) * padded * sizeof(real_t);
+  return b + static_cast<std::size_t>(threads) * padded * sizeof(real_t);
 }
 
 }  // namespace mdcp

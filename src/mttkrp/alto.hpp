@@ -63,6 +63,8 @@
 
 namespace mdcp {
 
+class ProjectionCounter;
+
 /// Portable 128-bit linearization key for shapes whose bit budget exceeds
 /// 64. Ordering is numeric (hi first), which — with mode 0 packed most
 /// significant — is lexicographic tuple order, same as the 64-bit path.
@@ -276,5 +278,11 @@ class AltoMttkrpEngine final : public MttkrpEngine {
   sched::CachedPlan splitu_;  ///< modes > 0, uniform nnz tiles (privatized)
   mk::Kernel mk_;  ///< rank-blocked dispatcher, set per prepare()
 };
+
+/// The engine's registered footprint predictor (see FootprintFn in
+/// mttkrp/registry.hpp): the linearized key/value stream, the mode-0 row
+/// grouping, and the partition accumulator windows.
+std::size_t alto_footprint_bytes(const CooTensor& tensor, index_t rank,
+                                 ProjectionCounter* counter, int threads);
 
 }  // namespace mdcp

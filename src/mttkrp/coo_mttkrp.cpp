@@ -4,6 +4,7 @@
 #include <array>
 #include <numeric>
 
+#include "model/cost_model.hpp"
 #include "sched/reduce.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -174,6 +175,22 @@ std::size_t CooMttkrpEngine::memory_bytes() const {
     b += p.row_start.size() * sizeof(nnz_t);
   }
   return b;
+}
+
+std::size_t coo_footprint_bytes(const CooTensor& tensor, index_t rank,
+                                ProjectionCounter* counter, int threads) {
+  // One ModePlan per mode: the permutation, the distinct output rows, and
+  // their CSR-style row_start.
+  const auto nnz = static_cast<std::size_t>(tensor.nnz());
+  std::size_t b = 0;
+  for (mode_t m = 0; m < tensor.order(); ++m) {
+    const auto rows =
+        static_cast<std::size_t>(predicted_distinct_rows(tensor, m, counter));
+    b += nnz * sizeof(nnz_t) + rows * sizeof(index_t) +
+         (rows + 1) * sizeof(nnz_t);
+  }
+  // Owner-computes tile accumulator: one R-row per thread.
+  return b + static_cast<std::size_t>(threads) * rank * sizeof(real_t);
 }
 
 }  // namespace mdcp

@@ -25,6 +25,8 @@
 
 namespace mdcp {
 
+class ProjectionCounter;
+
 class CooMttkrpEngine final : public MttkrpEngine {
  public:
   explicit CooMttkrpEngine(KernelContext ctx = {});
@@ -52,5 +54,11 @@ class CooMttkrpEngine final : public MttkrpEngine {
   std::vector<ModePlan> plans_;  // one per mode
   mk::Kernel mk_;                // rank-blocked dispatcher, set per prepare()
 };
+
+/// The engine's registered footprint predictor (see FootprintFn in
+/// mttkrp/registry.hpp): the per-mode scatter plans plus one R-row tile
+/// accumulator per thread.
+std::size_t coo_footprint_bytes(const CooTensor& tensor, index_t rank,
+                                ProjectionCounter* counter, int threads);
 
 }  // namespace mdcp

@@ -1,7 +1,7 @@
 // Abstract interface for MTTKRP computation engines.
 //
 // CP-ALS (and the benchmarks) are written against this interface so that the
-// COO baseline, the Tensor-Toolbox-style TTV chain, the SPLATT-style CSF
+// COO baselines, the linearized ALTO-style engine, the SPLATT-style CSF
 // kernel, and the memoized dimension-tree engines are interchangeable — and
 // so the model-driven tuner can swap in whichever strategy it predicts to be
 // fastest.

@@ -4,144 +4,51 @@
 #include <utility>
 
 #include "csf/csf_mttkrp.hpp"
-#include "csf/csf_one_mttkrp.hpp"
 #include "dtree/dtree_engine.hpp"
 #include "model/tuner.hpp"
 #include "mttkrp/alto.hpp"
 #include "mttkrp/blocked_coo.hpp"
 #include "mttkrp/coo_mttkrp.hpp"
-#include "mttkrp/ttv_chain.hpp"
 #include "util/error.hpp"
 
 namespace mdcp {
 
-namespace {
-
-std::vector<mode_t> natural_order(mode_t order) {
-  std::vector<mode_t> o(order);
-  for (mode_t m = 0; m < order; ++m) o[m] = m;
-  return o;
-}
-
-// The dtree shapes need the tensor's order to build their TreeSpec, which is
-// only known at prepare() time. This thin adaptor defers spec construction.
-template <typename SpecFn>
-class DeferredDTreeEngine final : public MttkrpEngine {
- public:
-  DeferredDTreeEngine(SpecFn spec_fn, std::string display_name,
-                      KernelContext ctx)
-      : MttkrpEngine(ctx),
-        spec_fn_(std::move(spec_fn)),
-        name_(std::move(display_name)) {}
-
-  void factor_updated(mode_t mode) override {
-    if (inner_) inner_->factor_updated(mode);
-  }
-  void invalidate_all() override {
-    if (inner_) inner_->invalidate_all();
-  }
-  std::string name() const override { return name_; }
-  std::size_t memory_bytes() const override {
-    return inner_ ? inner_->memory_bytes() : 0;
-  }
-  std::size_t peak_memory_bytes() const override {
-    return inner_ ? inner_->peak_memory_bytes() : 0;
-  }
-
- protected:
-  void do_prepare(index_t rank) override {
-    KernelContext inner_ctx = context();
-    inner_ctx.stats = nullptr;  // outer NVI already records totals
-    inner_ = std::make_unique<DTreeMttkrpEngine>(spec_fn_(tensor()), name_,
-                                                 inner_ctx);
-    inner_->prepare(tensor(), rank);
-  }
-  void do_compute(mode_t mode, const std::vector<Matrix>& factors,
-                  Matrix& out) override {
-    const KernelStats before = inner_->stats();
-    inner_->context().sched = context().sched;  // forward late overrides
-    inner_->compute(mode, factors, out);
-    const KernelStats& after = inner_->stats();
-    count_flops(after.flops - before.flops);
-    if (after.last_schedule != 255) {
-      // Mirror the inner engine's schedule telemetry; the inner launches
-      // already bumped the global sched.* metrics.
-      record_schedule({static_cast<sched::Schedule>(after.last_schedule),
-                       after.last_tiles, 0.0, 0, after.last_sched_reason},
-                      after.owner_launches - before.owner_launches,
-                      after.privatized_launches - before.privatized_launches,
-                      /*bump_metrics=*/false);
-    }
-    record_tile(after.last_tile);
-  }
-
- private:
-  SpecFn spec_fn_;
-  std::string name_;
-  std::unique_ptr<DTreeMttkrpEngine> inner_;
-};
-
-template <typename SpecFn>
-std::unique_ptr<MttkrpEngine> deferred_dtree(SpecFn fn, std::string name,
-                                             KernelContext ctx) {
-  return std::make_unique<DeferredDTreeEngine<SpecFn>>(std::move(fn),
-                                                       std::move(name), ctx);
-}
-
-}  // namespace
-
 EngineRegistry::EngineRegistry() {
+  // The budget fallbacks come first: the AutoEngine's degradation chain
+  // walks the entries that have a footprint predictor in registration order.
+  register_engine("alto", "ALTO-style linearized packed-index engine",
+                  [](KernelContext ctx) {
+                    return std::make_unique<AltoMttkrpEngine>(ctx);
+                  },
+                  &alto_footprint_bytes);
+  register_engine("csf", "SPLATT root-mode kernel, one CSF per mode",
+                  [](KernelContext ctx) {
+                    return std::make_unique<CsfMttkrpEngine>(ctx);
+                  },
+                  &csf_footprint_bytes);
   register_engine("coo", "element-wise COO with per-mode scatter plans",
                   [](KernelContext ctx) {
                     return std::make_unique<CooMttkrpEngine>(ctx);
-                  });
+                  },
+                  &coo_footprint_bytes);
   register_engine("bcoo", "HiCOO-style blocked COO (128^N blocks)",
                   [](KernelContext ctx) {
                     return std::make_unique<BlockedCooEngine>(7u, ctx);
                   });
-  register_engine("alto", "ALTO-style linearized packed-index engine",
-                  [](KernelContext ctx) {
-                    return std::make_unique<AltoMttkrpEngine>(ctx);
-                  });
-  register_engine("ttv-chain", "column-at-a-time TTV chain (naive baseline)",
-                  [](KernelContext ctx) {
-                    return std::make_unique<TtvChainEngine>(ctx);
-                  });
-  register_engine("csf", "SPLATT root-mode kernel, one CSF per mode",
-                  [](KernelContext ctx) {
-                    return std::make_unique<CsfMttkrpEngine>(ctx);
-                  });
-  register_engine("csf1", "SPLATT all-modes kernel from a single CSF",
-                  [](KernelContext ctx) {
-                    return std::make_unique<CsfOneMttkrpEngine>(
-                        std::vector<mode_t>{}, ctx);
-                  });
   register_engine("dtree-flat", "dimension tree, flat (one level)",
                   [](KernelContext ctx) {
-                    return deferred_dtree(
-                        [](const CooTensor& t) {
-                          return TreeSpec::flat(natural_order(t.order()));
-                        },
-                        "dtree-flat", ctx);
+                    return std::make_unique<DTreeMttkrpEngine>(
+                        &flat_tree, "dtree-flat", ctx);
                   });
   register_engine("dtree-3lvl", "dimension tree, three-level split",
                   [](KernelContext ctx) {
-                    return deferred_dtree(
-                        [](const CooTensor& t) {
-                          const auto order = natural_order(t.order());
-                          return TreeSpec::three_level(
-                              order,
-                              static_cast<mode_t>((order.size() + 1) / 2));
-                        },
-                        "dtree-3lvl", ctx);
+                    return std::make_unique<DTreeMttkrpEngine>(
+                        &three_level_tree, "dtree-3lvl", ctx);
                   });
   register_engine("dtree-bdt", "dimension tree, balanced binary (BDT)",
                   [](KernelContext ctx) {
-                    return deferred_dtree(
-                        [](const CooTensor& t) {
-                          return TreeSpec::bdt(natural_order(t.order()));
-                        },
-                        "dtree-bdt", ctx);
+                    return std::make_unique<DTreeMttkrpEngine>(
+                        &bdt_tree, "dtree-bdt", ctx);
                   });
   register_engine("auto", "model-driven strategy selection (the tuner)",
                   [](KernelContext ctx) {
@@ -163,12 +70,13 @@ EngineRegistry& EngineRegistry::instance() {
 }
 
 void EngineRegistry::register_engine(std::string name, std::string description,
-                                     EngineFactory factory) {
+                                     EngineFactory factory,
+                                     FootprintFn footprint) {
   MDCP_CHECK_MSG(find(name) == nullptr,
                  "engine '" << name << "' already registered");
   MDCP_CHECK(factory != nullptr);
-  entries_.push_back(
-      {std::move(name), std::move(description), std::move(factory)});
+  entries_.push_back({std::move(name), std::move(description),
+                      std::move(factory), footprint});
 }
 
 const EngineRegistry::Entry* EngineRegistry::find(

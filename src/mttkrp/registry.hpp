@@ -1,14 +1,16 @@
-// EngineRegistry: name → MTTKRP engine factory.
+// EngineRegistry: the one table of MTTKRP engines.
 //
 // Every engine in the library registers here under a stable string name, so
-// benchmarks, the CLI, and CP-ALS construct engines by name instead of
-// switching over an enum. Factories produce *unprepared* engines bound to a
+// benchmarks, the CLI, and CP-ALS construct engines by name. An entry is
+// everything the rest of the library knows about an engine: its factory and,
+// for engines that can serve as a memory-budget fallback, a footprint
+// predictor. Factories produce *unprepared* engines bound to a
 // KernelContext; callers follow with prepare(tensor, rank) — or use the
 // make_engine overload that does both.
 //
-// Builtin names (registration order):
-//   coo, bcoo, alto, ttv-chain, csf, csf1, dtree-flat, dtree-3lvl,
-//   dtree-bdt, auto, auto+probe
+// Builtin names (registration order): the budget fallbacks first, in the
+// order the AutoEngine's degradation chain tries them, then the rest:
+//   alto, csf, coo, bcoo, dtree-flat, dtree-3lvl, dtree-bdt, auto, auto+probe
 #pragma once
 
 #include <functional>
@@ -20,8 +22,18 @@
 
 namespace mdcp {
 
+class ProjectionCounter;
+
 using EngineFactory =
     std::function<std::unique_ptr<MttkrpEngine>(KernelContext)>;
+
+/// Predicted resident bytes of an engine prepared for `tensor` at `rank` and
+/// run on `threads` threads: its persistent structures plus per-thread
+/// scratch, excluding the privatized-schedule envelope (see
+/// privatized_envelope_bytes in model/cost_model.hpp). `counter` (may be
+/// null) sharpens distinct-row estimates.
+using FootprintFn = std::size_t (*)(const CooTensor& tensor, index_t rank,
+                                    ProjectionCounter* counter, int threads);
 
 class EngineRegistry {
  public:
@@ -29,6 +41,9 @@ class EngineRegistry {
     std::string name;
     std::string description;
     EngineFactory factory;
+    /// Non-null for the engines the AutoEngine may degrade to under a
+    /// memory budget; the chain tries them in registration order.
+    FootprintFn footprint = nullptr;
   };
 
   /// The process-wide registry, with all builtin engines pre-registered.
@@ -36,7 +51,7 @@ class EngineRegistry {
 
   /// Registers a factory. Throws mdcp::error on a duplicate name.
   void register_engine(std::string name, std::string description,
-                       EngineFactory factory);
+                       EngineFactory factory, FootprintFn footprint = nullptr);
 
   bool contains(const std::string& name) const;
   /// All registered names, in registration order.

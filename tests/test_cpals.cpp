@@ -10,8 +10,7 @@
 namespace mdcp {
 namespace {
 
-using mdcp::testing::exact_engine_kinds;
-using mdcp::testing::kind_label;
+using mdcp::testing::exact_engine_names;
 
 TEST(CpAls, RecoversPlantedLowRankTensor) {
   // Noiseless rank-3 data on a fully observed grid: ALS should fit it almost
@@ -22,7 +21,7 @@ TEST(CpAls, RecoversPlantedLowRankTensor) {
   opt.rank = 3;
   opt.max_iterations = 60;
   opt.tolerance = 1e-9;
-  opt.engine = EngineKind::kDTreeBdt;
+  opt.engine = "dtree-bdt";
   // Multiple restarts: single-init ALS can land in a local minimum.
   const auto result = cp_als_best_of(planted.tensor, opt, 3);
   EXPECT_GT(result.final_fit(), 0.98) << "iterations " << result.iterations;
@@ -75,16 +74,16 @@ TEST(CpAls, AllEnginesProduceIdenticalTrajectories) {
   opt.seed = 99;
 
   std::vector<real_t> reference_fits;
-  for (EngineKind k : exact_engine_kinds()) {
-    opt.engine = k;
+  for (const auto& name : exact_engine_names()) {
+    opt.engine = name;
     const auto result = cp_als(t, opt);
-    ASSERT_EQ(result.fits.size(), 8u) << kind_label(k);
+    ASSERT_EQ(result.fits.size(), 8u) << name;
     if (reference_fits.empty()) {
       reference_fits = result.fits;
     } else {
       for (std::size_t i = 0; i < reference_fits.size(); ++i) {
         EXPECT_NEAR(result.fits[i], reference_fits[i], 1e-8)
-            << kind_label(k) << " iteration " << i;
+            << name << " iteration " << i;
       }
     }
   }
@@ -97,9 +96,9 @@ TEST(CpAls, AutoEngineMatchesExplicitTrajectory) {
   opt.rank = 4;
   opt.max_iterations = 6;
   opt.tolerance = 0;
-  opt.engine = EngineKind::kDTreeBdt;
+  opt.engine = "dtree-bdt";
   const auto expect = cp_als(t, opt);
-  opt.engine = EngineKind::kAuto;
+  opt.engine = "auto";
   const auto got = cp_als(t, opt);
   ASSERT_EQ(got.fits.size(), expect.fits.size());
   for (std::size_t i = 0; i < got.fits.size(); ++i)
@@ -123,7 +122,7 @@ TEST(CpAls, ReusedEngineGivesSameResult) {
   // The amortization pattern: one engine, several CP-ALS runs (e.g. rank
   // search / multiple restarts). State must be fully reset between runs.
   const auto t = generate_uniform(shape_t{15, 15, 15, 15}, 800, 13);
-  auto engine = make_engine(t, EngineKind::kDTreeBdt, 4);
+  auto engine = make_engine("dtree-bdt", t, 4);
   CpAlsOptions opt;
   opt.rank = 4;
   opt.max_iterations = 5;
@@ -208,7 +207,7 @@ TEST(CpAls, HigherOrderSmoke) {
   opt.rank = 2;
   opt.max_iterations = 40;
   opt.tolerance = 1e-8;
-  opt.engine = EngineKind::kDTreeBdt;
+  opt.engine = "dtree-bdt";
   const auto result = cp_als_best_of(planted.tensor, opt, 3);
   EXPECT_GT(result.final_fit(), 0.95);
 }
@@ -322,16 +321,25 @@ TEST(CpMu, WorksWithAllEngines) {
   opt.max_iterations = 4;
   opt.tolerance = 0;
   std::vector<real_t> reference;
-  for (EngineKind k : mdcp::testing::exact_engine_kinds()) {
-    opt.engine = k;
+  for (const auto& name : exact_engine_names()) {
+    opt.engine = name;
     const auto r = cp_mu(t, opt);
     if (reference.empty()) {
       reference = r.fits;
     } else {
       for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_NEAR(r.fits[i], reference[i], 1e-8) << kind_label(k);
+        EXPECT_NEAR(r.fits[i], reference[i], 1e-8) << name;
     }
   }
+}
+
+TEST(CpMu, HonoursEngineName) {
+  const auto t = generate_uniform(shape_t{10, 12, 14}, 300, 51);
+  CpAlsOptions opt;
+  opt.rank = 3;
+  opt.max_iterations = 2;
+  opt.engine = "coo";
+  EXPECT_EQ(cp_mu(t, opt).engine_name, "coo");
 }
 
 TEST(CpAls, CongruenceDiagnosticOnRecovery) {

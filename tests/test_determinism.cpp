@@ -30,7 +30,9 @@ class ThreadRestore {
 // merge order is the whole reason it can promise bitwise owner-mode results.
 TEST(Determinism, RegistryListsBitwiseCriticalEngines) {
   const auto names = EngineRegistry::instance().names();
-  for (const char* expected : {"coo", "bcoo", "alto", "csf", "dtree-bdt"}) {
+  for (const char* expected :
+       {"alto", "csf", "coo", "bcoo", "dtree-flat", "dtree-3lvl", "dtree-bdt",
+        "auto", "auto+probe"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "engine \"" << expected
         << "\" missing from the registry-driven determinism matrix";
@@ -166,7 +168,7 @@ TEST(Determinism, CpAlsBitwiseAcrossThreadCounts) {
   opt.rank = 4;
   opt.max_iterations = 4;
   opt.tolerance = 0;
-  opt.engine = EngineKind::kDTreeBdt;
+  opt.engine = "dtree-bdt";
 
   set_num_threads(1);
   const auto r1 = cp_als(t, opt);

@@ -11,7 +11,7 @@
 namespace mdcp {
 namespace {
 
-using mdcp::testing::exact_engine_kinds;
+using mdcp::testing::exact_engine_names;
 using mdcp::testing::random_factors;
 
 // --- degenerate tensor shapes --------------------------------------------
@@ -22,14 +22,14 @@ TEST(EdgeCases, SizeOneModes) {
   t.push_back(std::array<index_t, 4>{0, 2, 0, 3}, 1.5);
   t.push_back(std::array<index_t, 4>{0, 4, 0, 6}, -2.5);
   const auto factors = random_factors(t, 3, 1);
-  for (EngineKind k : exact_engine_kinds()) {
-    const auto engine = make_engine(t, k, 3);
+  for (const auto& name : exact_engine_names()) {
+    const auto engine = make_engine(name, t, 3);
     Matrix got, want;
     for (mode_t m = 0; m < 4; ++m) {
       engine->compute(m, factors, got);
       mttkrp_reference(t, factors, m, want);
       EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-12)
-          << engine_kind_name(k) << " mode " << m;
+          << name << " mode " << m;
     }
   }
 }
@@ -43,12 +43,12 @@ TEST(EdgeCases, FullyDenseTensor) {
     for (c[1] = 0; c[1] < 3; ++c[1])
       for (c[2] = 0; c[2] < 3; ++c[2]) t.push_back(c, rng.next_real());
   const auto factors = random_factors(t, 4, 3);
-  for (EngineKind k : exact_engine_kinds()) {
-    const auto engine = make_engine(t, k, 4);
+  for (const auto& name : exact_engine_names()) {
+    const auto engine = make_engine(name, t, 4);
     Matrix got, want;
     engine->compute(1, factors, got);
     mttkrp_reference(t, factors, 1, want);
-    EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-12) << engine_kind_name(k);
+    EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-12) << name;
   }
 }
 
@@ -59,13 +59,13 @@ TEST(EdgeCases, DiagonalTensor) {
   for (index_t i = 0; i < 20; ++i)
     t.push_back(std::array<index_t, 4>{i, i, i, i}, static_cast<real_t>(i + 1));
   const auto factors = random_factors(t, 5, 4);
-  for (EngineKind k : exact_engine_kinds()) {
-    const auto engine = make_engine(t, k, 5);
+  for (const auto& name : exact_engine_names()) {
+    const auto engine = make_engine(name, t, 5);
     Matrix got, want;
     for (mode_t m = 0; m < 4; ++m) {
       engine->compute(m, factors, got);
       mttkrp_reference(t, factors, m, want);
-      EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-10) << engine_kind_name(k);
+      EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-10) << name;
     }
   }
 }
@@ -81,12 +81,12 @@ TEST(EdgeCases, SingleSliceRepeated) {
   }
   t.coalesce();
   const auto factors = random_factors(t, 3, 6);
-  for (EngineKind k : exact_engine_kinds()) {
-    const auto engine = make_engine(t, k, 3);
+  for (const auto& name : exact_engine_names()) {
+    const auto engine = make_engine(name, t, 3);
     Matrix got, want;
     engine->compute(0, factors, got);
     mttkrp_reference(t, factors, 0, want);
-    EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-10) << engine_kind_name(k);
+    EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-10) << name;
     // All non-7 rows must be zero.
     for (index_t i = 0; i < 10; ++i) {
       if (i == 7) continue;
@@ -101,7 +101,7 @@ TEST(EdgeCases, LargeRankStillExact) {
   const auto t = generate_uniform(shape_t{12, 13, 14}, 200, 7);
   const index_t rank = 128;
   const auto factors = random_factors(t, rank, 8);
-  const auto engine = make_engine(t, EngineKind::kDTreeBdt, rank);
+  const auto engine = make_engine("dtree-bdt", t, rank);
   Matrix got, want;
   engine->compute(2, factors, got);
   mttkrp_reference(t, factors, 2, want);
@@ -116,12 +116,12 @@ TEST(EdgeCases, HugeAndTinyValues) {
   t.push_back(std::array<index_t, 3>{1, 1, 1}, 1e-12);
   t.push_back(std::array<index_t, 3>{2, 2, 2}, -1e12);
   const auto factors = random_factors(t, 2, 9);
-  for (EngineKind k : exact_engine_kinds()) {
-    const auto engine = make_engine(t, k, 2);
+  for (const auto& name : exact_engine_names()) {
+    const auto engine = make_engine(name, t, 2);
     Matrix got, want;
     engine->compute(0, factors, got);
     mttkrp_reference(t, factors, 0, want);
-    EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-2) << engine_kind_name(k);
+    EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-2) << name;
     for (std::size_t e = 0; e < got.size(); ++e)
       EXPECT_TRUE(std::isfinite(got.data()[e]));
   }
@@ -163,12 +163,14 @@ TEST(EdgeCases, TunerRejectsZeroRank) {
   EXPECT_THROW(select_strategy(t, 0), error);
 }
 
-TEST(EdgeCases, CsfOneRejectsWrongFactorCount) {
+TEST(EdgeCases, EveryEngineRejectsWrongFactorCount) {
   const auto t = generate_uniform(shape_t{5, 5, 5}, 20, 15);
-  CsfOneMttkrpEngine engine(t);
   std::vector<Matrix> two_factors{Matrix(5, 2), Matrix(5, 2)};
-  Matrix out;
-  EXPECT_THROW(engine.compute(0, two_factors, out), error);
+  for (const auto& name : exact_engine_names()) {
+    const auto engine = make_engine(name, t, 2);
+    Matrix out;
+    EXPECT_THROW(engine->compute(0, two_factors, out), error) << name;
+  }
 }
 
 // --- cross-module integration ----------------------------------------------
@@ -197,9 +199,9 @@ TEST(EdgeCases, CompactThenDecompose) {
   EXPECT_LT(c.original(0, 0), 100000u);
 }
 
-TEST(EdgeCases, TtvChainAgainstDTreeOnSameTensor) {
-  // Two completely independent formulations must agree on a tensor with
-  // repeated values and mixed signs.
+TEST(EdgeCases, DTreeMatchesReferenceOnMixedSignRepeatedValues) {
+  // The memoized tree and the brute-force definition must agree on a tensor
+  // with repeated values and mixed signs.
   CooTensor t(shape_t{6, 7, 8, 9});
   Rng rng(19);
   for (int i = 0; i < 120; ++i) {
@@ -210,13 +212,12 @@ TEST(EdgeCases, TtvChainAgainstDTreeOnSameTensor) {
   }
   t.coalesce();
   const auto factors = random_factors(t, 4, 20);
-  TtvChainEngine chain(t);
-  auto bdt = make_dtree_bdt(t);
-  Matrix a, b;
+  const auto bdt = make_engine("dtree-bdt", t, 4);
+  Matrix got, want;
   for (mode_t m = 0; m < 4; ++m) {
-    chain.compute(m, factors, a);
-    bdt->compute(m, factors, b);
-    EXPECT_LT(Matrix::max_abs_diff(a, b), 1e-10) << "mode " << m;
+    bdt->compute(m, factors, got);
+    mttkrp_reference(t, factors, m, want);
+    EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-10) << "mode " << m;
   }
 }
 

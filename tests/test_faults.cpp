@@ -234,7 +234,8 @@ TEST(DegradationChain, PicksFirstLevelTheModelSaysFits) {
 
 // The planned fallback order is part of the robustness contract: the
 // linearized engine sits directly behind the dtree winner, ahead of the
-// contraction and trie fallbacks, and the terminal last resort stays "coo".
+// trie fallback, and the terminal last resort stays "coo". The chain is
+// exactly the registry entries that have a footprint predictor, in order.
 TEST(DegradationChain, PlannedFallbacksFollowDocumentedOrder) {
   const CooTensor t = degradation_tensor();
   const index_t rank = 8;
@@ -249,12 +250,17 @@ TEST(DegradationChain, PlannedFallbacksFollowDocumentedOrder) {
   AutoEngine engine(false, 0, CostModelParams{}, 3, ctx);
   engine.prepare(t, rank);
   const auto& chain = engine.chain();
-  ASSERT_EQ(chain.size(), 5u);
+  ASSERT_EQ(chain.size(), 4u);
   EXPECT_TRUE(chain[0].engine.empty());  // the dtree winner
   EXPECT_EQ(chain[1].engine, "alto");
-  EXPECT_EQ(chain[2].engine, "ttv-chain");
-  EXPECT_EQ(chain[3].engine, "csf");
-  EXPECT_EQ(chain[4].engine, "coo");
+  EXPECT_EQ(chain[2].engine, "csf");
+  EXPECT_EQ(chain[3].engine, "coo");
+  std::vector<std::string> planned, with_footprint;
+  for (std::size_t i = 1; i < chain.size(); ++i)
+    planned.push_back(chain[i].engine);
+  for (const auto& entry : EngineRegistry::instance().entries())
+    if (entry.footprint != nullptr) with_footprint.push_back(entry.name);
+  EXPECT_EQ(planned, with_footprint);
 
   // On this tensor the budget that evicts the dtree winner still admits the
   // alto level, so the chain must stop there — and the degraded engine's
@@ -294,7 +300,7 @@ TEST(DegradationChain, BudgetedFitMatchesUnbudgeted) {
   opt.max_iterations = 6;
   opt.tolerance = 0;  // fixed iteration count for an apples-to-apples fit
   opt.seed = 42;
-  opt.engine_name = "auto";
+  opt.engine = "auto";
   const CpAlsResult base = cp_als(t, opt);
   EXPECT_EQ(base.kernel_stats.degradations, 0u);
 
@@ -334,7 +340,7 @@ TEST_F(InjectedFaults, AllocFailureSweepNeverEscapesUntyped) {
   opt.rank = 6;
   opt.max_iterations = 3;
   opt.tolerance = 0;
-  opt.engine_name = "auto";
+  opt.engine = "auto";
 
   int completed = 0;
   int typed_failures = 0;
@@ -376,7 +382,7 @@ TEST_F(InjectedFaults, NanPoisonTriggersRecoveryAndConverges) {
   opt.rank = 6;
   opt.max_iterations = 10;
   opt.tolerance = 0;
-  opt.engine_name = "coo";
+  opt.engine = "coo";
   fault::FaultPlan::instance().parse_spec("nan.nth=2;nan.limit=1");
 
   const CpAlsResult r = cp_als(t, opt);
@@ -394,7 +400,7 @@ TEST_F(InjectedFaults, RecoveryBudgetExhaustionIsTyped) {
   opt.rank = 6;
   opt.max_iterations = 20;
   opt.tolerance = 0;
-  opt.engine_name = "coo";
+  opt.engine = "coo";
   opt.max_recoveries = 2;
   // Poison every single kernel output: recovery cannot keep up.
   fault::FaultPlan::instance().parse_spec("nan.nth=1;nan.every=1");

@@ -27,22 +27,14 @@ inline CooTensor small_tensor(mode_t order, index_t dim, nnz_t nnz,
   return generate_uniform(shape, nnz, seed);
 }
 
-/// All engine kinds that are exact MTTKRPs (everything except kAuto, which
-/// is itself one of the dtree engines under the hood and is tested
-/// separately).
-inline std::vector<EngineKind> exact_engine_kinds() {
-  return {EngineKind::kCoo,           EngineKind::kBlockedCoo,
-          EngineKind::kTtvChain,      EngineKind::kCsf,
-          EngineKind::kCsfOne,        EngineKind::kDTreeFlat,
-          EngineKind::kDTreeThreeLevel, EngineKind::kDTreeBdt};
-}
-
-/// Label-friendly name for parameterized tests.
-inline std::string kind_label(EngineKind k) {
-  std::string s = engine_kind_name(k);
-  for (auto& c : s)
-    if (c == '-') c = '_';
-  return s;
+/// Every registered engine except "auto" and "auto+probe" (which run one of
+/// the dtree engines under the hood and are tested separately), in
+/// registration order.
+inline std::vector<std::string> exact_engine_names() {
+  std::vector<std::string> names;
+  for (const auto& name : EngineRegistry::instance().names())
+    if (name != "auto" && name != "auto+probe") names.push_back(name);
+  return names;
 }
 
 }  // namespace mdcp::testing

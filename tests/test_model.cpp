@@ -265,7 +265,7 @@ TEST(ProbedTuner, PicksBudgetFeasibleMeasuredWinner) {
 TEST(ProbedTuner, EngineIsExact) {
   const auto t = generate_uniform(shape_t{30, 35, 40, 45}, 1500, 59);
   const auto factors = random_factors(t, 5, 60);
-  const auto engine = make_probed_engine(t, 5);
+  const auto engine = make_engine("auto+probe", t, 5);
   EXPECT_EQ(engine->name().rfind("auto+probe:", 0), 0u) << engine->name();
   Matrix got, want;
   for (mode_t m = 0; m < t.order(); ++m) {

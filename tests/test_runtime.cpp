@@ -21,9 +21,8 @@ using mdcp::testing::random_factors;
 
 TEST(Registry, BuiltinNamesInCanonicalOrder) {
   const std::vector<std::string> expect{
-      "coo",        "bcoo",       "alto",       "ttv-chain", "csf",
-      "csf1",       "dtree-flat", "dtree-3lvl", "dtree-bdt", "auto",
-      "auto+probe"};
+      "alto",       "csf",       "coo",  "bcoo",      "dtree-flat",
+      "dtree-3lvl", "dtree-bdt", "auto", "auto+probe"};
   EXPECT_EQ(EngineRegistry::instance().names(), expect);
   for (const auto& name : expect)
     EXPECT_TRUE(EngineRegistry::instance().contains(name)) << name;
@@ -248,9 +247,8 @@ TEST(Runtime, MatrixStorageHonorsMicrokernelAlignment) {
 }
 
 TEST(Runtime, EnginesRecordMicrokernelTile) {
-  // Every rank-blocked engine reports the tile its last compute dispatched;
-  // ttv-chain truthfully reports 0 (its parallelism is column-wise, there is
-  // no rank-blocked inner loop). The auto engine mirrors its inner choice.
+  // Every engine reports the tile its last compute dispatched; the auto
+  // engine mirrors its inner choice.
   const auto t = testing::small_tensor(3, 10, 80, 401);
   for (const auto rank : {index_t{7}, index_t{16}, index_t{33}}) {
     const auto factors = random_factors(t, rank, 402 + rank);
@@ -259,9 +257,7 @@ TEST(Runtime, EnginesRecordMicrokernelTile) {
       const auto engine = make_engine(name, t, rank);
       Matrix out;
       engine->compute(0, factors, out);
-      const std::uint32_t expect =
-          name == "ttv-chain" ? 0u : mk::select_tile(rank);
-      EXPECT_EQ(engine->stats().last_tile, expect)
+      EXPECT_EQ(engine->stats().last_tile, mk::select_tile(rank))
           << name << " rank " << rank;
     }
   }

@@ -334,9 +334,9 @@ int cmd_decompose(const Args& args) {
   opt.max_iterations = static_cast<int>(args.get_num("iters", 50));
   opt.tolerance = static_cast<real_t>(args.get_num("tol", 1e-5));
   opt.seed = static_cast<std::uint64_t>(args.get_num("seed", 42));
-  opt.engine_name = args.get("engine", "auto");
-  if (!EngineRegistry::instance().contains(opt.engine_name))
-    usage(("unknown engine: " + opt.engine_name).c_str());
+  opt.engine = args.get("engine", "auto");
+  if (!EngineRegistry::instance().contains(opt.engine))
+    usage(("unknown engine: " + opt.engine).c_str());
   opt.nonnegative = args.has("nonnegative");
   // --mem-budget is the enforced kernel budget (MiB); --budget-mb is kept as
   // a legacy alias from when the budget only informed model selection.
@@ -581,11 +581,9 @@ int cmd_profile(const Args& args) {
   std::vector<std::string> engines;
   const std::string engines_arg = args.get("engines");
   if (engines_arg.empty()) {
-    // The chain baseline and the probing selector are excluded by default:
-    // one is orders of magnitude slower, the other benchmarks itself.
+    // The probing selector is excluded by default: it benchmarks itself.
     for (const auto& name : EngineRegistry::instance().names())
-      if (name != "ttv-chain" && name != "auto+probe")
-        engines.push_back(name);
+      if (name != "auto+probe") engines.push_back(name);
   } else {
     std::size_t pos = 0;
     while (pos <= engines_arg.size()) {
