@@ -2,9 +2,10 @@
 // dissection (MTTKRP / dense updates / fit), per engine.
 //
 // Mirrors the "CP-ALS iteration time" tables and the run-time dissection
-// figure of the sparse-CP papers. Expected shape: MTTKRP dominates, so the
-// end-to-end ranking follows the F1 kernel ranking; dense/fit phases are
-// engine-independent noise.
+// figure of the sparse-CP papers. The dense update (Hadamard, solve,
+// normalize, Gram) is engine-independent but not small: on these smoke-scale
+// datasets, whose factor rows far outnumber the nonzeros, it is most of the
+// iteration, so the solve and Gram columns show where it goes.
 #include <sstream>
 
 #include "bench_common.hpp"
@@ -30,8 +31,11 @@ int main(int argc, char** argv) {
 
   for (const auto& ds : standard_datasets()) {
     note("dataset: %s (%s)\n", ds.name.c_str(), ds.tensor.summary().c_str());
+    // solve/gram (the largest dense steps) are appended last: bench_diff
+    // compares cells by position, so the older columns keep theirs.
     TablePrinter table({"engine", "iter-total", "mttkrp", "dense", "fit",
-                        "symbolic", "numeric", "scratch", "final-fit"},
+                        "symbolic", "numeric", "scratch", "final-fit", "solve",
+                        "gram"},
                        14, "F7/" + ds.name);
     for (const auto& engine : engines) {
       opt.engine = engine;
@@ -53,7 +57,9 @@ int main(int argc, char** argv) {
            fmt_seconds(result.fit_seconds / iters),
            fmt_seconds(result.kernel_stats.symbolic_seconds),
            fmt_seconds(result.kernel_stats.numeric_seconds / iters),
-           fmt_bytes(result.kernel_stats.peak_scratch_bytes), fit.str()});
+           fmt_bytes(result.kernel_stats.peak_scratch_bytes), fit.str(),
+           fmt_seconds(result.solve_seconds / iters),
+           fmt_seconds(result.gram_seconds / iters)});
     }
     table.print();
   }

@@ -36,7 +36,7 @@ CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
   result.engine_name = engine.name();
 
   WallTimer total_timer;
-  PhaseTimer mttkrp_t, dense_t, fit_t;
+  PhaseTimer mttkrp_t, hadamard_t, solve_t, gram_t, fit_t;
 
   // Strictly positive initialization keeps the multiplicative iterates
   // well-defined.
@@ -83,10 +83,13 @@ CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
       engine.compute(n, factors, m_out);
       mttkrp_t.stop();
 
-      dense_t.start();
+      hadamard_t.start();
       h.resize(rank, rank, 1);
       for (mode_t i = 0; i < order; ++i)
         if (i != n) hadamard_inplace(h, grams[i]);
+      hadamard_t.stop();
+      // The multiplicative update plays the solve's part in the step split.
+      solve_t.start();
       multiply_into(factors[n], h, denom);
       auto& u = factors[n];
       parallel_for(u.rows(), [&](nnz_t i) {
@@ -99,14 +102,17 @@ CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
           urow[r] *= mrow[r] / (drow[r] + kEps);
         }
       });
-      if (!all_finite(u)) {
-        // A poisoned MTTKRP output (or overflow) reached the multiplicative
-        // update; the Gram refresh below would spread it to every mode.
-        recover_factor(n, "non-finite factor update");
-      } else {
+      // A poisoned MTTKRP output (or overflow) that reached the
+      // multiplicative update must not reach the Gram refresh, which would
+      // spread it to every mode.
+      const bool update_ok = all_finite(u);
+      if (!update_ok) recover_factor(n, "non-finite factor update");
+      solve_t.stop();
+      if (update_ok) {
+        gram_t.start();
         gram(u, grams[n]);
+        gram_t.stop();
       }
-      dense_t.stop();
 
       engine.factor_updated(n);
     }
@@ -165,7 +171,11 @@ CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
   result.model.weights = std::move(lambda);
 
   result.mttkrp_seconds = mttkrp_t.total_seconds();
-  result.dense_seconds = dense_t.total_seconds();
+  result.hadamard_seconds = hadamard_t.total_seconds();
+  result.solve_seconds = solve_t.total_seconds();
+  result.gram_seconds = gram_t.total_seconds();
+  result.dense_seconds =
+      result.hadamard_seconds + result.solve_seconds + result.gram_seconds;
   result.fit_seconds = fit_t.total_seconds();
   result.total_seconds = total_timer.seconds();
   return result;

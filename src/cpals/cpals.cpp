@@ -176,7 +176,12 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   }
 
   WallTimer total_timer;
-  PhaseTimer mttkrp_t, dense_t, fit_t;
+  // The dense update is timed per step; dense seconds are their sum.
+  PhaseTimer mttkrp_t, hadamard_t, solve_t, normalize_t, gram_t, fit_t;
+  const auto dense_seconds = [&] {
+    return hadamard_t.total_seconds() + solve_t.total_seconds() +
+           normalize_t.total_seconds() + gram_t.total_seconds();
+  };
   std::vector<double> iter_mode_seconds(order, 0.0);
 
   // Initialize factors Uniform(0,1) and precompute Gram matrices.
@@ -195,12 +200,6 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   Matrix h;
   real_t prev_fit = 0;
 
-  const auto all_finite = [](const Matrix& m) {
-    const real_t* d = m.data();
-    for (std::size_t e = 0; e < m.size(); ++e)
-      if (!std::isfinite(d[e])) return false;
-    return true;
-  };
   obs::Counter& recoveries_metric = metrics.counter("cpals.recoveries");
   // Bounded restart: re-randomize the offending factor and continue the
   // sweep. Throws numeric_error once the per-run budget is spent — a
@@ -264,8 +263,8 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
 
       MDCP_TRACE_SPAN("cpals.solve", "mode", static_cast<std::int64_t>(n));
       obs::fr_beat(obs::FrPhase::kSolve, static_cast<std::int64_t>(n));
-      dense_t.start();
       // H^(n) = ∘_{i≠n} Gram_i.
+      hadamard_t.start();
       h.resize(rank, rank, 1);
       for (mode_t i = 0; i < order; ++i) {
         if (i != n) hadamard_inplace(h, grams[i]);
@@ -273,10 +272,19 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
       if (options.ridge > 0) {
         for (index_t d = 0; d < rank; ++d) h(d, d) += options.ridge;
       }
+      hadamard_t.stop();
+
+      // The solve writes U^(n) straight into factors[n] (no I×R temporary)
+      // and reports whether every value it wrote is finite.
+      solve_t.start();
       bool update_ok = true;
       SolveInfo solve_info;
       try {
-        factors[n] = solve_normal_equations(h, mttkrp_out, &solve_info);
+        solve_normal_equations(h, mttkrp_out, factors[n], &solve_info);
+        // Guard the update itself: a NaN/Inf row (e.g. a poisoned MTTKRP
+        // output pushed through the solve) must not survive into the Gram
+        // matrices, where it would contaminate every later mode.
+        update_ok = solve_info.finite;
       } catch (const numeric_error&) {
         // Non-finite Gram matrix: a poisoned upstream factor (or injected
         // kernel NaN) reached H. Regularization cannot repair it — restart
@@ -285,19 +293,18 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
       }
       result.ridge_retries += solve_info.ridge_retries;
       if (solve_info.used_pseudo_inverse) ++result.pseudo_inverse_solves;
-      // Guard the update itself: a NaN/Inf row (e.g. a poisoned MTTKRP
-      // output pushed through the solve) must not survive into the Gram
-      // matrices, where it would contaminate every later mode.
-      if (update_ok && !all_finite(factors[n])) update_ok = false;
       if (!update_ok) {
         recover_factor(n, "non-finite factor update");
-      } else {
-        if (options.nonnegative) {
-          // Projected ALS: negative entries are infeasible for count data.
-          real_t* data = factors[n].data();
-          for (std::size_t e = 0; e < factors[n].size(); ++e)
-            if (data[e] < 0) data[e] = 0;
-        }
+      } else if (options.nonnegative) {
+        // Projected ALS: negative entries are infeasible for count data.
+        real_t* data = factors[n].data();
+        for (std::size_t e = 0; e < factors[n].size(); ++e)
+          if (data[e] < 0) data[e] = 0;
+      }
+      solve_t.stop();
+
+      if (update_ok) {
+        normalize_t.start();
         lambda = column_normalize(factors[n]);
         // Columns that collapsed to zero would poison H; re-randomize them.
         for (index_t r = 0; r < rank; ++r) {
@@ -308,9 +315,11 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
             (void)norms;
           }
         }
+        normalize_t.stop();
+        gram_t.start();
         gram(factors[n], grams[n]);
+        gram_t.stop();
       }
-      dense_t.stop();
 
       engine.factor_updated(n);
     }
@@ -375,7 +384,11 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
           .kv("fit", static_cast<double>(fit))
           .kv("fit_delta", static_cast<double>(fit - prev_fit))
           .kv("mttkrp_seconds", mttkrp_t.total_seconds())
-          .kv("dense_seconds", dense_t.total_seconds())
+          .kv("dense_seconds", dense_seconds())
+          .kv("hadamard_seconds", hadamard_t.total_seconds())
+          .kv("solve_seconds", solve_t.total_seconds())
+          .kv("normalize_seconds", normalize_t.total_seconds())
+          .kv("gram_seconds", gram_t.total_seconds())
           .kv("fit_seconds", fit_t.total_seconds());
       w.key("mttkrp_mode_seconds").begin_array();
       for (mode_t n = 0; n < order; ++n) w.value(iter_mode_seconds[n]);
@@ -408,7 +421,11 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   result.model.weights = std::move(lambda);
   result.model.factors = std::move(factors);
   result.mttkrp_seconds = mttkrp_t.total_seconds();
-  result.dense_seconds = dense_t.total_seconds();
+  result.hadamard_seconds = hadamard_t.total_seconds();
+  result.solve_seconds = solve_t.total_seconds();
+  result.normalize_seconds = normalize_t.total_seconds();
+  result.gram_seconds = gram_t.total_seconds();
+  result.dense_seconds = dense_seconds();
   result.fit_seconds = fit_t.total_seconds();
   result.total_seconds = total_timer.seconds();
   // KernelStats::since is a field-wise delta EXCEPT peak_scratch_bytes: a
@@ -489,6 +506,10 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
         .kv("total_seconds", result.total_seconds)
         .kv("mttkrp_seconds", result.mttkrp_seconds)
         .kv("dense_seconds", result.dense_seconds)
+        .kv("hadamard_seconds", result.hadamard_seconds)
+        .kv("solve_seconds", result.solve_seconds)
+        .kv("normalize_seconds", result.normalize_seconds)
+        .kv("gram_seconds", result.gram_seconds)
         .kv("fit_seconds", result.fit_seconds);
     w.key("mttkrp_mode_seconds").begin_array();
     for (mode_t n = 0; n < order; ++n) w.value(result.mttkrp_mode_seconds[n]);

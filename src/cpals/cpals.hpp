@@ -92,7 +92,12 @@ struct CpAlsResult {
 
   // Per-phase wall-clock dissection (seconds over all iterations).
   double mttkrp_seconds = 0;
-  double dense_seconds = 0;  ///< Gram/Hadamard/solve/normalize
+  /// The dense update, split by step; dense_seconds is the sum of the four.
+  double dense_seconds = 0;
+  double hadamard_seconds = 0;   ///< forming H = ∘_{i≠n} Gram_i (+ ridge)
+  double solve_seconds = 0;      ///< normal-equation solve (+ recovery)
+  double normalize_seconds = 0;  ///< column normalization into λ
+  double gram_seconds = 0;       ///< Gram refresh of the updated factor
   double fit_seconds = 0;
   double total_seconds = 0;
   /// MTTKRP seconds per mode, summed over all iterations (one entry per

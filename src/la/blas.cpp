@@ -15,13 +15,16 @@ void gram(const Matrix& a, Matrix& out) {
 
   // Fixed-size row blocks (independent of the thread count) accumulated in
   // parallel, then reduced in block order: bitwise-deterministic for any
-  // number of threads, atomics-free, single scan of the tall matrix.
+  // number of threads, atomics-free, single scan of the tall matrix. The
+  // per-block R×R partials share one contiguous buffer (one allocation per
+  // call, not one per block).
   constexpr index_t kBlock = 2048;
   const index_t num_blocks = (n + kBlock - 1) / kBlock;
-  std::vector<Matrix> partial(num_blocks, Matrix(r, r, 0));
+  const std::size_t rr = static_cast<std::size_t>(r) * r;
+  aligned_real_vector partial(num_blocks * rr, 0);
 #pragma omp parallel for schedule(static)
   for (std::int64_t b = 0; b < static_cast<std::int64_t>(num_blocks); ++b) {
-    Matrix& local = partial[static_cast<std::size_t>(b)];
+    real_t* local = partial.data() + static_cast<std::size_t>(b) * rr;
     const index_t begin = static_cast<index_t>(b) * kBlock;
     const index_t end = std::min<index_t>(begin + kBlock, n);
     for (index_t i = begin; i < end; ++i) {
@@ -29,14 +32,16 @@ void gram(const Matrix& a, Matrix& out) {
       for (index_t j = 0; j < r; ++j) {
         const real_t aj = row[j];
         if (aj == 0) continue;
-        real_t* lrow = &local(j, 0);
+        real_t* lrow = local + static_cast<std::size_t>(j) * r;
         for (index_t k = j; k < r; ++k) lrow[k] += aj * row[k];
       }
     }
   }
-  for (const auto& p : partial)
+  for (index_t b = 0; b < num_blocks; ++b) {
+    const real_t* p = partial.data() + static_cast<std::size_t>(b) * rr;
     for (index_t j = 0; j < r; ++j)
-      for (index_t k = j; k < r; ++k) out(j, k) += p(j, k);
+      for (index_t k = j; k < r; ++k) out(j, k) += p[j * r + k];
+  }
   // Mirror the upper triangle.
   for (index_t j = 0; j < r; ++j)
     for (index_t k = j + 1; k < r; ++k) out(k, j) = out(j, k);

@@ -1,5 +1,7 @@
 #include "la/cholesky.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "la/blas.hpp"
@@ -32,42 +34,100 @@ bool cholesky_factor(Matrix& a) {
   return cholesky_factor_status(a) == CholeskyStatus::kOk;
 }
 
-void cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows) {
-  MDCP_CHECK(l.rows() == l.cols());
-  MDCP_CHECK(rhs_rows.cols() == l.rows());
+namespace {
+
+// Solves L·Lᵀ·x = b for every row b of `b` into the same row of `x` (same
+// shape; may be `b` itself, since a tile is fully loaded before it is
+// written back). Returns true when every value written is finite.
+bool solve_rows_into(const Matrix& l, const Matrix& b, Matrix& x) {
+  constexpr index_t kLanes = kCholeskyLanes;
   const index_t n = l.rows();
-  parallel_for(rhs_rows.rows(), [&](nnz_t ri) {
-    auto x = rhs_rows.row(static_cast<index_t>(ri));
-    // Forward substitution: L y = b.
-    for (index_t i = 0; i < n; ++i) {
-      real_t s = x[i];
-      for (index_t k = 0; k < i; ++k) s -= l(i, k) * x[k];
-      x[i] = s / l(i, i);
+  const index_t rows = b.rows();
+  const nnz_t num_tiles = (static_cast<nnz_t>(rows) + kLanes - 1) / kLanes;
+  std::atomic<bool> every_finite{true};
+  parallel_for_chunked(num_tiles, [&](int, Range tiles) {
+    // t[c·kLanes + lane] holds column c of row r0 + lane.
+    aligned_real_vector tile(static_cast<std::size_t>(n) * kLanes);
+    real_t* t = tile.data();
+    bool finite = true;
+    for (nnz_t ti = tiles.begin; ti < tiles.end; ++ti) {
+      const index_t r0 = static_cast<index_t>(ti) * kLanes;
+      const index_t count = std::min(kLanes, rows - r0);
+      for (index_t lane = 0; lane < count; ++lane) {
+        const auto row = b.row(r0 + lane);
+        for (index_t c = 0; c < n; ++c) t[c * kLanes + lane] = row[c];
+      }
+      for (index_t lane = count; lane < kLanes; ++lane)
+        for (index_t c = 0; c < n; ++c) t[c * kLanes + lane] = 0;
+
+      // Forward substitution: L y = b.
+      for (index_t i = 0; i < n; ++i) {
+        real_t* xi = t + i * kLanes;
+        for (index_t k = 0; k < i; ++k) {
+          const real_t lik = l(i, k);
+          const real_t* xk = t + k * kLanes;
+#pragma omp simd
+          for (index_t lane = 0; lane < kLanes; ++lane)
+            xi[lane] -= lik * xk[lane];
+        }
+        const real_t d = l(i, i);
+#pragma omp simd
+        for (index_t lane = 0; lane < kLanes; ++lane) xi[lane] = xi[lane] / d;
+      }
+      // Backward substitution: Lᵀ x = y.
+      for (index_t ii = n; ii-- > 0;) {
+        real_t* xi = t + ii * kLanes;
+        for (index_t k = ii + 1; k < n; ++k) {
+          const real_t lki = l(k, ii);
+          const real_t* xk = t + k * kLanes;
+#pragma omp simd
+          for (index_t lane = 0; lane < kLanes; ++lane)
+            xi[lane] -= lki * xk[lane];
+        }
+        const real_t d = l(ii, ii);
+#pragma omp simd
+        for (index_t lane = 0; lane < kLanes; ++lane) xi[lane] = xi[lane] / d;
+      }
+
+      for (index_t lane = 0; lane < count; ++lane) {
+        auto row = x.row(r0 + lane);
+        for (index_t c = 0; c < n; ++c) {
+          const real_t v = t[c * kLanes + lane];
+          row[c] = v;
+          finite &= std::isfinite(v);
+        }
+      }
     }
-    // Backward substitution: Lᵀ x = y.
-    for (index_t ii = n; ii-- > 0;) {
-      real_t s = x[ii];
-      for (index_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-      x[ii] = s / l(ii, ii);
-    }
+    if (!finite) every_finite.store(false);
   });
+  return every_finite.load();
 }
 
-Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
-                              SolveInfo* info) {
+}  // namespace
+
+bool cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows) {
+  MDCP_CHECK(l.rows() == l.cols());
+  MDCP_CHECK(rhs_rows.cols() == l.rows());
+  return solve_rows_into(l, rhs_rows, rhs_rows);
+}
+
+void solve_normal_equations(const Matrix& h, const Matrix& m, Matrix& x,
+                            SolveInfo* info) {
   MDCP_CHECK(h.rows() == h.cols());
   MDCP_CHECK(m.cols() == h.rows());
+  MDCP_CHECK_MSG(&x != &m, "solve_normal_equations: x must not alias m");
   SolveInfo local;
   SolveInfo& si = info != nullptr ? *info : local;
   si = SolveInfo{};
   const index_t n = h.rows();
+  if (x.rows() != m.rows() || x.cols() != m.cols())
+    x.resize(m.rows(), m.cols());
 
   Matrix l = h;
   si.cholesky = cholesky_factor_status(l);
   if (si.cholesky == CholeskyStatus::kOk) {
-    Matrix x = m;
-    cholesky_solve_rows(l, x);
-    return x;
+    si.finite = solve_rows_into(l, m, x);
+    return;
   }
   if (si.cholesky == CholeskyStatus::kNanInput)
     throw numeric_error(
@@ -89,17 +149,24 @@ Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
       si.ridge_retries = retry;
       if (cholesky_factor_status(lr) == CholeskyStatus::kOk) {
         si.ridge_lambda = lambda;
-        Matrix x = m;
-        cholesky_solve_rows(lr, x);
-        return x;
+        si.finite = solve_rows_into(lr, m, x);
+        return;
       }
     }
   }
 
   // Last resort: the Moore–Penrose pseudo-inverse.
   si.used_pseudo_inverse = true;
-  const Matrix hp = pseudo_inverse(h);
-  return multiply(m, hp);
+  multiply_into(m, pseudo_inverse(h), x);
+  si.finite = std::all_of(x.data(), x.data() + x.size(),
+                          [](real_t v) { return std::isfinite(v); });
+}
+
+Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
+                              SolveInfo* info) {
+  Matrix x;
+  solve_normal_equations(h, m, x, info);
+  return x;
 }
 
 }  // namespace mdcp

@@ -9,6 +9,18 @@
 // is reported as its own status and solve_normal_equations raises a typed
 // mdcp::numeric_error that the CP-ALS recovery path converts into a factor
 // restart.
+//
+// The substitution is row-tiled: kCholeskyLanes right-hand-side rows are
+// loaded transposed into one per-thread R×kCholeskyLanes tile, so the row
+// index becomes the SIMD lane and each of the ~2R² multiply-subtracts runs
+// across independent rows instead of down one row's serial dependency chain.
+// Every row still sees exactly the per-row operation sequence of the textbook
+// loop (s = x[i]; s -= l(i,k)·x[k] for k ascending; x[i] = s / l(i,i), then
+// the mirror for Lᵀ, true division), lanes never interact, and lanes past the
+// last row are zero-padded (zeros solve to zeros). The result is therefore
+// bitwise identical to the per-row loop for any tile width and any thread
+// count. la/cholesky.cpp is compiled with -ffp-contract=off so that holds on
+// FMA targets too (src/CMakeLists.txt).
 #pragma once
 
 #include "la/matrix.hpp"
@@ -33,10 +45,15 @@ CholeskyStatus cholesky_factor_status(Matrix& a);
 /// Back-compat predicate: cholesky_factor_status(a) == kOk.
 bool cholesky_factor(Matrix& a);
 
+/// Right-hand-side rows per substitution tile (the SIMD lane count). Fixed,
+/// so the tiling never depends on the thread count; 16 measured fastest at
+/// R ∈ {10, 16, 32} on both baseline x86-64 and AVX-512 code generation.
+inline constexpr index_t kCholeskyLanes = 16;
+
 /// Solves L·Lᵀ·x = b for each row b of `rhs_rows` (i.e. computes rhs·A⁻¹ for
 /// symmetric A given its Cholesky factor L). rhs_rows is I×R, modified
-/// in place.
-void cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows);
+/// in place. Returns true when every solved value is finite.
+bool cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows);
 
 /// How solve_normal_equations obtained its result — consumed by the CP-ALS
 /// recovery accounting and the run reporter.
@@ -45,13 +62,21 @@ struct SolveInfo {
   int ridge_retries = 0;     ///< escalating-λ retries performed
   double ridge_lambda = 0;   ///< the λ that succeeded (0 = none needed)
   bool used_pseudo_inverse = false;
+  bool finite = true;        ///< every value written into X is finite
 };
 
 /// Computes X = M · H⁺ robustly: Cholesky when H is SPD, escalating-ridge
 /// Cholesky when it is rank-deficient, pseudo-inverse as the last resort.
-/// `h` is R×R symmetric, `m` is I×R. Returns X (I×R); fills `*info` (when
-/// given) with the path taken. Throws mdcp::numeric_error if `h` is
-/// non-finite — see CholeskyStatus::kNanInput.
+/// `h` is R×R symmetric, `m` is I×R. Writes X (I×R) into `x`, which is
+/// resized only when its shape differs from `m`'s (so a caller can solve
+/// straight into a factor matrix without a fresh allocation); `x` must not
+/// alias `m`. Fills `*info` (when given) with the path taken and whether X
+/// is finite. Throws mdcp::numeric_error if `h` is non-finite — see
+/// CholeskyStatus::kNanInput.
+void solve_normal_equations(const Matrix& h, const Matrix& m, Matrix& x,
+                            SolveInfo* info = nullptr);
+
+/// Returning form of the above: X = M · H⁺ as a new matrix.
 Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
                               SolveInfo* info = nullptr);
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "cpals/cp_mu.hpp"
 #include "cpals/cpals.hpp"
@@ -272,6 +275,109 @@ TEST(CpAls, ZeroRidgeMatchesDefault) {
   const auto b = cp_als(t, opt);
   for (std::size_t i = 0; i < a.fits.size(); ++i)
     EXPECT_DOUBLE_EQ(a.fits[i], b.fits[i]);
+}
+
+// One cp_als run rebuilt from the public layer calls, in cp_als's order:
+// random_uniform init, then per mode compute → hadamard_inplace → the
+// returning solve_normal_equations → column_normalize → gram →
+// factor_updated, then the fit identity through fit_from_parts.
+struct Replay {
+  std::vector<Matrix> factors;
+  std::vector<real_t> lambda;
+  std::vector<real_t> fits;
+};
+
+Replay replay_cp_als(const CooTensor& t, MttkrpEngine& engine,
+                     const CpAlsOptions& opt) {
+  const mode_t order = t.order();
+  const index_t rank = opt.rank;
+  Replay r;
+  r.factors = mdcp::testing::random_factors(t, rank, opt.seed);
+  std::vector<Matrix> grams(order);
+  for (mode_t m = 0; m < order; ++m) gram(r.factors[m], grams[m]);
+  r.lambda.assign(rank, 1);
+  engine.invalidate_all();
+  if (!engine.prepared()) engine.prepare(t, rank);
+  const real_t x_norm = t.norm();
+  Matrix out, h;
+  for (int it = 0; it < opt.max_iterations; ++it) {
+    for (mode_t n = 0; n < order; ++n) {
+      engine.compute(n, r.factors, out);
+      h.resize(rank, rank, 1);
+      for (mode_t i = 0; i < order; ++i)
+        if (i != n) hadamard_inplace(h, grams[i]);
+      SolveInfo info;
+      r.factors[n] = solve_normal_equations(h, out, &info);
+      EXPECT_TRUE(info.finite && info.ridge_retries == 0 &&
+                  !info.used_pseudo_inverse);
+      r.lambda = column_normalize(r.factors[n]);
+      gram(r.factors[n], grams[n]);
+      engine.factor_updated(n);
+    }
+    real_t inner = 0;
+    const Matrix& u = r.factors[order - 1];
+    for (index_t i = 0; i < u.rows(); ++i)
+      for (index_t q = 0; q < rank; ++q)
+        inner += r.lambda[q] * u(i, q) * out(i, q);
+    Matrix acc(rank, rank, 1);
+    for (mode_t i = 0; i < order; ++i) hadamard_inplace(acc, grams[i]);
+    real_t m_norm_sq = 0;
+    for (index_t p = 0; p < rank; ++p)
+      for (index_t q = 0; q < rank; ++q)
+        m_norm_sq += r.lambda[p] * r.lambda[q] * acc(p, q);
+    r.fits.push_back(fit_from_parts(
+        x_norm, inner, std::sqrt(std::max<real_t>(m_norm_sq, 0))));
+  }
+  return r;
+}
+
+TEST(CpAls, MatchesLayerReplayBitwise) {
+  // Guards cp_als's in-place update: solving straight into factors[n] must
+  // give exactly what the returning solve gives. The rows span several
+  // substitution tiles plus a partial one.
+  const auto t = generate_zipf(shape_t{70, 45, 90, 33}, 4000, 1.1, 71);
+  CpAlsOptions opt;
+  opt.rank = 7;
+  opt.max_iterations = 4;
+  opt.tolerance = 0;
+  opt.seed = 123;
+  for (const std::string name : {"coo", "dtree-bdt"}) {
+    opt.engine = name;
+    const auto result = cp_als(t, opt);
+    auto engine = make_engine(name, t, opt.rank);
+    const Replay replay = replay_cp_als(t, *engine, opt);
+    ASSERT_EQ(result.fits.size(), replay.fits.size()) << name;
+    for (std::size_t i = 0; i < replay.fits.size(); ++i)
+      EXPECT_EQ(std::memcmp(&result.fits[i], &replay.fits[i], sizeof(real_t)),
+                0)
+          << name << " iteration " << i;
+    ASSERT_EQ(result.model.weights.size(), replay.lambda.size());
+    EXPECT_EQ(std::memcmp(result.model.weights.data(), replay.lambda.data(),
+                          replay.lambda.size() * sizeof(real_t)),
+              0)
+        << name;
+    for (mode_t m = 0; m < t.order(); ++m) {
+      const Matrix& a = result.model.factors[m];
+      const Matrix& b = replay.factors[m];
+      ASSERT_EQ(a.size(), b.size()) << name << " mode " << m;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)), 0)
+          << name << " mode " << m;
+    }
+  }
+}
+
+TEST(CpAls, DenseSplitSumsToDenseSeconds) {
+  const auto t = generate_uniform(shape_t{20, 20, 20}, 1000, 19);
+  CpAlsOptions opt;
+  opt.rank = 6;
+  opt.max_iterations = 3;
+  opt.tolerance = 0;
+  const auto result = cp_als(t, opt);
+  EXPECT_GT(result.solve_seconds, 0.0);
+  EXPECT_GT(result.gram_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(result.dense_seconds,
+                   result.hadamard_seconds + result.solve_seconds +
+                       result.normalize_seconds + result.gram_seconds);
 }
 
 TEST(CpMu, RejectsNegativeData) {

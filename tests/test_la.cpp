@@ -2,16 +2,52 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eigen.hpp"
 #include "la/matrix.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mdcp {
 namespace {
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  // memcmp must not see the null data() of an empty matrix.
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0);
+}
+
+// The per-row substitution loop the row-tiled cholesky_solve_rows replaced,
+// kept verbatim as the bitwise reference: each row is one serial chain.
+void reference_solve_rows(const Matrix& l, Matrix& rhs_rows) {
+  const index_t n = l.rows();
+  for (index_t ri = 0; ri < rhs_rows.rows(); ++ri) {
+    auto x = rhs_rows.row(ri);
+    for (index_t i = 0; i < n; ++i) {
+      real_t s = x[i];
+      for (index_t k = 0; k < i; ++k) s -= l(i, k) * x[k];
+      x[i] = s / l(i, i);
+    }
+    for (index_t ii = n; ii-- > 0;) {
+      real_t s = x[ii];
+      for (index_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
+      x[ii] = s / l(ii, ii);
+    }
+  }
+}
+
+// SPD R×R matrix BᵀB + I.
+Matrix random_spd(index_t r, Rng& rng) {
+  Matrix h = gram(Matrix::random_normal(r + 5, r, rng));
+  for (index_t i = 0; i < r; ++i) h(i, i) += 1;
+  return h;
+}
 
 TEST(Matrix, ConstructionAndAccess) {
   Matrix m(3, 2, 1.5);
@@ -214,6 +250,144 @@ TEST(Cholesky, NormalEquationsSingularFallback) {
   const Matrix x = solve_normal_equations(h, m);
   // For this H and M, M·H⁺ = [[0.5, 0.5], ...] and X·H = M exactly.
   EXPECT_LT(Matrix::max_abs_diff(multiply(x, h), m), 1e-9);
+}
+
+TEST(Cholesky, TiledSolveMatchesPerRowLoopBitwise) {
+  // Ranks straddle the tile-friendly widths; row counts cover no tile, a
+  // partial tile, exactly one tile, one row past it, and many tiles.
+  const index_t ranks[] = {1, 2, 7, 8, 15, 16, 17, 32, 33, 64, 65};
+  const index_t row_counts[] = {0,
+                                1,
+                                kCholeskyLanes - 1,
+                                kCholeskyLanes,
+                                kCholeskyLanes + 1,
+                                1000};
+  const int saved_threads = num_threads();
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const index_t r : ranks) {
+      Rng rng(1000 + r);
+      Matrix l = random_spd(r, rng);
+      ASSERT_TRUE(cholesky_factor(l));
+      for (const index_t rows : row_counts) {
+        const Matrix m = Matrix::random_normal(rows, r, rng);
+        Matrix expect = m;
+        reference_solve_rows(l, expect);
+        Matrix got = m;
+        EXPECT_TRUE(cholesky_solve_rows(l, got));
+        EXPECT_TRUE(bitwise_equal(got, expect))
+            << "R=" << r << " rows=" << rows << " threads=" << threads;
+      }
+    }
+  }
+  set_num_threads(saved_threads);
+}
+
+TEST(Cholesky, TiledSolveReportsNonFiniteRows) {
+  Rng rng(21);
+  Matrix l = random_spd(6, rng);
+  ASSERT_TRUE(cholesky_factor(l));
+  Matrix m = Matrix::random_normal(3 * kCholeskyLanes + 5, 6, rng);
+  m(2 * kCholeskyLanes + 3, 4) = std::numeric_limits<real_t>::quiet_NaN();
+  Matrix expect = m;
+  reference_solve_rows(l, expect);
+  Matrix got = m;
+  EXPECT_FALSE(cholesky_solve_rows(l, got));
+  // Only the poisoned row goes non-finite; every other row is untouched by
+  // its tile neighbour.
+  for (index_t i = 0; i < m.rows(); ++i) {
+    if (i == 2 * kCholeskyLanes + 3) continue;
+    EXPECT_EQ(std::memcmp(got.row(i).data(), expect.row(i).data(),
+                          6 * sizeof(real_t)),
+              0)
+        << "row " << i;
+  }
+}
+
+// Runs both solve_normal_equations forms on (h, m) and requires the same X
+// bit for bit and the same SolveInfo, whatever `x` held before.
+void expect_in_place_matches_returning(const Matrix& h, const Matrix& m) {
+  SolveInfo want_info;
+  const Matrix want = solve_normal_equations(h, m, &want_info);
+  Rng rng(5);
+  std::vector<Matrix> targets;
+  targets.emplace_back();                                         // fresh
+  targets.push_back(Matrix::random_normal(m.rows(), m.cols(), rng));  // sized
+  targets.emplace_back(m.rows() + 3, m.cols() + 1, 7.0);         // wrong
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    Matrix& x = targets[t];
+    SolveInfo info;
+    solve_normal_equations(h, m, x, &info);
+    EXPECT_TRUE(bitwise_equal(x, want)) << "target " << t;
+    EXPECT_EQ(info.cholesky, want_info.cholesky);
+    EXPECT_EQ(info.ridge_retries, want_info.ridge_retries);
+    EXPECT_EQ(info.ridge_lambda, want_info.ridge_lambda);
+    EXPECT_EQ(info.used_pseudo_inverse, want_info.used_pseudo_inverse);
+    EXPECT_EQ(info.finite, want_info.finite);
+  }
+}
+
+TEST(Cholesky, InPlaceSolveMatchesReturningSpd) {
+  Rng rng(31);
+  const Matrix h = random_spd(16, rng);
+  const Matrix m = Matrix::random_normal(1000, 16, rng);
+  SolveInfo info;
+  (void)solve_normal_equations(h, m, &info);
+  EXPECT_EQ(info.cholesky, CholeskyStatus::kOk);
+  EXPECT_TRUE(info.finite);
+  expect_in_place_matches_returning(h, m);
+}
+
+TEST(Cholesky, InPlaceSolveMatchesReturningRidge) {
+  // All-ones H is rank one: the first pivot past the top-left hits exactly
+  // zero, and the smallest ridge restores definiteness.
+  const Matrix h(5, 5, 1.0);
+  Rng rng(32);
+  const Matrix m = Matrix::random_normal(3 * kCholeskyLanes + 1, 5, rng);
+  SolveInfo info;
+  (void)solve_normal_equations(h, m, &info);
+  EXPECT_EQ(info.cholesky, CholeskyStatus::kNotSpd);
+  EXPECT_GE(info.ridge_retries, 1);
+  EXPECT_FALSE(info.used_pseudo_inverse);
+  expect_in_place_matches_returning(h, m);
+}
+
+TEST(Cholesky, InPlaceSolveMatchesReturningPseudoInverse) {
+  // Indefinite with a negative trace: no ridge is tried.
+  Matrix h(3, 3, 0.0);
+  h(0, 0) = 1;
+  h(1, 1) = -3;
+  h(2, 2) = 0.5;
+  Rng rng(33);
+  const Matrix m = Matrix::random_normal(kCholeskyLanes + 2, 3, rng);
+  SolveInfo info;
+  (void)solve_normal_equations(h, m, &info);
+  EXPECT_TRUE(info.used_pseudo_inverse);
+  EXPECT_EQ(info.ridge_retries, 0);
+  EXPECT_TRUE(info.finite);
+  expect_in_place_matches_returning(h, m);
+}
+
+TEST(Cholesky, InPlaceSolveReportsNonFiniteOutput) {
+  Rng rng(34);
+  const Matrix h = random_spd(4, rng);
+  Matrix m = Matrix::random_normal(40, 4, rng);
+  m(17, 2) = std::numeric_limits<real_t>::infinity();
+  Matrix x;
+  SolveInfo info;
+  solve_normal_equations(h, m, x, &info);
+  EXPECT_FALSE(info.finite);
+  expect_in_place_matches_returning(h, m);
+}
+
+TEST(Cholesky, InPlaceSolveRejectsNonFiniteGramAndAliasing) {
+  Rng rng(35);
+  Matrix h = random_spd(4, rng);
+  Matrix m = Matrix::random_normal(10, 4, rng);
+  EXPECT_THROW(solve_normal_equations(h, m, m), error);
+  h(1, 1) = std::numeric_limits<real_t>::quiet_NaN();
+  Matrix x;
+  EXPECT_THROW(solve_normal_equations(h, m, x), numeric_error);
 }
 
 }  // namespace

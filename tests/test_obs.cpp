@@ -736,8 +736,9 @@ TEST(Report, RunReportMatchesGoldenSchema) {
     EXPECT_TRUE(has_keys(
         lines[static_cast<std::size_t>(it)],
         {"iter", "fit", "fit_delta", "mttkrp_seconds", "dense_seconds",
-         "fit_seconds", "mttkrp_mode_seconds", "memo_hits", "memo_misses",
-         "kernel"}))
+         "hadamard_seconds", "solve_seconds", "normalize_seconds",
+         "gram_seconds", "fit_seconds", "mttkrp_mode_seconds", "memo_hits",
+         "memo_misses", "kernel"}))
         << lines[static_cast<std::size_t>(it)];
     EXPECT_NE(lines[static_cast<std::size_t>(it)].find("\"type\":\"iteration\""),
               std::string::npos);
@@ -748,7 +749,9 @@ TEST(Report, RunReportMatchesGoldenSchema) {
   EXPECT_TRUE(has_keys(lines[4],
                        {"engine", "rank", "plan_source", "iterations",
                         "converged", "final_fit", "total_seconds",
-                        "mttkrp_seconds", "mttkrp_mode_quantiles",
+                        "mttkrp_seconds", "dense_seconds", "hadamard_seconds",
+                        "solve_seconds", "normalize_seconds", "gram_seconds",
+                        "mttkrp_mode_quantiles",
                         "engine_peak_memory_bytes", "memo_hits_total",
                         "memo_misses_total", "workspace_thread_peak_bytes"}))
       << lines[4];

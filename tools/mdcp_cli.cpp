@@ -406,9 +406,12 @@ int cmd_decompose(const Args& args) {
     std::printf("watchdog: fired, dump %s\n",
                 result.watchdog_dump_path.c_str());
   std::printf("final fit: %.6f\n", static_cast<double>(result.final_fit()));
-  std::printf("time: total %.3fs  mttkrp %.3fs  dense %.3fs  fit %.3fs\n",
+  std::printf("time: total %.3fs  mttkrp %.3fs  dense %.3fs (hadamard %.3fs "
+              "solve %.3fs normalize %.3fs gram %.3fs)  fit %.3fs\n",
               result.total_seconds, result.mttkrp_seconds,
-              result.dense_seconds, result.fit_seconds);
+              result.dense_seconds, result.hadamard_seconds,
+              result.solve_seconds, result.normalize_seconds,
+              result.gram_seconds, result.fit_seconds);
   // peak-scratch is the workspace high-water mark carried over (not
   // subtracted) by KernelStats::since — a process-lifetime bound, so with a
   // reused engine it may predate this run.
