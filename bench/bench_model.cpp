@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       // directly comparable against the model's memory prediction.
       Workspace ws;
       DTreeMttkrpEngine engine(rs.strategy.spec, rs.strategy.name,
-                               KernelContext{&ws, 0, nullptr});
+                               KernelContext{&ws});
       engine.prepare(ds.tensor, rank);
       const double t = time_mttkrp_sweep(engine, ds.tensor, factors, 2);
       predicted.push_back(rs.prediction.seconds_per_iteration);

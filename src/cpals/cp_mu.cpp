@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "la/blas.hpp"
+#include "obs/phase.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -35,8 +36,9 @@ CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
   CpAlsResult result;
   result.engine_name = engine.name();
 
+  // Phases accumulate straight into the result; the MTTKRP seconds are the
+  // engine probe's own (the KernelStats::numeric_seconds delta).
   WallTimer total_timer;
-  PhaseTimer mttkrp_t, hadamard_t, solve_t, gram_t, fit_t;
 
   // Strictly positive initialization keeps the multiplicative iterates
   // well-defined.
@@ -79,65 +81,74 @@ CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
 
   for (int it = 0; it < options.max_iterations; ++it) {
     for (mode_t n = 0; n < order; ++n) {
-      mttkrp_t.start();
+      const double numeric_before = engine.stats().numeric_seconds;
       engine.compute(n, factors, m_out);
-      mttkrp_t.stop();
+      result.mttkrp_seconds += engine.stats().numeric_seconds - numeric_before;
 
-      hadamard_t.start();
-      h.resize(rank, rank, 1);
-      for (mode_t i = 0; i < order; ++i)
-        if (i != n) hadamard_inplace(h, grams[i]);
-      hadamard_t.stop();
+      const auto mode_arg = static_cast<std::int64_t>(n);
+      {
+        obs::Phase phase(obs::FrPhase::kSolve, "cpals.hadamard", mode_arg,
+                         result.hadamard_seconds);
+        h.resize(rank, rank, 1);
+        for (mode_t i = 0; i < order; ++i)
+          if (i != n) hadamard_inplace(h, grams[i]);
+      }
       // The multiplicative update plays the solve's part in the step split.
-      solve_t.start();
-      multiply_into(factors[n], h, denom);
       auto& u = factors[n];
-      parallel_for(u.rows(), [&](nnz_t i) {
-        auto urow = u.row(static_cast<index_t>(i));
-        const auto mrow = m_out.row(static_cast<index_t>(i));
-        const auto drow = denom.row(static_cast<index_t>(i));
-        for (index_t r = 0; r < rank; ++r) {
-          // M is nonnegative here (nonneg tensor × nonneg factors), so the
-          // update preserves nonnegativity.
-          urow[r] *= mrow[r] / (drow[r] + kEps);
-        }
-      });
-      // A poisoned MTTKRP output (or overflow) that reached the
-      // multiplicative update must not reach the Gram refresh, which would
-      // spread it to every mode.
-      const bool update_ok = all_finite(u);
-      if (!update_ok) recover_factor(n, "non-finite factor update");
-      solve_t.stop();
+      bool update_ok = true;
+      {
+        obs::Phase phase(obs::FrPhase::kSolve, "cpals.solve", mode_arg,
+                         result.solve_seconds);
+        multiply_into(factors[n], h, denom);
+        parallel_for(u.rows(), [&](nnz_t i) {
+          auto urow = u.row(static_cast<index_t>(i));
+          const auto mrow = m_out.row(static_cast<index_t>(i));
+          const auto drow = denom.row(static_cast<index_t>(i));
+          for (index_t r = 0; r < rank; ++r) {
+            // M is nonnegative here (nonneg tensor × nonneg factors), so the
+            // update preserves nonnegativity.
+            urow[r] *= mrow[r] / (drow[r] + kEps);
+          }
+        });
+        // A poisoned MTTKRP output (or overflow) that reached the
+        // multiplicative update must not reach the Gram refresh, which would
+        // spread it to every mode.
+        update_ok = all_finite(u);
+        if (!update_ok) recover_factor(n, "non-finite factor update");
+      }
       if (update_ok) {
-        gram_t.start();
+        obs::Phase phase(obs::FrPhase::kSolve, "cpals.gram", mode_arg,
+                         result.gram_seconds);
         gram(u, grams[n]);
-        gram_t.stop();
       }
 
       engine.factor_updated(n);
     }
 
     // ⟨X,M⟩ and ‖M‖ from state in hand (λ ≡ 1 here; scale lives in factors).
-    fit_t.start();
-    real_t inner = 0;
+    real_t fit = 0;
     {
-      const auto& u = factors[order - 1];
-      for (index_t i = 0; i < u.rows(); ++i) {
-        const auto urow = u.row(i);
-        const auto mrow = m_out.row(i);
-        for (index_t r = 0; r < rank; ++r) inner += urow[r] * mrow[r];
+      obs::Phase phase(obs::FrPhase::kFit, "cpals.fit", it,
+                       result.fit_seconds);
+      real_t inner = 0;
+      {
+        const auto& u = factors[order - 1];
+        for (index_t i = 0; i < u.rows(); ++i) {
+          const auto urow = u.row(i);
+          const auto mrow = m_out.row(i);
+          for (index_t r = 0; r < rank; ++r) inner += urow[r] * mrow[r];
+        }
       }
+      real_t m_norm_sq = 0;
+      {
+        Matrix acc(rank, rank, 1);
+        for (mode_t i = 0; i < order; ++i) hadamard_inplace(acc, grams[i]);
+        for (index_t r = 0; r < rank; ++r)
+          for (index_t q = 0; q < rank; ++q) m_norm_sq += acc(r, q);
+      }
+      fit = fit_from_parts(x_norm, inner,
+                           std::sqrt(std::max<real_t>(m_norm_sq, 0)));
     }
-    real_t m_norm_sq = 0;
-    {
-      Matrix acc(rank, rank, 1);
-      for (mode_t i = 0; i < order; ++i) hadamard_inplace(acc, grams[i]);
-      for (index_t r = 0; r < rank; ++r)
-        for (index_t q = 0; q < rank; ++q) m_norm_sq += acc(r, q);
-    }
-    real_t fit = fit_from_parts(
-        x_norm, inner, std::sqrt(std::max<real_t>(m_norm_sq, 0)));
-    fit_t.stop();
 
     bool recovered_this_iter = false;
     if (!std::isfinite(fit)) {
@@ -170,13 +181,8 @@ CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
   }
   result.model.weights = std::move(lambda);
 
-  result.mttkrp_seconds = mttkrp_t.total_seconds();
-  result.hadamard_seconds = hadamard_t.total_seconds();
-  result.solve_seconds = solve_t.total_seconds();
-  result.gram_seconds = gram_t.total_seconds();
   result.dense_seconds =
       result.hadamard_seconds + result.solve_seconds + result.gram_seconds;
-  result.fit_seconds = fit_t.total_seconds();
   result.total_seconds = total_timer.seconds();
   return result;
 }

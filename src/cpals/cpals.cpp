@@ -13,6 +13,7 @@
 #include "obs/history.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -37,8 +38,8 @@ std::unique_ptr<MttkrpEngine> make_cp_engine(const CpAlsOptions& options) {
   tuner.use_history = options.use_history && options.history != nullptr;
   tuner.history = options.history;
   tuner.trust.min_weight = options.history_min_weight;
-  return std::make_unique<AutoEngine>(options.engine == "auto+probe", 0,
-                                      CostModelParams{}, 3, ctx, tuner);
+  return std::make_unique<AutoEngine>(options.engine == "auto+probe", ctx,
+                                      tuner);
 }
 
 CpAlsResult cp_als(const CooTensor& tensor, const CpAlsOptions& options) {
@@ -176,13 +177,11 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   }
 
   WallTimer total_timer;
-  // The dense update is timed per step; dense seconds are their sum.
-  PhaseTimer mttkrp_t, hadamard_t, solve_t, normalize_t, gram_t, fit_t;
-  const auto dense_seconds = [&] {
-    return hadamard_t.total_seconds() + solve_t.total_seconds() +
-           normalize_t.total_seconds() + gram_t.total_seconds();
-  };
+  // Each phase below accumulates straight into its CpAlsResult field. The
+  // MTTKRP seconds are the engine probe's own, read as the delta of
+  // KernelStats::numeric_seconds around each compute().
   std::vector<double> iter_mode_seconds(order, 0.0);
+  double iteration_seconds = 0;  // feeds only the cpals.iteration span
 
   // Initialize factors Uniform(0,1) and precompute Gram matrices.
   Rng rng(options.seed);
@@ -226,9 +225,9 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
 
   bool cancelled = false;
   for (int it = 0; it < options.max_iterations; ++it) {
-    MDCP_TRACE_SPAN("cpals.iteration", "iter", static_cast<std::int64_t>(it));
     obs::fr_record(obs::FrEvent::kIteration, obs::FrPhase::kIteration, it);
-    obs::fr_beat(obs::FrPhase::kIteration, it);
+    obs::Phase iteration_phase(obs::FrPhase::kIteration, "cpals.iteration", it,
+                               iteration_seconds);
     if (cancel_requested()) {
       obs::fr_record(obs::FrEvent::kCancel, obs::FrPhase::kIteration, it);
       cancelled = true;
@@ -254,72 +253,81 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
         cancelled = true;
         break;
       }
-      mttkrp_t.start();
+      const double numeric_before = engine.stats().numeric_seconds;
       engine.compute(n, factors, mttkrp_out);
-      mttkrp_t.stop();
-      iter_mode_seconds[n] = mttkrp_t.last_seconds();
-      result.mttkrp_mode_seconds[n] += mttkrp_t.last_seconds();
-      mode_latency[n]->record(mttkrp_t.last_seconds());
+      const double mttkrp_secs =
+          engine.stats().numeric_seconds - numeric_before;
+      iter_mode_seconds[n] = mttkrp_secs;
+      result.mttkrp_mode_seconds[n] += mttkrp_secs;
+      result.mttkrp_seconds += mttkrp_secs;
+      mode_latency[n]->record(mttkrp_secs);
 
-      MDCP_TRACE_SPAN("cpals.solve", "mode", static_cast<std::int64_t>(n));
-      obs::fr_beat(obs::FrPhase::kSolve, static_cast<std::int64_t>(n));
-      // H^(n) = ∘_{i≠n} Gram_i.
-      hadamard_t.start();
-      h.resize(rank, rank, 1);
-      for (mode_t i = 0; i < order; ++i) {
-        if (i != n) hadamard_inplace(h, grams[i]);
+      const auto mode_arg = static_cast<std::int64_t>(n);
+      {
+        // H^(n) = ∘_{i≠n} Gram_i.
+        obs::Phase phase(obs::FrPhase::kSolve, "cpals.hadamard", mode_arg,
+                         result.hadamard_seconds);
+        h.resize(rank, rank, 1);
+        for (mode_t i = 0; i < order; ++i) {
+          if (i != n) hadamard_inplace(h, grams[i]);
+        }
+        if (options.ridge > 0) {
+          for (index_t d = 0; d < rank; ++d) h(d, d) += options.ridge;
+        }
       }
-      if (options.ridge > 0) {
-        for (index_t d = 0; d < rank; ++d) h(d, d) += options.ridge;
-      }
-      hadamard_t.stop();
 
       // The solve writes U^(n) straight into factors[n] (no I×R temporary)
       // and reports whether every value it wrote is finite.
-      solve_t.start();
       bool update_ok = true;
-      SolveInfo solve_info;
-      try {
-        solve_normal_equations(h, mttkrp_out, factors[n], &solve_info);
-        // Guard the update itself: a NaN/Inf row (e.g. a poisoned MTTKRP
-        // output pushed through the solve) must not survive into the Gram
-        // matrices, where it would contaminate every later mode.
-        update_ok = solve_info.finite;
-      } catch (const numeric_error&) {
-        // Non-finite Gram matrix: a poisoned upstream factor (or injected
-        // kernel NaN) reached H. Regularization cannot repair it — restart
-        // the factor instead.
-        update_ok = false;
+      {
+        obs::Phase phase(obs::FrPhase::kSolve, "cpals.solve", mode_arg,
+                         result.solve_seconds);
+        SolveInfo solve_info;
+        try {
+          solve_normal_equations(h, mttkrp_out, factors[n], &solve_info);
+          // Guard the update itself: a NaN/Inf row (e.g. a poisoned MTTKRP
+          // output pushed through the solve) must not survive into the Gram
+          // matrices, where it would contaminate every later mode.
+          update_ok = solve_info.finite;
+        } catch (const numeric_error&) {
+          // Non-finite Gram matrix: a poisoned upstream factor (or injected
+          // kernel NaN) reached H. Regularization cannot repair it — restart
+          // the factor instead.
+          update_ok = false;
+        }
+        result.ridge_retries += solve_info.ridge_retries;
+        if (solve_info.used_pseudo_inverse) ++result.pseudo_inverse_solves;
+        if (!update_ok) {
+          recover_factor(n, "non-finite factor update");
+        } else if (options.nonnegative) {
+          // Projected ALS: negative entries are infeasible for count data.
+          real_t* data = factors[n].data();
+          for (std::size_t e = 0; e < factors[n].size(); ++e)
+            if (data[e] < 0) data[e] = 0;
+        }
       }
-      result.ridge_retries += solve_info.ridge_retries;
-      if (solve_info.used_pseudo_inverse) ++result.pseudo_inverse_solves;
-      if (!update_ok) {
-        recover_factor(n, "non-finite factor update");
-      } else if (options.nonnegative) {
-        // Projected ALS: negative entries are infeasible for count data.
-        real_t* data = factors[n].data();
-        for (std::size_t e = 0; e < factors[n].size(); ++e)
-          if (data[e] < 0) data[e] = 0;
-      }
-      solve_t.stop();
 
       if (update_ok) {
-        normalize_t.start();
-        lambda = column_normalize(factors[n]);
-        // Columns that collapsed to zero would poison H; re-randomize them.
-        for (index_t r = 0; r < rank; ++r) {
-          if (lambda[r] == 0) {
-            for (index_t i = 0; i < factors[n].rows(); ++i)
-              factors[n](i, r) = rng.next_real();
-            auto norms = column_normalize(factors[n]);
-            (void)norms;
+        {
+          obs::Phase phase(obs::FrPhase::kSolve, "cpals.normalize", mode_arg,
+                           result.normalize_seconds);
+          lambda = column_normalize(factors[n]);
+          // Columns that collapsed to zero would poison H; re-randomize them.
+          for (index_t r = 0; r < rank; ++r) {
+            if (lambda[r] == 0) {
+              for (index_t i = 0; i < factors[n].rows(); ++i)
+                factors[n](i, r) = rng.next_real();
+              auto norms = column_normalize(factors[n]);
+              (void)norms;
+            }
           }
         }
-        normalize_t.stop();
-        gram_t.start();
+        obs::Phase phase(obs::FrPhase::kSolve, "cpals.gram", mode_arg,
+                         result.gram_seconds);
         gram(factors[n], grams[n]);
-        gram_t.stop();
       }
+      result.dense_seconds = result.hadamard_seconds + result.solve_seconds +
+                             result.normalize_seconds + result.gram_seconds;
 
       engine.factor_updated(n);
     }
@@ -331,9 +339,8 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
     // state already in hand, no factor copies.
     real_t fit = 0;
     {
-      MDCP_TRACE_SPAN("cpals.fit");
-      obs::fr_beat(obs::FrPhase::kFit, it);
-      fit_t.start();
+      obs::Phase phase(obs::FrPhase::kFit, "cpals.fit", it,
+                       result.fit_seconds);
       real_t inner = 0;
       {
         const auto& u = factors[order - 1];
@@ -354,7 +361,6 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
       }
       const real_t m_norm = std::sqrt(std::max<real_t>(m_norm_sq, 0));
       fit = fit_from_parts(x_norm, inner, m_norm);
-      fit_t.stop();
     }
 
     // Fit guard: a non-finite fit means a poisoned value slipped past the
@@ -383,13 +389,13 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
           .kv("iter", it + 1)
           .kv("fit", static_cast<double>(fit))
           .kv("fit_delta", static_cast<double>(fit - prev_fit))
-          .kv("mttkrp_seconds", mttkrp_t.total_seconds())
-          .kv("dense_seconds", dense_seconds())
-          .kv("hadamard_seconds", hadamard_t.total_seconds())
-          .kv("solve_seconds", solve_t.total_seconds())
-          .kv("normalize_seconds", normalize_t.total_seconds())
-          .kv("gram_seconds", gram_t.total_seconds())
-          .kv("fit_seconds", fit_t.total_seconds());
+          .kv("mttkrp_seconds", result.mttkrp_seconds)
+          .kv("dense_seconds", result.dense_seconds)
+          .kv("hadamard_seconds", result.hadamard_seconds)
+          .kv("solve_seconds", result.solve_seconds)
+          .kv("normalize_seconds", result.normalize_seconds)
+          .kv("gram_seconds", result.gram_seconds)
+          .kv("fit_seconds", result.fit_seconds);
       w.key("mttkrp_mode_seconds").begin_array();
       for (mode_t n = 0; n < order; ++n) w.value(iter_mode_seconds[n]);
       w.end_array();
@@ -420,13 +426,6 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
 
   result.model.weights = std::move(lambda);
   result.model.factors = std::move(factors);
-  result.mttkrp_seconds = mttkrp_t.total_seconds();
-  result.hadamard_seconds = hadamard_t.total_seconds();
-  result.solve_seconds = solve_t.total_seconds();
-  result.normalize_seconds = normalize_t.total_seconds();
-  result.gram_seconds = gram_t.total_seconds();
-  result.dense_seconds = dense_seconds();
-  result.fit_seconds = fit_t.total_seconds();
   result.total_seconds = total_timer.seconds();
   // KernelStats::since is a field-wise delta EXCEPT peak_scratch_bytes: a
   // workspace high-water mark cannot be subtracted, so the peak is carried

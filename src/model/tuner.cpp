@@ -16,6 +16,9 @@ namespace mdcp {
 
 namespace {
 
+// Candidates the auto+probe engine measures after the model's ranking.
+constexpr int kProbeShortlist = 3;
+
 // Publishes the tuner's decision so a later measured run can be compared
 // against the prediction (cp_als fills in the measured side and the error
 // ratios; see "tuner.*" gauges in docs/observability.md).
@@ -127,7 +130,6 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
   for (mode_t m = 0; m < tensor.order(); ++m)
     factors.push_back(Matrix::random_uniform(tensor.dim(m), rank, rng));
 
-  ctx.stats = nullptr;  // probe sweeps are tuning overhead, not kernel work
   double best_time = -1;
   std::size_t best_idx = report.chosen;
   int probed = 0;
@@ -196,36 +198,25 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
   return report;
 }
 
-AutoEngine::AutoEngine(bool probed, std::size_t memory_budget_bytes,
-                       CostModelParams params, int shortlist, KernelContext ctx,
+AutoEngine::AutoEngine(bool probed, KernelContext ctx,
                        TunerOptions tuner_options)
     : MttkrpEngine(ctx),
       probed_(probed),
-      memory_budget_bytes_(memory_budget_bytes),
-      params_(params),
-      shortlist_(shortlist),
       tuner_options_(std::move(tuner_options)) {}
 
 void AutoEngine::do_prepare(index_t rank) {
   MDCP_CHECK_MSG(rank > 0,
                  "the auto engine needs a rank hint: prepare(tensor, rank)");
-  // A budget may arrive through the constructor or through the context;
-  // honor the tighter of the two.
-  if (context().mem_budget != 0 &&
-      (memory_budget_bytes_ == 0 || context().mem_budget < memory_budget_bytes_))
-    memory_budget_bytes_ = context().mem_budget;
-  KernelContext inner_ctx = context();
-  inner_ctx.stats = nullptr;  // outer NVI already records totals
-  inner_ctx.mem_budget = memory_budget_bytes_;
+  const std::size_t budget = context().mem_budget;
   // Predict under the thread budget the kernels will actually run with, so
   // the privatization memory/flop terms participate in strategy ranking.
-  if (params_.threads <= 1) params_.threads = effective_threads();
-  report_ = probed_ ? select_strategy_probed(tensor(), rank,
-                                             memory_budget_bytes_, params_,
-                                             shortlist_, inner_ctx,
+  CostModelParams params;
+  params.threads = effective_threads();
+  report_ = probed_ ? select_strategy_probed(tensor(), rank, budget, params,
+                                             kProbeShortlist, context(),
                                              tuner_options_)
-                    : select_strategy(tensor(), rank, memory_budget_bytes_,
-                                      params_, tuner_options_);
+                    : select_strategy(tensor(), rank, budget, params,
+                                      tuner_options_);
   record_plan_source(report_.plan_source);
   const auto& win = report_.winner();
   const char* prefix = probed_ ? "auto+probe:" : "auto:";
@@ -244,9 +235,9 @@ void AutoEngine::do_prepare(index_t rank) {
   head.fits_budget = win.fits_budget;
   chain_.push_back(std::move(head));
 
-  if (memory_budget_bytes_ != 0) {
+  if (budget != 0) {
     ProjectionCounter counter(tensor());
-    const int threads = std::max(1, params_.threads);
+    const int threads = params.threads;
     const std::size_t envelope = privatized_envelope_bytes(
         tensor(), rank, threads, ScheduleMode::kAuto);
     for (const auto& fallback : EngineRegistry::instance().entries()) {
@@ -257,8 +248,8 @@ void AutoEngine::do_prepare(index_t rank) {
       const std::size_t owner_bytes =
           fallback.footprint(tensor(), rank, &counter, threads);
       e.predicted_bytes = owner_bytes + envelope;
-      e.fits_budget = e.predicted_bytes <= memory_budget_bytes_;
-      if (!e.fits_budget && owner_bytes <= memory_budget_bytes_) {
+      e.fits_budget = e.predicted_bytes <= budget;
+      if (!e.fits_budget && owner_bytes <= budget) {
         e.predicted_bytes = owner_bytes;
         e.fits_budget = true;
         e.forced_sched = ScheduleMode::kOwner;
@@ -287,12 +278,9 @@ ScheduleMode AutoEngine::effective_inner_sched() const noexcept {
 }
 
 void AutoEngine::build_inner(index_t rank) {
-  KernelContext inner_ctx = context();
-  inner_ctx.stats = nullptr;
-  inner_ctx.mem_budget = memory_budget_bytes_;
   for (;;) {
     const ChainEntry& entry = chain_[chain_pos_];
-    KernelContext ctx = inner_ctx;
+    KernelContext ctx = context();
     ctx.sched = effective_inner_sched();
     try {
       if (entry.engine.empty()) {
@@ -302,7 +290,7 @@ void AutoEngine::build_inner(index_t rank) {
       } else {
         inner_ = make_engine(entry.engine, ctx);
       }
-      inner_->prepare(tensor(), rank);
+      prepare_unprobed(*inner_, tensor(), rank);
       return;
     } catch (const budget_error&) {
       if (chain_pos_ + 1 >= chain_.size()) throw;
@@ -315,7 +303,7 @@ void AutoEngine::build_inner(index_t rank) {
         os << "allocation failed preparing engine '" << entry.label
            << "' and the degradation chain is exhausted";
         throw budget_error(os.str(), entry.predicted_bytes,
-                           memory_budget_bytes_);
+                           context().mem_budget);
       }
       note_degradation(chain_pos_, chain_pos_ + 1, "alloc-failure",
                        /*at_prepare=*/false);
@@ -333,7 +321,7 @@ void AutoEngine::note_degradation(std::size_t from, std::size_t to,
   ev.to = chain_[to].label;
   ev.reason = reason;
   ev.predicted_bytes = chain_[from].predicted_bytes;
-  ev.budget_bytes = memory_budget_bytes_;
+  ev.budget_bytes = context().mem_budget;
   ev.at_prepare = at_prepare;
   degradations_.push_back(std::move(ev));
   record_degradation(reason);
@@ -348,7 +336,7 @@ void AutoEngine::do_compute(mode_t mode, const std::vector<Matrix>& factors,
     const KernelStats before = inner_->stats();
     inner_->context().sched = effective_inner_sched();  // forward overrides
     try {
-      inner_->compute(mode, factors, out);
+      compute_unprobed(*inner_, mode, factors, out);
     } catch (const budget_error&) {
       if (chain_pos_ + 1 >= chain_.size()) throw;
       note_degradation(chain_pos_, chain_pos_ + 1, "budget-exceeded",
@@ -362,7 +350,7 @@ void AutoEngine::do_compute(mode_t mode, const std::vector<Matrix>& factors,
         os << "allocation failed in engine '" << chain_[chain_pos_].label
            << "' and the degradation chain is exhausted";
         throw budget_error(os.str(), chain_[chain_pos_].predicted_bytes,
-                           memory_budget_bytes_);
+                           context().mem_budget);
       }
       note_degradation(chain_pos_, chain_pos_ + 1, "alloc-failure",
                        /*at_prepare=*/false);
@@ -370,18 +358,7 @@ void AutoEngine::do_compute(mode_t mode, const std::vector<Matrix>& factors,
       build_inner(rank_hint());
       continue;
     }
-    const KernelStats& after = inner_->stats();
-    count_flops(after.flops - before.flops);
-    if (after.last_schedule != 255) {
-      // Mirror the inner engine's schedule telemetry into this engine's
-      // KernelStats; the inner launches already bumped the global metrics.
-      record_schedule({static_cast<sched::Schedule>(after.last_schedule),
-                       after.last_tiles, 0.0, 0, after.last_sched_reason},
-                      after.owner_launches - before.owner_launches,
-                      after.privatized_launches - before.privatized_launches,
-                      /*bump_metrics=*/false);
-    }
-    record_tile(after.last_tile);
+    fold_stats(inner_->stats().since(before));
     return;
   }
 }

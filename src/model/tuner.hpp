@@ -79,7 +79,7 @@ TunerReport select_strategy(const CooTensor& tensor, index_t rank,
 /// front (still far below exhaustive autotuning) and removes the residual
 /// model error on tensors whose cache behaviour the flop/byte counts miss.
 /// Returns the report re-ranked with `chosen` pointing at the probed winner.
-/// Probe engines draw scratch from `ctx` (workspace/threads; stats ignored).
+/// Probe engines draw scratch from `ctx` (workspace/threads).
 TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
                                    std::size_t memory_budget_bytes = 0,
                                    const CostModelParams& params = {},
@@ -92,22 +92,24 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
 /// prepares the winning dimension-tree engine. name() reports
 /// "auto:<strategy>" (or "auto+probe:<strategy>") once prepared.
 ///
-/// Under a memory budget (KernelContext::mem_budget or the constructor
-/// argument) the engine also plans a degradation chain: the dtree winner,
-/// then every EngineRegistry entry with a footprint predictor in
-/// registration order (alto → csf → coo), each annotated with its
-/// predicted footprint. Levels the model predicts over budget are skipped up
-/// front ("predicted-over-budget"); a budget_error or bad_alloc escaping the
-/// active level at prepare or compute time advances the chain and retries
-/// ("budget-exceeded" / "alloc-failure"). Every fallback is recorded as a
+/// Under a memory budget (KernelContext::mem_budget) the engine also plans a
+/// degradation chain: the dtree winner, then every EngineRegistry entry with
+/// a footprint predictor in registration order (alto → csf → coo), each
+/// annotated with its predicted footprint. Levels the model predicts over
+/// budget are skipped up front ("predicted-over-budget"); a budget_error or
+/// bad_alloc escaping the active level at prepare or compute time advances
+/// the chain and retries ("budget-exceeded" / "alloc-failure"). Every fallback is recorded as a
 /// DegradationEvent, mirrored into KernelStats.degradations, the
 /// "engine.degradations" metric, and a trace span. Only when the last level
 /// also fails does a typed mdcp::budget_error escape.
+///
+/// The inner engine runs unprobed (MttkrpEngine::compute_unprobed): this
+/// engine's prepare()/compute() probe and count each call once, and the
+/// inner engine's flops and launches are folded into this engine's stats.
 class AutoEngine final : public MttkrpEngine {
  public:
-  explicit AutoEngine(bool probed = false, std::size_t memory_budget_bytes = 0,
-                      CostModelParams params = {}, int shortlist = 3,
-                      KernelContext ctx = {}, TunerOptions tuner_options = {});
+  explicit AutoEngine(bool probed = false, KernelContext ctx = {},
+                      TunerOptions tuner_options = {});
 
   void factor_updated(mode_t mode) override;
   void invalidate_all() override;
@@ -152,9 +154,6 @@ class AutoEngine final : public MttkrpEngine {
   ScheduleMode effective_inner_sched() const noexcept;
 
   bool probed_;
-  std::size_t memory_budget_bytes_;
-  CostModelParams params_;
-  int shortlist_;
   TunerOptions tuner_options_;
   TunerReport report_;
   std::vector<ChainEntry> chain_;

@@ -6,12 +6,11 @@
 
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 
 namespace mdcp {
 
@@ -71,52 +70,55 @@ MttkrpEngine::MttkrpEngine(KernelContext ctx) : ctx_(ctx) {
   if (ctx_.workspace == nullptr) ctx_.workspace = &default_workspace();
 }
 
-void MttkrpEngine::prepare(const CooTensor& tensor, index_t rank) {
-  tensor_ = &tensor;
-  rank_hint_ = rank;
+void MttkrpEngine::prepare_unprobed(MttkrpEngine& engine,
+                                    const CooTensor& tensor, index_t rank) {
+  engine.tensor_ = &tensor;
+  engine.rank_hint_ = rank;
   // The context budget governs this execution: install it on the arena so
   // over-budget scratch growth fails as a typed budget_error instead of an
   // unbounded allocation.
-  if (ctx_.mem_budget != 0) ctx_.workspace->set_budget_bytes(ctx_.mem_budget);
-  WallTimer timer;
+  const KernelContext& ctx = engine.ctx_;
+  if (ctx.mem_budget != 0) ctx.workspace->set_budget_bytes(ctx.mem_budget);
+  ThreadScope scope(ctx.threads);
+  engine.do_prepare(rank);
+}
+
+void MttkrpEngine::compute_unprobed(MttkrpEngine& engine, mode_t mode,
+                                    const std::vector<Matrix>& factors,
+                                    Matrix& out) {
+  ThreadScope scope(engine.ctx_.threads);
+  engine.do_compute(mode, factors, out);
+}
+
+void MttkrpEngine::prepare(const CooTensor& tensor, index_t rank) {
+  const double before = stats_.symbolic_seconds;
   {
-    MDCP_TRACE_SPAN(("prepare:" + name()).c_str(), "rank",
-                    static_cast<std::int64_t>(rank));
+    obs::Phase phase(obs::FrPhase::kPrepare, ("prepare:" + name()).c_str(),
+                     static_cast<std::int64_t>(rank), stats_.symbolic_seconds);
     obs::fr_record(obs::FrEvent::kPrepareBegin, obs::FrPhase::kPrepare,
                    static_cast<std::int64_t>(rank));
-    obs::fr_beat(obs::FrPhase::kPrepare, static_cast<std::int64_t>(rank));
-    ThreadScope scope(ctx_.threads);
-    do_prepare(rank);
+    prepare_unprobed(*this, tensor, rank);
     obs::fr_record(obs::FrEvent::kPrepareEnd, obs::FrPhase::kPrepare);
   }
   // name() may change during do_prepare (the auto engine resolves to its
   // chosen strategy), so the compute-span label is cached afterwards.
   trace_label_ = "mttkrp:" + name();
-  const double secs = timer.seconds();
-  stats_.symbolic_seconds += secs;
   ++stats_.prepare_calls;
   prepare_calls_metric().add();
-  symbolic_seconds_metric().add(secs);
-  if (ctx_.stats != nullptr) {
-    ctx_.stats->symbolic_seconds += secs;
-    ++ctx_.stats->prepare_calls;
-  }
+  symbolic_seconds_metric().add(stats_.symbolic_seconds - before);
 }
 
 void MttkrpEngine::compute(mode_t mode, const std::vector<Matrix>& factors,
                            Matrix& out) {
   MDCP_CHECK_MSG(prepared(), "engine " << name()
                                        << ": compute() before prepare()");
-  WallTimer timer;
+  if (trace_label_.empty()) trace_label_ = "mttkrp:" + name();
+  const double before = stats_.numeric_seconds;
   {
-    // PerfRegion doubles as the numeric-phase trace span; with perf enabled
-    // it also attaches hardware-counter deltas to the span and to the
-    // perf.* metrics (no-ops at two relaxed loads when both are off).
-    obs::PerfRegion perf_region(trace_label_.c_str(), "mode",
-                                static_cast<std::int64_t>(mode));
+    obs::Phase phase(obs::FrPhase::kCompute, trace_label_.c_str(),
+                     static_cast<std::int64_t>(mode), stats_.numeric_seconds);
     obs::fr_record(obs::FrEvent::kComputeBegin, obs::FrPhase::kCompute,
                    static_cast<std::int64_t>(mode));
-    obs::fr_beat(obs::FrPhase::kCompute, static_cast<std::int64_t>(mode));
     // Fault-injection site: deterministic liveness stall so watchdog firing
     // is testable without wall-clock flakiness. The sleeping thread stops
     // beating, which is exactly the signal the watchdog watches for.
@@ -128,32 +130,22 @@ void MttkrpEngine::compute(mode_t mode, const std::vector<Matrix>& factors,
                   .threshold));
       fault::inject_stall();
     }
-    ThreadScope scope(ctx_.threads);
-    do_compute(mode, factors, out);
+    compute_unprobed(*this, mode, factors, out);
     obs::fr_record(obs::FrEvent::kComputeEnd, obs::FrPhase::kCompute,
                    static_cast<std::int64_t>(mode));
-    obs::fr_beat(obs::FrPhase::kCompute, static_cast<std::int64_t>(mode));
     // Fault-injection site: poison the kernel output with a quiet NaN so the
     // CP-ALS numerical-recovery path can be exercised deterministically.
     // Compiled to nothing without MDCP_ENABLE_FAULTINJECT.
     if (fault::should_inject(fault::Site::kNan) && out.size() > 0)
       out(0, 0) = std::numeric_limits<real_t>::quiet_NaN();
   }
-  const double secs = timer.seconds();
-  stats_.numeric_seconds += secs;
   ++stats_.compute_calls;
   stats_.peak_scratch_bytes =
       std::max(stats_.peak_scratch_bytes, ctx_.workspace->peak_bytes());
   compute_calls_metric().add();
-  numeric_seconds_metric().add(secs);
+  numeric_seconds_metric().add(stats_.numeric_seconds - before);
   peak_scratch_metric().record_max(
       static_cast<double>(ctx_.workspace->peak_bytes()));
-  if (ctx_.stats != nullptr) {
-    ctx_.stats->numeric_seconds += secs;
-    ++ctx_.stats->compute_calls;
-    ctx_.stats->peak_scratch_bytes = std::max(ctx_.stats->peak_scratch_bytes,
-                                              ctx_.workspace->peak_bytes());
-  }
 }
 
 const CooTensor& MttkrpEngine::tensor() const {
@@ -164,7 +156,6 @@ const CooTensor& MttkrpEngine::tensor() const {
 void MttkrpEngine::count_flops(std::uint64_t flops) noexcept {
   stats_.flops += flops;
   flops_metric().add(flops);
-  if (ctx_.stats != nullptr) ctx_.stats->flops += flops;
 }
 
 void MttkrpEngine::record_schedule(const sched::Decision& d) noexcept {
@@ -174,8 +165,7 @@ void MttkrpEngine::record_schedule(const sched::Decision& d) noexcept {
 
 void MttkrpEngine::record_schedule(const sched::Decision& d,
                                    std::uint64_t owner_launches,
-                                   std::uint64_t privatized_launches,
-                                   bool bump_metrics) noexcept {
+                                   std::uint64_t privatized_launches) noexcept {
   MDCP_TRACE_SPAN(d.schedule == sched::Schedule::kPrivatized
                       ? "sched.privatized"
                       : "sched.owner",
@@ -183,25 +173,30 @@ void MttkrpEngine::record_schedule(const sched::Decision& d,
   obs::fr_record(obs::FrEvent::kTileBatch, obs::FrPhase::kCompute,
                  static_cast<std::int64_t>(d.tiles),
                  static_cast<std::int64_t>(d.schedule));
-  if (bump_metrics) {
-    owner_launches_metric().add(owner_launches);
-    privatized_launches_metric().add(privatized_launches);
-  }
-  const auto update = [&](KernelStats& s) {
-    s.owner_launches += owner_launches;
-    s.privatized_launches += privatized_launches;
-    s.last_schedule = static_cast<std::uint8_t>(d.schedule);
-    s.last_tiles = d.tiles;
-    s.last_sched_reason = d.reason;
-  };
-  update(stats_);
-  if (ctx_.stats != nullptr) update(*ctx_.stats);
+  owner_launches_metric().add(owner_launches);
+  privatized_launches_metric().add(privatized_launches);
+  stats_.owner_launches += owner_launches;
+  stats_.privatized_launches += privatized_launches;
+  stats_.last_schedule = static_cast<std::uint8_t>(d.schedule);
+  stats_.last_tiles = d.tiles;
+  stats_.last_sched_reason = d.reason;
 }
 
 void MttkrpEngine::record_tile(index_t tile) noexcept {
   MDCP_TRACE_SPAN("mk.tile", "width", static_cast<std::int64_t>(tile));
   stats_.last_tile = tile;
-  if (ctx_.stats != nullptr) ctx_.stats->last_tile = tile;
+}
+
+void MttkrpEngine::fold_stats(const KernelStats& delta) noexcept {
+  stats_.flops += delta.flops;
+  stats_.owner_launches += delta.owner_launches;
+  stats_.privatized_launches += delta.privatized_launches;
+  if (delta.last_schedule != 255) {
+    stats_.last_schedule = delta.last_schedule;
+    stats_.last_tiles = delta.last_tiles;
+    stats_.last_sched_reason = delta.last_sched_reason;
+  }
+  stats_.last_tile = delta.last_tile;
 }
 
 void MttkrpEngine::record_plan_source(const char* source) noexcept {
@@ -209,7 +204,6 @@ void MttkrpEngine::record_plan_source(const char* source) noexcept {
                   static_cast<std::int64_t>(
                       std::string_view(source) == "history" ? 1 : 0));
   stats_.plan_source = source;
-  if (ctx_.stats != nullptr) ctx_.stats->plan_source = source;
 }
 
 void MttkrpEngine::record_degradation(const char* reason) noexcept {
@@ -217,10 +211,7 @@ void MttkrpEngine::record_degradation(const char* reason) noexcept {
   ++stats_.degradations;
   stats_.last_degradation_reason = reason;
   degradations_metric().add();
-  if (ctx_.stats != nullptr) {
-    ++ctx_.stats->degradations;
-    ctx_.stats->last_degradation_reason = reason;
-  }
+  trace_label_.clear();
 }
 
 int MttkrpEngine::effective_threads() const noexcept {

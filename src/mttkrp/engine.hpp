@@ -7,20 +7,24 @@
 // fastest.
 //
 // Lifecycle: every engine is constructed from a KernelContext (workspace +
-// thread budget + optional stats sink), then runs an explicit two-phase
-// protocol:
+// thread budget + schedule override + memory budget), then runs an explicit
+// two-phase protocol:
 //
 //   engine.prepare(tensor, rank);          // symbolic phase: build index
 //                                          //   structures, reserve scratch
 //   engine.compute(mode, factors, out);    // numeric phase: allocation-free,
 //                                          //   scratch from the workspace
 //
-// The base class wraps both phases (non-virtual interface): it times the
-// symbolic and numeric work, applies the context's thread override, and
-// tracks the workspace scratch high-water mark, so every engine reports
-// uniform KernelStats without touching a timer itself. Subclasses implement
-// do_prepare()/do_compute(). The convenience constructors that take a tensor
-// call prepare() immediately; either way the tensor must outlive the engine.
+// The base class wraps both phases (non-virtual interface): each runs inside
+// one obs::Phase probe, which times it into KernelStats and feeds the trace,
+// the flight-recorder heartbeat and the perf counters; the wrapper applies
+// the context's thread override and tracks the workspace scratch high-water
+// mark, so every engine reports uniform KernelStats without touching a timer
+// itself. Subclasses implement do_prepare()/do_compute(). An engine that
+// runs another engine (AutoEngine) reaches it through prepare_unprobed()/
+// compute_unprobed() and fold_stats(), so each logical call is probed and
+// counted once. The convenience constructors that take a tensor call
+// prepare() immediately; either way the tensor must outlive the engine.
 #pragma once
 
 #include <cstddef>
@@ -98,36 +102,33 @@ class MttkrpEngine {
   /// Rank hint passed to prepare() (0 = unknown).
   index_t rank_hint() const noexcept { return rank_hint_; }
 
-  /// Records approximate numeric flops into the stats sinks.
+  /// Records approximate numeric flops into stats() and kernel.flops.
   void count_flops(std::uint64_t flops) noexcept;
 
-  /// Records one scheduled parallel launch into the stats sinks, metrics,
-  /// and trace (schedule, tile count, heuristic reason). Engines call this
-  /// once per launch; the last call of a compute() defines last_schedule.
+  /// Records one scheduled parallel launch into stats(), metrics, and trace
+  /// (schedule, tile count, heuristic reason). Engines call this once per
+  /// launch; the last call of a compute() defines last_schedule.
   void record_schedule(const sched::Decision& d) noexcept;
 
   /// Bulk form for engines that run a chain of launches before reporting
   /// (the dimension-tree node evaluations): `d` is the last launch's
-  /// decision, the counts cover the whole chain. `bump_metrics` = false
-  /// mirrors into KernelStats only — for wrapper engines whose inner engine
-  /// already recorded the launches into the global metrics registry.
+  /// decision, the counts cover the whole chain.
   void record_schedule(const sched::Decision& d, std::uint64_t owner_launches,
-                       std::uint64_t privatized_launches,
-                       bool bump_metrics = true) noexcept;
+                       std::uint64_t privatized_launches) noexcept;
 
   /// Records how the prepared plan was chosen ("model" or "history"; see
-  /// obs/history.hpp) into the stats sinks and the tuner.plan_source trace
+  /// obs/history.hpp) into stats() and the tuner.plan_source trace
   /// span. `source` must be a static string.
   void record_plan_source(const char* source) noexcept;
 
-  /// Records one degradation-chain fallback (see model/tuner.hpp) into the
-  /// stats sinks and the "engine.degradations" metric. `reason` must be a
+  /// Records one degradation-chain fallback (see model/tuner.hpp) into
+  /// stats() and the "engine.degradations" metric. `reason` must be a
   /// static string ("predicted-over-budget", "budget-exceeded",
   /// "alloc-failure").
   void record_degradation(const char* reason) noexcept;
 
   /// Records the microkernel R-tile width selected for this compute() (see
-  /// mttkrp/microkernel.hpp) into the stats sinks and a trace span, so bench
+  /// mttkrp/microkernel.hpp) into stats() and a trace span, so bench
   /// meta and `mdcp_cli profile` can attribute roofline deltas to the tile
   /// actually run. `tile` ∈ {32, 16, 8, 0}.
   void record_tile(index_t tile) noexcept;
@@ -139,6 +140,22 @@ class MttkrpEngine {
   /// library-wide setting).
   int effective_threads() const noexcept;
 
+  /// The symbolic and numeric phases of `engine` without the probe or any
+  /// counter: bind the tensor, install the context budget, apply the thread
+  /// override, run do_prepare()/do_compute(). prepare()/compute() wrap these;
+  /// a wrapper engine calls them on its inner engine so that each logical
+  /// call is probed once, by the wrapper.
+  static void prepare_unprobed(MttkrpEngine& engine, const CooTensor& tensor,
+                               index_t rank);
+  static void compute_unprobed(MttkrpEngine& engine, mode_t mode,
+                               const std::vector<Matrix>& factors,
+                               Matrix& out);
+
+  /// Adds an inner engine's kernel counters (`delta`: flops, launches, last
+  /// schedule and tile) into stats() only. The inner engine already put
+  /// them into the metrics and the trace.
+  void fold_stats(const KernelStats& delta) noexcept;
+
   KernelContext ctx_;
 
  private:
@@ -146,7 +163,8 @@ class MttkrpEngine {
   index_t rank_hint_ = 0;
   KernelStats stats_;
   // Span label for the numeric phase ("mttkrp:<name>"), cached at prepare()
-  // time so compute() never allocates for tracing.
+  // time so compute() never allocates for tracing; a degradation clears it
+  // and the next compute() re-derives it from the new name().
   std::string trace_label_;
 };
 

@@ -52,14 +52,12 @@ EngineRegistry::EngineRegistry() {
                   });
   register_engine("auto", "model-driven strategy selection (the tuner)",
                   [](KernelContext ctx) {
-                    return std::make_unique<AutoEngine>(/*probed=*/false, 0,
-                                                        CostModelParams{}, 3,
+                    return std::make_unique<AutoEngine>(/*probed=*/false,
                                                         ctx);
                   });
   register_engine("auto+probe", "model shortlist + measured probe selection",
                   [](KernelContext ctx) {
-                    return std::make_unique<AutoEngine>(/*probed=*/true, 0,
-                                                        CostModelParams{}, 3,
+                    return std::make_unique<AutoEngine>(/*probed=*/true,
                                                         ctx);
                   });
 }

@@ -1,10 +1,11 @@
 // Single monotonic timebase for all of mdcp's observability.
 //
-// Every timestamp the library records — tracer span begin/end, WallTimer /
-// PhaseTimer readings, and therefore every KernelStats second — derives from
-// obs::clock_ns(), so a span's position on the trace timeline and a phase
-// timer's accumulated seconds are directly comparable (same epoch, same
-// clock, no cross-clock skew).
+// Every timestamp the library records — tracer span begin/end, obs::Phase
+// and WallTimer readings, flight-recorder heartbeats, and therefore every
+// KernelStats and CpAlsResult second — derives from obs::clock_ns(). A
+// Phase hands one pair of readings to its span and its accumulator, so a
+// span's duration and the seconds it adds to a report are the same number
+// (same epoch, same clock, no cross-clock skew).
 #pragma once
 
 #include <chrono>

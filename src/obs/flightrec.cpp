@@ -115,10 +115,10 @@ void FlightRecorder::record(FrEvent kind, FrPhase phase, std::int64_t a,
   slot.seq.store(idx + 1, std::memory_order_release);
 }
 
-void FlightRecorder::beat(FrPhase phase, std::int64_t detail) noexcept {
+void FlightRecorder::beat_at(std::uint64_t now_ns, FrPhase phase,
+                             std::int64_t detail) noexcept {
   Heart& h = hearts_[thread_slot()];
-  h.last_ns.store(static_cast<std::uint64_t>(clock_ns()),
-                  std::memory_order_relaxed);
+  h.last_ns.store(now_ns, std::memory_order_relaxed);
   h.phase.store(static_cast<std::uint8_t>(phase), std::memory_order_relaxed);
   h.detail.store(detail, std::memory_order_relaxed);
   h.used.store(1, std::memory_order_relaxed);

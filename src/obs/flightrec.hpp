@@ -59,10 +59,10 @@ const char* fr_event_name(FrEvent e) noexcept;
 /// the crash dump must explain "where was every thread" with one byte.
 enum class FrPhase : std::uint8_t {
   kNone = 0,
-  kPrepare = 1,      ///< engine symbolic phase
+  kPrepare = 1,      ///< engine symbolic phase (detail = rank hint)
   kCompute = 2,      ///< engine numeric phase (detail = mode)
-  kSolve = 3,        ///< CP-ALS dense solve/normalize (detail = mode)
-  kFit = 4,          ///< CP-ALS fit evaluation
+  kSolve = 3,        ///< CP-ALS dense update steps (detail = mode)
+  kFit = 4,          ///< CP-ALS fit evaluation (detail = iteration)
   kIteration = 5,    ///< CP-ALS sweep bookkeeping (detail = iteration)
   kParallelFor = 6,  ///< inside a parallel_for chunk loop
   kShutdown = 7,     ///< run teardown / reporting
@@ -111,7 +111,12 @@ class FlightRecorder {
   /// Publishes a heartbeat for the calling thread: bumps its epoch, stamps
   /// the clock, and sets its current phase. The watchdog treats any beat
   /// from any thread as forward progress.
-  void beat(FrPhase phase, std::int64_t detail = 0) noexcept;
+  void beat(FrPhase phase, std::int64_t detail = 0) noexcept {
+    beat_at(clock_ns(), phase, detail);
+  }
+  /// beat() stamped with a clock_ns() reading the caller already took.
+  void beat_at(std::uint64_t now_ns, FrPhase phase,
+               std::int64_t detail) noexcept;
 
   /// The calling thread's heartbeat slot (assigned on first use).
   std::uint32_t thread_slot() noexcept;
@@ -186,23 +191,6 @@ inline void fr_record(FrEvent kind, FrPhase phase, std::int64_t a = 0,
 inline void fr_beat(FrPhase phase, std::int64_t detail = 0) noexcept {
   FlightRecorder::instance().beat(phase, detail);
 }
-
-/// RAII phase bracket: records enter/leave events and publishes a heartbeat
-/// on entry.
-class FrPhaseScope {
- public:
-  explicit FrPhaseScope(FrPhase phase, std::int64_t detail = 0) noexcept
-      : phase_(phase) {
-    fr_record(FrEvent::kPhaseEnter, phase, detail);
-    fr_beat(phase, detail);
-  }
-  ~FrPhaseScope() { fr_record(FrEvent::kPhaseLeave, phase_); }
-  FrPhaseScope(const FrPhaseScope&) = delete;
-  FrPhaseScope& operator=(const FrPhaseScope&) = delete;
-
- private:
-  FrPhase phase_;
-};
 
 namespace detail {
 

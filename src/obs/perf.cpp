@@ -2,9 +2,6 @@
 
 #include <cstring>
 
-#include "obs/clock.hpp"
-#include "obs/metrics.hpp"
-
 #if defined(__linux__)
 #include <linux/perf_event.h>
 #include <sys/syscall.h>
@@ -37,27 +34,6 @@ PerfValues PerfValues::since(const PerfValues& begin) const noexcept {
     d.value[i] = value[i] >= begin.value[i] ? value[i] - begin.value[i] : 0;
   }
   return d;
-}
-
-void PerfAccumulator::add(const PerfValues& delta) noexcept {
-  for (std::size_t i = 0; i < kPerfCounterCount; ++i) {
-    if (((delta.valid_mask >> i) & 1u) == 0) continue;
-    sum_[i].fetch_add(delta.value[i], std::memory_order_relaxed);
-  }
-  mask_.fetch_or(delta.valid_mask, std::memory_order_relaxed);
-}
-
-PerfValues PerfAccumulator::values() const noexcept {
-  PerfValues v;
-  v.valid_mask = mask_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kPerfCounterCount; ++i)
-    v.value[i] = sum_[i].load(std::memory_order_relaxed);
-  return v;
-}
-
-void PerfAccumulator::reset() noexcept {
-  for (auto& s : sum_) s.store(0, std::memory_order_relaxed);
-  mask_.store(0, std::memory_order_relaxed);
 }
 
 #if defined(__linux__)
@@ -191,85 +167,9 @@ PerfEventSet* Perf::process_set() noexcept {
   return (set != nullptr && set->any()) ? set : nullptr;
 }
 
-PerfEventSet* Perf::thread_set() {
-  if (!enabled() || !counters_supported()) return nullptr;
-  thread_local std::unique_ptr<PerfEventSet> set;
-  if (set == nullptr)
-    set = std::make_unique<PerfEventSet>(/*inherit_children=*/false);
-  return set->any() ? set.get() : nullptr;
-}
-
 std::uint16_t Perf::available_mask() noexcept {
   const PerfEventSet* set = process_set();
   return set != nullptr ? set->open_mask() : 0;
-}
-
-namespace {
-
-// One global counter per PerfCounterId; resolved lazily, cached forever.
-Counter& perf_metric(std::size_t i) {
-  static std::array<Counter*, kPerfCounterCount> cache{};
-  static std::mutex mu;
-  Counter* c = cache[i];
-  if (c == nullptr) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (cache[i] == nullptr) {
-      cache[i] = &MetricsRegistry::instance().counter(
-          std::string("perf.") +
-          perf_counter_name(static_cast<PerfCounterId>(i)));
-    }
-    c = cache[i];
-  }
-  return *c;
-}
-
-}  // namespace
-
-PerfRegion::PerfRegion(const char* name, const char* arg_name,
-                       std::int64_t arg_value, Scope scope,
-                       PerfAccumulator* sink) noexcept {
-  auto& perf = Perf::instance();
-  const bool counting = perf.enabled();
-#if MDCP_ENABLE_TRACING
-  trace_active_ = Tracer::instance().enabled();
-#endif
-  if (!counting && !trace_active_) return;
-  std::strncpy(name_, name, sizeof(name_) - 1);
-  name_[sizeof(name_) - 1] = '\0';
-  arg_name_ = arg_name;
-  arg_value_ = arg_value;
-  if (counting) {
-    set_ = scope == Scope::kProcess ? perf.process_set() : perf.thread_set();
-    sink_ = sink;
-    if (set_ != nullptr) begin_values_ = set_->read_values();
-  }
-  begin_ns_ = clock_ns();
-}
-
-PerfRegion::~PerfRegion() {
-  if (set_ == nullptr && !trace_active_) return;
-  const std::uint64_t end_ns = clock_ns();
-  PerfValues delta;
-  if (set_ != nullptr) {
-    delta = set_->read_values().since(begin_values_);
-    for (std::size_t i = 0; i < kPerfCounterCount; ++i) {
-      if ((delta.valid_mask >> i) & 1u) perf_metric(i).add(delta.value[i]);
-    }
-    if (sink_ != nullptr) sink_->add(delta);
-  }
-  if (trace_active_) {
-    TraceEvent ev{};
-    // name_ is the same capacity and already NUL-terminated.
-    std::memcpy(ev.name, name_, sizeof(ev.name));
-    ev.ts_ns = begin_ns_;
-    ev.dur_ns = end_ns - begin_ns_;
-    ev.arg_name = arg_name_;
-    ev.arg_value = arg_value_;
-    ev.perf_mask = delta.valid_mask;
-    for (std::size_t i = 0; i < kPerfCounterCount; ++i)
-      ev.perf[i] = delta.value[i];
-    Tracer::instance().record_event(ev);
-  }
 }
 
 }  // namespace mdcp::obs

@@ -9,19 +9,17 @@
 // the run continues with those counters reported as unavailable/null.
 //
 // Layers:
-//   * PerfEventSet  — RAII fd bundle for one measuring scope. Opened with
-//     inherit=1 it also aggregates threads spawned *after* it (open it
-//     before the OpenMP pool comes up to capture worker threads).
-//   * Perf          — process-wide switchboard: runtime on/off, a lazily
-//     opened inherited "process set", and thread-local non-inherited sets
-//     for per-thread aggregation inside OpenMP regions.
-//   * PerfRegion    — RAII scope. At destruction the counter deltas are
-//     (a) attached to a trace span (Chrome "args", visible in Perfetto),
-//     (b) accumulated into the metrics registry (`perf.<counter>`), and
-//     (c) optionally added to a caller-supplied PerfAccumulator.
+//   * PerfEventSet  — RAII fd bundle. Opened with inherit=1 it also
+//     aggregates threads spawned *after* it (open it before the OpenMP pool
+//     comes up to capture worker threads).
+//   * Perf          — process-wide switchboard: runtime on/off and a lazily
+//     opened inherited "process set".
+// The measuring scope is obs::Phase (obs/phase.hpp): with Perf enabled,
+// each phase attaches its counter deltas to its trace span (Chrome "args",
+// visible in Perfetto) and adds them to the `perf.<counter>` metrics.
 //
-// Cost: one relaxed atomic load per region when perf is disabled (the
-// default); when enabled, one read() syscall per open counter at region
+// Cost: one relaxed atomic load per phase when perf is disabled (the
+// default); when enabled, one read() syscall per open counter at phase
 // entry and exit. Multiplexed counters are scaled by time_enabled /
 // time_running, so deltas stay comparable when the PMU is oversubscribed.
 #pragma once
@@ -31,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "obs/trace.hpp"
 
@@ -76,19 +73,6 @@ struct PerfValues {
   PerfValues since(const PerfValues& begin) const noexcept;
 };
 
-/// Thread-safe delta accumulator for per-thread aggregation: every OpenMP
-/// worker can add its own PerfRegion deltas concurrently.
-class PerfAccumulator {
- public:
-  void add(const PerfValues& delta) noexcept;
-  PerfValues values() const noexcept;
-  void reset() noexcept;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kPerfCounterCount> sum_{};
-  std::atomic<std::uint16_t> mask_{0};
-};
-
 /// RAII bundle of perf_event fds for the opening thread. Each counter is
 /// opened independently; ask open_mask() what actually materialized.
 class PerfEventSet {
@@ -125,18 +109,14 @@ class Perf {
   bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
   }
-  /// Enables/disables region recording. Enabling opens the process set from
-  /// the calling thread — call it early (before the OpenMP pool spins up)
-  /// so worker threads are inherited into the aggregate counts.
+  /// Enables/disables counting in obs::Phase. Enabling opens the process
+  /// set from the calling thread — call it early (before the OpenMP pool
+  /// spins up) so worker threads are inherited into the aggregate counts.
   void set_enabled(bool on);
 
   /// The inherited, process-scope set (nullptr when disabled or when no
   /// counter could be opened).
   PerfEventSet* process_set() noexcept;
-
-  /// The calling thread's non-inherited set for Scope::kThread regions
-  /// (nullptr when disabled or unavailable). Lazily opened per thread.
-  PerfEventSet* thread_set();
 
   /// open_mask() of the process set; 0 when disabled/unavailable.
   std::uint16_t available_mask() noexcept;
@@ -147,35 +127,6 @@ class Perf {
   std::atomic<bool> enabled_{false};
   std::mutex mu_;  // guards process_set_ creation
   std::unique_ptr<PerfEventSet> process_set_;
-};
-
-/// RAII measuring scope; see file comment for where the deltas land. The
-/// span side obeys the tracer exactly like MDCP_TRACE_SPAN (and is compiled
-/// out with MDCP_ENABLE_TRACING=0); the counter side obeys Perf::enabled().
-class PerfRegion {
- public:
-  enum class Scope : std::uint8_t {
-    kProcess,  ///< inherited process set: all threads, read from anywhere
-    kThread,   ///< the calling thread's own set (OpenMP per-thread use)
-  };
-
-  explicit PerfRegion(const char* name, const char* arg_name = nullptr,
-                      std::int64_t arg_value = 0,
-                      Scope scope = Scope::kProcess,
-                      PerfAccumulator* sink = nullptr) noexcept;
-  ~PerfRegion();
-  PerfRegion(const PerfRegion&) = delete;
-  PerfRegion& operator=(const PerfRegion&) = delete;
-
- private:
-  char name_[TraceEvent::kNameCapacity];
-  const char* arg_name_ = nullptr;
-  std::int64_t arg_value_ = 0;
-  std::uint64_t begin_ns_ = 0;
-  PerfValues begin_values_;
-  const PerfEventSet* set_ = nullptr;  // non-null only when counting
-  PerfAccumulator* sink_ = nullptr;
-  bool trace_active_ = false;
 };
 
 }  // namespace mdcp::obs

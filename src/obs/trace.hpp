@@ -40,7 +40,7 @@ namespace mdcp::obs {
 
 /// One completed span. POD so ring storage is a flat array.
 ///
-/// Spans recorded through a PerfRegion additionally carry hardware-counter
+/// Spans recorded by an obs::Phase additionally carry hardware-counter
 /// deltas: `perf[i]` is valid iff bit i of `perf_mask` is set (slot order is
 /// obs::PerfCounterId). They are exported into the Chrome trace "args"
 /// object, so Perfetto shows cycles/misses per span.

@@ -1,8 +1,9 @@
-// Wall-clock timing utilities for benchmarks and CP-ALS phase dissection.
+// Wall-clock stopwatch for benchmarks, tools, and whole-run totals.
 //
-// Both timers read obs::clock_ns() — the same monotonic timebase the span
-// tracer stamps events with — so KernelStats/PhaseTimer seconds line up
-// exactly with span positions on an exported trace timeline.
+// WallTimer reads obs::clock_ns(), the same monotonic timebase the span
+// tracer and obs::Phase stamp with, so its seconds line up with span
+// positions on an exported trace timeline. Phase boundaries inside the
+// library are timed by obs::Phase (obs/phase.hpp), not by a WallTimer.
 #pragma once
 
 #include <cstdint>
@@ -35,33 +36,6 @@ class WallTimer {
 
  private:
   std::uint64_t start_ns_ = 0;
-};
-
-/// Accumulates time across repeated start/stop intervals; used to dissect a
-/// CP-ALS iteration into MTTKRP / dense-update / fit phases.
-class PhaseTimer {
- public:
-  void start() noexcept { t_.reset(); }
-  void stop() noexcept {
-    last_ = t_.seconds();
-    total_ += last_;
-    ++count_;
-  }
-  double total_seconds() const noexcept { return total_; }
-  /// Duration of the most recent start()/stop() interval.
-  double last_seconds() const noexcept { return last_; }
-  std::uint64_t count() const noexcept { return count_; }
-  void clear() noexcept {
-    total_ = 0;
-    last_ = 0;
-    count_ = 0;
-  }
-
- private:
-  WallTimer t_;
-  double total_ = 0;
-  double last_ = 0;
-  std::uint64_t count_ = 0;
 };
 
 }  // namespace mdcp

@@ -6,10 +6,10 @@
 // geometrically, 64-byte aligned, reused across calls), so after the first
 // compute() of a given size the numeric path performs no heap allocation.
 //
-// KernelContext bundles the workspace with a thread-count override and an
-// optional shared KernelStats sink; it is the single injection point the
-// engine registry, the tuner, and the benchmarks use to control where
-// kernels get their scratch and where their counters go.
+// KernelContext bundles the workspace with a thread-count override, a
+// schedule override and a memory budget; it is the single injection point
+// the engine registry, the tuner, and the benchmarks use to control where
+// kernels get their scratch and how they run.
 #pragma once
 
 #include <atomic>
@@ -200,12 +200,11 @@ struct KernelStats {
 };
 
 /// Execution context injected into every engine: where scratch comes from,
-/// how many threads kernels may use, and (optionally) where counters are
-/// mirrored. Copyable by design — engines hold it by value.
+/// how many threads kernels may use, which schedule and memory budget they
+/// run under. Copyable by design — engines hold it by value.
 struct KernelContext {
   Workspace* workspace = nullptr;  ///< null = default_workspace()
   int threads = 0;                 ///< 0 = the library-wide thread setting
-  KernelStats* stats = nullptr;    ///< optional shared sink (e.g. per bench)
   /// Parallel-schedule override consulted by every engine's numeric phase
   /// (kAuto = per-mode heuristic). The strategy layer and benchmarks use
   /// this to pin owner-computes or privatized-reduction execution.

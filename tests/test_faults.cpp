@@ -186,7 +186,7 @@ TEST(DegradationChain, PicksFirstLevelTheModelSaysFits) {
     if (budget == 0) continue;
     KernelContext ctx;
     ctx.mem_budget = budget;
-    AutoEngine engine(false, 0, CostModelParams{}, 3, ctx);
+    AutoEngine engine(/*probed=*/false, ctx);
     try {
       engine.prepare(t, rank);
     } catch (const budget_error&) {
@@ -247,7 +247,7 @@ TEST(DegradationChain, PlannedFallbacksFollowDocumentedOrder) {
 
   KernelContext ctx;
   ctx.mem_budget = dtree_floor - 1;
-  AutoEngine engine(false, 0, CostModelParams{}, 3, ctx);
+  AutoEngine engine(/*probed=*/false, ctx);
   engine.prepare(t, rank);
   const auto& chain = engine.chain();
   ASSERT_EQ(chain.size(), 4u);
@@ -354,7 +354,7 @@ TEST_F(InjectedFaults, AllocFailureSweepNeverEscapesUntyped) {
     // A generous budget keeps the full fallback chain planned, so an
     // injected bad_alloc has somewhere to degrade to.
     ctx.mem_budget = std::size_t{1} << 32;
-    AutoEngine engine(false, 0, CostModelParams{}, 3, ctx);
+    AutoEngine engine(/*probed=*/false, ctx);
     fault::FaultPlan::instance().parse_spec("alloc.nth=" +
                                             std::to_string(nth));
     try {

@@ -14,10 +14,13 @@
 #include <vector>
 
 #include "cpals/cpals.hpp"
+#include "mttkrp/registry.hpp"
 #include "obs/clock.hpp"
+#include "obs/flightrec.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
+#include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "obs/roofline.hpp"
 #include "obs/trace.hpp"
@@ -521,14 +524,16 @@ TEST(JsonParse, RejectsMalformedInput) {
 // *contract*: regions always complete, masks stay consistent, and
 // unavailable counters are absent rather than zero/garbage.
 
-TEST(Perf, DisabledRegionIsANoOp) {
+TEST(Perf, DisabledPhaseCountsNothing) {
   obs::Perf::instance().set_enabled(false);
   const std::uint64_t before =
       obs::MetricsRegistry::instance().counter("perf.task_clock_ns").value();
-  { obs::PerfRegion region("test.disabled"); }
+  double seconds = 0;
+  { obs::Phase phase(obs::FrPhase::kCompute, "test.disabled", 0, seconds); }
   EXPECT_EQ(
       obs::MetricsRegistry::instance().counter("perf.task_clock_ns").value(),
       before);
+  EXPECT_GE(seconds, 0.0);
 }
 
 TEST(Perf, AvailabilityMaskIsConsistent) {
@@ -550,18 +555,19 @@ TEST(Perf, AvailabilityMaskIsConsistent) {
   perf.set_enabled(false);
 }
 
-TEST(Perf, RegionCompletesWhetherOrNotCountersExist) {
+TEST(Perf, PhaseCompletesWhetherOrNotCountersExist) {
   auto& perf = obs::Perf::instance();
   perf.set_enabled(true);
+  double seconds = 0;
   {
-    obs::PerfRegion region("test.enabled", "i", 1);
+    obs::Phase phase(obs::FrPhase::kCompute, "test.enabled", 1, seconds);
     volatile double sink = 0;
     for (int i = 0; i < 10000; ++i) sink = sink + static_cast<double>(i);
   }
   perf.set_enabled(false);
-  // If any counter exists, the region must have added to its perf.* metric;
+  // If any counter exists, the phase must have added to its perf.* metric;
   // if none exists, it must have added nothing (and not crashed).
-  SUCCEED();
+  EXPECT_GT(seconds, 0.0);
 }
 
 TEST(Perf, ValuesSinceClampsAndMasks) {
@@ -579,27 +585,6 @@ TEST(Perf, ValuesSinceClampsAndMasks) {
   // A smaller later reading (multiplex rescaling jitter) clamps to zero.
   const obs::PerfValues r = a.since(b);
   EXPECT_EQ(r.get(obs::PerfCounterId::kInstructions, 777), 0u);
-}
-
-TEST(Perf, AccumulatorAggregatesAcrossThreads) {
-  obs::PerfAccumulator acc;
-  constexpr int kThreads = 8;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) {
-        obs::PerfValues d;
-        d.valid_mask = 0b1;
-        d.value[0] = 2;
-        acc.add(d);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(acc.values().get(obs::PerfCounterId::kCycles),
-            static_cast<std::uint64_t>(kThreads) * 1000 * 2);
-  acc.reset();
-  EXPECT_FALSE(acc.values().any());
 }
 
 TEST(Roofline, AttributionMath) {
@@ -654,18 +639,22 @@ TEST_F(TracerTest, ExportCarriesProcessAndThreadNames) {
   tracer.set_process_name("mdcp");
 }
 
-TEST_F(TracerTest, PerfRegionSpansCarryCounterArgsWhenAvailable) {
+TEST_F(TracerTest, PhaseSpansCarryCounterArgsWhenAvailable) {
   auto& tracer = obs::Tracer::instance();
   auto& perf = obs::Perf::instance();
   tracer.set_enabled(true);
   perf.set_enabled(true);
-  { obs::PerfRegion region("perf.span", "mode", 2); }
+  double seconds = 0;
+  { obs::Phase phase(obs::FrPhase::kCompute, "perf.span", 2, seconds); }
   perf.set_enabled(false);
   tracer.set_enabled(false);
   const auto events = tracer.snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(std::string(events[0].name), "perf.span");
+  EXPECT_EQ(std::string(events[0].arg_name), "mode");
   EXPECT_EQ(events[0].arg_value, 2);
+  // The span and the accumulator got the same duration.
+  EXPECT_EQ(seconds, static_cast<double>(events[0].dur_ns) * 1e-9);
   const std::string json = tracer.to_chrome_json();
   EXPECT_TRUE(JsonChecker::valid(json)) << json.substr(0, 400);
   if (obs::Perf::counters_supported()) {
@@ -676,7 +665,108 @@ TEST_F(TracerTest, PerfRegionSpansCarryCounterArgsWhenAvailable) {
   }
 }
 
+// Every dense step and fit of a CP-ALS run is one Phase, so the trace and
+// the result report the same seconds: the summed spans of each step equal
+// its CpAlsResult field, and the summed mttkrp:* spans equal the run's
+// kernel numeric seconds (1 ns of rounding allowed per span).
+TEST_F(TracerTest, PhaseSpansAddUpToTheResult) {
+  const auto tensor = generate_uniform({20, 24, 28, 16}, 600, 11);
+  CpAlsOptions opt;
+  opt.rank = 4;
+  opt.max_iterations = 3;
+  opt.tolerance = 0;
+  opt.engine = "auto";
+  auto& tracer = obs::Tracer::instance();
+  tracer.set_enabled(true);
+  const CpAlsResult res = cp_als(tensor, opt);
+  tracer.set_enabled(false);
+  const auto events = tracer.snapshot();
+
+  struct Spans {
+    double seconds = 0;
+    std::uint64_t count = 0;
+  };
+  const auto spans = [&](const std::string& prefix, bool exact) {
+    std::uint64_t ns = 0;
+    Spans out;
+    for (const auto& ev : events) {
+      const std::string name(ev.name);
+      if (exact ? name == prefix : name.rfind(prefix, 0) == 0) {
+        ns += ev.dur_ns;
+        ++out.count;
+      }
+    }
+    out.seconds = static_cast<double>(ns) * 1e-9;
+    return out;
+  };
+  const std::pair<const char*, double> steps[] = {
+      {"cpals.hadamard", res.hadamard_seconds},
+      {"cpals.solve", res.solve_seconds},
+      {"cpals.normalize", res.normalize_seconds},
+      {"cpals.gram", res.gram_seconds},
+      {"cpals.fit", res.fit_seconds},
+  };
+  for (const auto& [name, seconds] : steps) {
+    const Spans s = spans(name, /*exact=*/true);
+    EXPECT_GT(s.count, 0u) << name;
+    EXPECT_NEAR(s.seconds, seconds, static_cast<double>(s.count) * 1e-9)
+        << name;
+  }
+  const Spans mttkrp = spans("mttkrp:", /*exact=*/false);
+  EXPECT_EQ(mttkrp.count, res.kernel_stats.compute_calls);
+  EXPECT_NEAR(mttkrp.seconds, res.kernel_stats.numeric_seconds,
+              static_cast<double>(mttkrp.count) * 1e-9);
+}
+
 #endif  // MDCP_ENABLE_TRACING
+
+// Each logical engine call is instrumented once, wrappers included: over a
+// CP-ALS run the kernel.* metric deltas equal the run's KernelStats, and the
+// trace and the flight recorder hold one mttkrp:* span and one
+// compute-begin event per compute. auto+probe is left out: its probe
+// sweeps are real kernel calls of separate engines, counted in the metrics
+// but not in the run.
+TEST_F(TracerTest, EveryEngineIsInstrumentedOnce) {
+  const auto tensor = generate_uniform({20, 24, 28, 16}, 600, 11);
+  auto& metrics = obs::MetricsRegistry::instance();
+  obs::Counter& flops = metrics.counter("kernel.flops");
+  obs::Counter& computes = metrics.counter("kernel.compute_calls");
+  obs::Counter& prepares = metrics.counter("kernel.prepare_calls");
+  auto& tracer = obs::Tracer::instance();
+  auto& recorder = obs::FlightRecorder::instance();
+  for (const auto& name : EngineRegistry::instance().names()) {
+    if (name == "auto+probe") continue;
+    CpAlsOptions opt;
+    opt.rank = 4;
+    opt.max_iterations = 3;
+    opt.tolerance = 0;
+    opt.engine = name;
+    tracer.clear();
+    recorder.reset();
+    const std::uint64_t flops0 = flops.value();
+    const std::uint64_t computes0 = computes.value();
+    const std::uint64_t prepares0 = prepares.value();
+    tracer.set_enabled(true);
+    const CpAlsResult res = cp_als(tensor, opt);
+    tracer.set_enabled(false);
+    const KernelStats& k = res.kernel_stats;
+    EXPECT_EQ(k.compute_calls, 12u) << name;
+    EXPECT_EQ(flops.value() - flops0, k.flops) << name;
+    EXPECT_EQ(computes.value() - computes0, k.compute_calls) << name;
+    EXPECT_EQ(prepares.value() - prepares0, k.prepare_calls) << name;
+
+    std::uint64_t begins = 0;
+    for (const auto& ev : recorder.snapshot_events())
+      if (ev.kind == obs::FrEvent::kComputeBegin) ++begins;
+    EXPECT_EQ(begins, k.compute_calls) << name;
+#if MDCP_ENABLE_TRACING
+    std::uint64_t spans = 0;
+    for (const auto& ev : tracer.snapshot())
+      if (std::string(ev.name).rfind("mttkrp:", 0) == 0) ++spans;
+    EXPECT_EQ(spans, k.compute_calls) << name;
+#endif
+  }
+}
 
 TEST(Report, TensorFingerprintIsContentSensitive) {
   const auto a = generate_uniform({10, 12, 14}, 200, 5);

@@ -618,9 +618,9 @@ int cmd_profile(const Args& args) {
       ProfileRow row;
       row.engine = name;
       row.mode = m;
-      // Counters are read directly from the process set (engine.compute()
-      // already runs inside its own PerfRegion; nesting another here would
-      // double-count into the perf.* metrics).
+      // Counters are read directly from the process set: each
+      // engine.compute() is an obs::Phase that already adds its own deltas
+      // to the perf.* metrics.
       const KernelStats before_stats = engine->stats();
       const obs::PerfValues before =
           set != nullptr ? set->read_values() : obs::PerfValues{};
