@@ -6,11 +6,14 @@
 // intermediate, so it determines both the flops and the memory of a
 // strategy. Computing it by sorting (as the symbolic pass does) would cost
 // as much as building the tree; instead we hash every projected tuple and
-// either count distinct hashes exactly (small tensors) or use a k-minimum-
-// values (KMV) sketch (large tensors) — a single O(nnz) pass per subset,
-// with results cached per subset across all candidate strategies.
+// either count distinct hashes exactly (small tensors: a counting-sort
+// partition of the hashes by their top bits, then one small hash table per
+// bucket) or use a k-minimum-values (KMV) sketch (large tensors) — O(nnz)
+// per subset, with results cached per subset across all candidate
+// strategies.
 #pragma once
 
+#include <span>
 #include <unordered_map>
 
 #include "tensor/coo_tensor.hpp"
@@ -18,28 +21,48 @@
 
 namespace mdcp {
 
-/// 64-bit hash of the projection of nonzero i onto `modes`.
-std::uint64_t projection_hash(const CooTensor& t, nnz_t i, mode_set_t modes,
-                              std::uint64_t seed = 0x9e3779b9ULL);
+/// ProjectionCounter counts exactly up to this many nonzeros, by KMV above.
+inline constexpr nnz_t kExactProjectionThreshold = nnz_t{1} << 21;
+/// ProjectionCounter's KMV sketch size (relative error ~1/√k ≈ 3%).
+inline constexpr unsigned kKmvK = 1024;
+/// Default seed of the projection hashes.
+inline constexpr std::uint64_t kProjectionSeed = 0x9e3779b9ULL;
 
-/// Exact distinct-projection count via hashing + sort. (Collisions would
-/// undercount with probability ~nnz²/2⁶⁴ — negligible at any realistic size.)
+/// 64-bit hash of the projection of nonzero i onto `modes`: splitmix64 of
+/// (index | m << 40) chained over the member modes m in ascending order.
+std::uint64_t projection_hash(const CooTensor& t, nnz_t i, mode_set_t modes,
+                              std::uint64_t seed = kProjectionSeed);
+
+/// out[j] = projection_hash(t, first + j, modes, seed) for every j, computed
+/// mode by mode over the member modes' contiguous index arrays.
+void projection_hashes(const CooTensor& t, mode_set_t modes, nnz_t first,
+                       std::span<std::uint64_t> out,
+                       std::uint64_t seed = kProjectionSeed);
+
+/// Exact number of distinct values in `hashes`, in O(n): a counting-sort
+/// partition by the top bits into buckets of about 1k entries, then one
+/// reused open-addressing table counts each bucket.
+nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes);
+
+/// Exact distinct-projection count: count_distinct_hashes over every
+/// nonzero's projection_hash. (Collisions would undercount with probability
+/// ~nnz²/2⁶⁴ — negligible at any realistic size.)
 nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes);
 
 /// KMV estimate of the distinct-projection count using the k smallest
 /// distinct hashes: D ≈ (k−1)·2⁶⁴ / h_(k). Relative error ~1/√k.
 nnz_t kmv_distinct_projections(const CooTensor& t, mode_set_t modes,
-                               unsigned k = 1024,
-                               std::uint64_t seed = 0x9e3779b9ULL);
+                               unsigned k = kKmvK,
+                               std::uint64_t seed = kProjectionSeed);
 
-/// Caching facade: exact below `exact_threshold` nonzeros, KMV above.
-/// Results are memoized per mode subset, so enumerating many tree shapes
-/// that share nodes (e.g. all BDT orderings) costs one pass per subset.
+/// Caching facade: exact up to kExactProjectionThreshold nonzeros, KMV
+/// above. Results are memoized per mode subset, so enumerating many tree
+/// shapes that share nodes (e.g. all BDT orderings) costs one pass per
+/// subset. Each pass is a `tuner.sketch` span and bumps the
+/// `tuner.sketch_passes` counter.
 class ProjectionCounter {
  public:
-  explicit ProjectionCounter(const CooTensor& tensor,
-                             nnz_t exact_threshold = nnz_t{1} << 21,
-                             unsigned kmv_k = 1024);
+  explicit ProjectionCounter(const CooTensor& tensor);
 
   /// Estimated (or exact) number of distinct projected tuples onto `modes`.
   nnz_t count(mode_set_t modes);
@@ -49,8 +72,6 @@ class ProjectionCounter {
 
  private:
   const CooTensor& tensor_;
-  nnz_t exact_threshold_;
-  unsigned kmv_k_;
   std::unordered_map<mode_set_t, nnz_t> cache_;
   std::size_t passes_ = 0;
 };

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "model/cost_model.hpp"
 #include "model/sketch.hpp"
@@ -23,13 +26,95 @@ TEST(Sketch, ProjectionHashDeterministic) {
   EXPECT_NE(projection_hash(t, 5, 0b011), projection_hash(t, 5, 0b101));
 }
 
-TEST(Sketch, ExactMatchesSortBasedCount) {
-  const auto t = generate_zipf(shape_t{50, 60, 70, 80}, 3000, 1.2, 3);
-  for (mode_set_t s : {0b0001u, 0b0011u, 0b0110u, 0b1111u, 0b1010u}) {
-    EXPECT_EQ(exact_distinct_projections(t, s),
-              distinct_projection_count(t, s))
-        << "subset " << s;
+// Exactly `nnz` nonzeros with uniform coordinates; repeats are kept, so
+// small shapes give projections with many duplicates.
+CooTensor random_coords(const shape_t& shape, nnz_t nnz, std::uint64_t seed) {
+  Rng rng(seed);
+  CooTensor t(shape);
+  std::vector<index_t> c(shape.size());
+  for (nnz_t i = 0; i < nnz; ++i) {
+    for (std::size_t m = 0; m < shape.size(); ++m)
+      c[m] = rng.next_index(shape[m]);
+    t.push_back(c, 1.0);
   }
+  return t;
+}
+
+TEST(Sketch, ExactMatchesSortBasedCount) {
+  std::vector<std::pair<std::string, CooTensor>> inputs;
+  inputs.emplace_back("zipf4d", generate_zipf(shape_t{80, 4000, 20000, 6000},
+                                              30000, 1.1, 3));
+  inputs.emplace_back(
+      "clustered5d",
+      generate_clustered(shape_t{200, 150, 100, 50, 20}, 40000,
+                         {.clusters = 32, .spread = 6.0}, 5));
+  inputs.emplace_back("uniform3d",
+                      generate_uniform(shape_t{50, 60, 70}, 20000, 7));
+  inputs.emplace_back(
+      "order7", generate_uniform(shape_t{6, 7, 8, 9, 10, 11, 12}, 5000, 9));
+  inputs.emplace_back("size1-mode",
+                      generate_uniform(shape_t{1, 50, 60}, 2000, 11));
+  for (const nnz_t nnz : {0u, 1u, 2u})
+    inputs.emplace_back("nnz" + std::to_string(nnz),
+                        random_coords(shape_t{3, 4, 5}, nnz, 13));
+  // The partition uses bit_width(nnz >> 10) bucket bits: straddle the
+  // boundaries where that grows.
+  for (const nnz_t nnz : {1023u, 1024u, 1025u, 2047u, 2048u, 2049u, 4096u})
+    inputs.emplace_back("nnz" + std::to_string(nnz),
+                        random_coords(shape_t{40, 30, 2000}, nnz, nnz));
+  for (const auto& [name, t] : inputs) {
+    for (mode_set_t s = 1; s <= all_modes(t.order()); ++s) {
+      EXPECT_EQ(exact_distinct_projections(t, s),
+                distinct_projection_count(t, s))
+          << name << " subset " << s;
+    }
+  }
+}
+
+TEST(Sketch, BatchHashesMatchProjectionHash) {
+  const auto t = generate_zipf(shape_t{30, 40, 50, 60, 70}, 5000, 1.1, 15);
+  for (mode_set_t s : {0u, 0b00001u, 0b10110u, 0b01001u, 0b11111u}) {
+    std::vector<std::uint64_t> all(t.nnz());
+    projection_hashes(t, s, 0, all);
+    for (nnz_t i = 0; i < t.nnz(); ++i)
+      ASSERT_EQ(all[i], projection_hash(t, i, s)) << "subset " << s;
+    // A window starting mid-tensor, with a non-default seed (as KMV uses).
+    std::vector<std::uint64_t> window(100);
+    projection_hashes(t, s, 1234, window, 42);
+    for (nnz_t j = 0; j < window.size(); ++j)
+      ASSERT_EQ(window[j], projection_hash(t, 1234 + j, s, 42))
+          << "subset " << s;
+  }
+}
+
+TEST(Sketch, CountDistinctHashesOnCraftedArrays) {
+  using H = std::vector<std::uint64_t>;
+  EXPECT_EQ(count_distinct_hashes(H{}), 0u);
+  // 0 marks an empty table slot, so a real 0 is counted on the side.
+  EXPECT_EQ(count_distinct_hashes(H{0}), 1u);
+  EXPECT_EQ(count_distinct_hashes(H{0, 0, 5}), 2u);
+  EXPECT_EQ(count_distinct_hashes(H{7, 0, 7, 0}), 2u);
+  // All equal, small and large (one bucket holds everything).
+  EXPECT_EQ(count_distinct_hashes(H(5000, 0)), 1u);
+  EXPECT_EQ(count_distinct_hashes(H(5000, 0x8000000000000001ULL)), 1u);
+  EXPECT_EQ(count_distinct_hashes(H(5000, ~std::uint64_t{0})), 1u);
+
+  // 2048 entries give 4 buckets by the top two bits: one entry in each of the
+  // first three, the rest (distinct) in the last.
+  H one_entry{0, std::uint64_t{1} << 62, std::uint64_t{2} << 62};
+  for (std::uint64_t i = 0; one_entry.size() < 2048; ++i)
+    one_entry.push_back((std::uint64_t{3} << 62) | (i + 1));
+  EXPECT_EQ(count_distinct_hashes(one_entry), 2048u);
+
+  // 16 buckets of 256 distinct values, each twice, whose low 24 bits are all
+  // zero: every value has the same home slot, so each bucket fills one long
+  // probe chain that must be cleared completely before the next bucket.
+  H chains;
+  for (std::uint64_t b = 0; b < 16; ++b)
+    for (std::uint64_t i = 0; i < 256; ++i)
+      for (int copy = 0; copy < 2; ++copy)
+        chains.push_back((b << 60) | ((i + 1) << 24));
+  EXPECT_EQ(count_distinct_hashes(chains), 4096u);
 }
 
 TEST(Sketch, ExactHandlesEmptyAndFullSets) {

@@ -239,9 +239,14 @@ int cmd_tune(const Args& args) {
   const auto budget = static_cast<std::size_t>(
       args.get_num("budget-mb", 0) * 1024.0 * 1024.0);
 
+  auto& passes =
+      obs::MetricsRegistry::instance().counter("tuner.sketch_passes");
+  const std::uint64_t passes_before = passes.value();
+  const WallTimer timer;
   const TunerReport report =
       args.has("probe") ? select_strategy_probed(t, rank, budget)
                         : select_strategy(t, rank, budget);
+  const double select_seconds = timer.seconds();
   std::printf("%-16s %-28s %-12s %-12s %s\n", "strategy", "tree", "pred-time",
               "memory", "fits-budget");
   for (std::size_t i = 0; i < report.ranked.size(); ++i) {
@@ -253,6 +258,8 @@ int cmd_tune(const Args& args) {
                 rs.fits_budget ? "yes" : "no",
                 i == report.chosen ? "   <== chosen" : "");
   }
+  std::printf("selection: %.4g s, %llu sketch passes\n", select_seconds,
+              static_cast<unsigned long long>(passes.value() - passes_before));
   return 0;
 }
 
