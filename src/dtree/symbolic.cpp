@@ -1,14 +1,17 @@
 #include "dtree/symbolic.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "dtree/dimension_tree.hpp"
+#include "obs/trace.hpp"
+#include "tensor/radix_sort.hpp"
 #include "util/error.hpp"
 
 namespace mdcp {
 
 void build_symbolic(DimensionTree& tree) {
+  MDCP_TRACE_SPAN("dtree.symbolic", "nodes",
+                  static_cast<std::int64_t>(tree.size()));
   // BFS order guarantees each parent is finalized before its children.
   for (int id : tree.bfs_order()) {
     auto& n = tree.node(id);
@@ -17,24 +20,17 @@ void build_symbolic(DimensionTree& tree) {
     const int parent = n.parent;
     const nnz_t pcount = tree.node_tuples(parent);
 
-    // Gather the parent's index arrays for this node's modes once.
-    std::vector<std::span<const index_t>> keys;
+    // Sort parent tuple ids by the parent's index arrays for this node's
+    // modes (the projected key).
+    std::vector<SortKey> keys;
     keys.reserve(n.modes.size());
-    for (mode_t m : n.modes) keys.push_back(tree.node_mode_index(parent, m));
-
-    // Sort parent tuple ids by the projected key.
-    std::vector<nnz_t> perm(pcount);
-    std::iota(perm.begin(), perm.end(), nnz_t{0});
-    std::stable_sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
-      for (const auto& k : keys) {
-        if (k[a] != k[b]) return k[a] < k[b];
-      }
-      return false;
-    });
+    for (mode_t m : n.modes)
+      keys.push_back({tree.node_mode_index(parent, m), tree.tensor().dim(m)});
+    std::vector<nnz_t> perm = radix_sort_permutation(keys, pcount);
 
     const auto same_key = [&](nnz_t a, nnz_t b) {
       for (const auto& k : keys)
-        if (k[a] != k[b]) return false;
+        if (k.values[a] != k.values[b]) return false;
       return true;
     };
 
@@ -47,7 +43,7 @@ void build_symbolic(DimensionTree& tree) {
       if (p == 0 || !same_key(n.red_ids[p], n.red_ids[p - 1])) {
         n.red_ptr.push_back(p);
         for (std::size_t m = 0; m < keys.size(); ++m)
-          n.idx[m].push_back(keys[m][n.red_ids[p]]);
+          n.idx[m].push_back(keys[m].values[n.red_ids[p]]);
       }
     }
     n.red_ptr.push_back(pcount);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
 
 #include "model/cost_model.hpp"
 #include "sched/reduce.hpp"
@@ -24,11 +23,8 @@ void CooMttkrpEngine::do_prepare(index_t rank) {
   plans_.assign(t.order(), {});
   for (mode_t m = 0; m < t.order(); ++m) {
     ModePlan& plan = plans_[m];
-    plan.perm.resize(t.nnz());
-    std::iota(plan.perm.begin(), plan.perm.end(), nnz_t{0});
+    plan.perm = t.sorted_permutation(std::array<mode_t, 1>{m});
     const auto idx = t.mode_indices(m);
-    std::stable_sort(plan.perm.begin(), plan.perm.end(),
-                     [&](nnz_t a, nnz_t b) { return idx[a] < idx[b]; });
     for (nnz_t i = 0; i < plan.perm.size(); ++i) {
       const index_t row = idx[plan.perm[i]];
       if (plan.rows.empty() || plan.rows.back() != row) {

@@ -1,7 +1,8 @@
 // Low-overhead span tracer with Chrome trace-event JSON export.
 //
 // Instrumentation sites wrap a scope in MDCP_TRACE_SPAN("name") (optionally
-// with one integer argument: MDCP_TRACE_SPAN("cpals.mode", "mode", n)). Each
+// with one integer argument: MDCP_TRACE_SPAN("cpals.mode", "mode", n), or
+// MDCP_TRACE_SPAN_VAR when the argument is known only at scope exit). Each
 // completed span is pushed into a fixed-capacity *thread-local ring buffer*
 // — no locks, no allocation on the hot path; when a ring overflows, the
 // oldest events are overwritten (the newest survive) and the drop is
@@ -189,12 +190,20 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Replaces the argument, for a count known only at scope exit.
+  void set_arg(std::int64_t arg_value) noexcept { arg_value_ = arg_value; }
+
  private:
   char name_[TraceEvent::kNameCapacity];
   const char* arg_name_ = nullptr;
   std::int64_t arg_value_ = 0;
   std::uint64_t begin_ns_ = 0;
   bool active_ = false;
+};
+
+/// What MDCP_TRACE_SPAN_VAR declares when tracing is compiled out.
+struct NoTraceSpan {
+  void set_arg(std::int64_t) const noexcept {}
 };
 
 }  // namespace mdcp::obs
@@ -208,8 +217,13 @@ class TraceSpan {
                                             __LINE__) {            \
     __VA_ARGS__                                                    \
   }
+/// MDCP_TRACE_SPAN with a named span object, so the scope can set the
+/// argument once it is known: MDCP_TRACE_SPAN_VAR(span, "io.read",
+/// "records"); ... span.set_arg(n);
+#define MDCP_TRACE_SPAN_VAR(var, ...) ::mdcp::obs::TraceSpan var{__VA_ARGS__}
 #else
 #define MDCP_TRACE_SPAN(...) \
   do {                       \
   } while (false)
+#define MDCP_TRACE_SPAN_VAR(var, ...) ::mdcp::obs::NoTraceSpan var
 #endif

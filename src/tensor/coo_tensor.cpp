@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "tensor/radix_sort.hpp"
 #include "util/error.hpp"
 
 namespace mdcp {
@@ -15,6 +16,17 @@ CooTensor::CooTensor(shape_t shape) : shape_(std::move(shape)) {
   MDCP_CHECK_MSG(shape_.size() <= kMaxOrder, "tensor order exceeds kMaxOrder");
   for (index_t d : shape_) MDCP_CHECK_MSG(d > 0, "mode sizes must be positive");
   idx_.resize(shape_.size());
+}
+
+CooTensor::CooTensor(shape_t shape, std::vector<std::vector<index_t>> indices,
+                     std::vector<real_t> values)
+    : CooTensor(std::move(shape)) {
+  MDCP_CHECK_MSG(indices.size() == shape_.size(),
+                 "got " << indices.size() << " index arrays for "
+                        << shape_.size() << " modes");
+  idx_ = std::move(indices);
+  vals_ = std::move(values);
+  validate();
 }
 
 double CooTensor::logical_size() const noexcept {
@@ -59,12 +71,10 @@ bool CooTensor::tuple_less(nnz_t a, nnz_t b,
 
 std::vector<nnz_t> CooTensor::sorted_permutation(
     std::span<const mode_t> mode_order) const {
-  std::vector<nnz_t> perm(nnz());
-  std::iota(perm.begin(), perm.end(), nnz_t{0});
-  std::stable_sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
-    return tuple_less(a, b, mode_order);
-  });
-  return perm;
+  std::vector<SortKey> keys;
+  keys.reserve(mode_order.size());
+  for (mode_t m : mode_order) keys.push_back({mode_indices(m), dim(m)});
+  return radix_sort_permutation(keys, nnz());
 }
 
 void CooTensor::apply_permutation(std::span<const nnz_t> perm) {

@@ -21,6 +21,11 @@ class CooTensor {
   /// Empty tensor with the given mode sizes.
   explicit CooTensor(shape_t shape);
 
+  /// Takes ownership of ready-made per-mode index arrays and values, and
+  /// validates them once (arity, lengths, index ranges).
+  CooTensor(shape_t shape, std::vector<std::vector<index_t>> indices,
+            std::vector<real_t> values);
+
   mode_t order() const noexcept { return static_cast<mode_t>(shape_.size()); }
   nnz_t nnz() const noexcept { return vals_.size(); }
   const shape_t& shape() const noexcept { return shape_; }
@@ -52,7 +57,7 @@ class CooTensor {
   bool tuple_less(nnz_t a, nnz_t b, std::span<const mode_t> mode_order) const;
 
   /// Returns a permutation that sorts nonzeros lexicographically by the given
-  /// mode priority order (stable).
+  /// mode priority order (stable; a radix sort, see tensor/radix_sort.hpp).
   std::vector<nnz_t> sorted_permutation(std::span<const mode_t> mode_order) const;
 
   /// Reorders nonzeros in place according to `perm` (perm[i] = old position

@@ -1,13 +1,19 @@
 #include "tensor/tensor_io.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
 
@@ -15,146 +21,216 @@ namespace mdcp {
 
 namespace {
 
-struct ParsedLine {
-  std::vector<index_t> coords;
-  real_t value = 0;
-};
+// Bytes requested from the stream per read. A line longer than the buffer
+// grows it, so memory stays at one block plus the longest line.
+constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
+constexpr long long kMaxIndex = std::numeric_limits<index_t>::max();
+
+const char* const kIndexRange =
+    "index out of range (must be 1-based and fit the 32-bit index type)";
+const char* too_many_indices() {
+  static const std::string text = "more than " + std::to_string(kMaxOrder) +
+                                  " indices (the maximum tensor order)";
+  return text.c_str();
+}
 
 [[noreturn]] void fail_line(std::size_t line_no, const std::string& what,
-                            const std::string& line) {
+                            std::string_view line) {
   std::ostringstream os;
   os << ".tns line " << line_no << ": " << what << " in \"" << line << "\"";
   throw parse_error(os.str(), line_no);
 }
 
-// Field-checked parse of "i1 i2 ... iN v". Returns false for blank/comment
-// lines; throws a line-numbered parse_error on malformed content. Unlike a
-// stream-extraction loop, this validates every token end-to-end: trailing
-// garbage, fractional or overflowing indices, and non-numeric values are all
-// errors instead of silent truncation.
-bool parse_line(const std::string& line, std::size_t line_no,
-                ParsedLine& out) {
-  const char* p = line.c_str();
-  const auto skip_ws = [&p] {
-    while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
-  };
-  skip_ws();
-  if (*p == '\0' || *p == '#') return false;
+bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
-  struct Token {
-    const char* begin;
-    const char* end;
-  };
-  std::vector<Token> tokens;
-  while (*p != '\0') {
-    const char* start = p;
-    while (*p != '\0' && *p != ' ' && *p != '\t' && *p != '\r') ++p;
-    tokens.push_back({start, p});
-    skip_ws();
-  }
-  if (tokens.size() < 2)
-    fail_line(line_no, "truncated record (needs >=1 index + value)", line);
+// One record: up to kMaxOrder indices (0-based) and the value.
+struct Record {
+  std::array<index_t, kMaxOrder> coords{};
+  std::size_t order = 0;  ///< 0 for a blank or comment line
+  real_t value = 0;
+};
 
-  out.coords.clear();
-  constexpr unsigned long long kMaxIndex =
-      static_cast<unsigned long long>(std::numeric_limits<index_t>::max());
-  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-    const Token& tok = tokens[i];
+// Index token [b, e), followed in memory by a blank or the line's NUL.
+// from_chars takes the plain decimal tokens; anything else (a leading
+// whitespace character strtoll skips, out-of-range digits) goes to strtoll,
+// so the accepted tokens are exactly strtoll's. Returns an error text or
+// nullptr.
+const char* parse_index(const char* b, const char* e, index_t& out) {
+  const bool plus = *b == '+' && e - b > 1 && b[1] >= '0' && b[1] <= '9';
+  long long v = 0;
+  const auto [ptr, ec] = std::from_chars(b + plus, e, v);
+  if (ec != std::errc{} || ptr != e) {
     errno = 0;
     char* end = nullptr;
-    const long long v = std::strtoll(tok.begin, &end, 10);
-    if (end != tok.end || end == tok.begin)
-      fail_line(line_no, "non-integer index token", line);
+    v = std::strtoll(b, &end, 10);
+    if (end != e || end == b) return "non-integer index token";
     // v itself must fit index_t (not just v-1): the inferred shape stores
     // max(index)+1, which must not wrap.
-    if (errno == ERANGE || v < 1 || static_cast<unsigned long long>(v) > kMaxIndex)
-      fail_line(line_no, "index out of range (must be 1-based and fit "
-                         "the 32-bit index type)",
-                line);
-    out.coords.push_back(static_cast<index_t>(v - 1));
+    if (errno == ERANGE) return kIndexRange;
+  }
+  if (v < 1 || v > kMaxIndex) return kIndexRange;
+  out = static_cast<index_t>(v - 1);
+  return nullptr;
+}
+
+// Value token [b, e), as parse_index. from_chars rounds like strtod; strtod
+// takes the tokens from_chars does not parse whole: a leading '+', hex
+// floats, underflow to zero and overflow to infinity.
+const char* parse_value(const char* b, const char* e, real_t& out) {
+  double v = 0;
+  const auto [ptr, ec] = std::from_chars(b, e, v);
+  if (ec != std::errc{} || ptr != e) {
+    char* end = nullptr;
+    v = std::strtod(b, &end);
+    if (end != e || end == b) return "non-numeric value token";
+  }
+  if (!std::isfinite(v)) return "non-finite value";
+  out = static_cast<real_t>(v);
+  return nullptr;
+}
+
+// Field-checked parse of the NUL-terminated line "i1 i2 ... iN v" into rec
+// (rec.order = 0 for a blank or comment line). Tokens are checked in order,
+// each end to end: trailing garbage, fractional or overflowing indices and
+// non-numeric values are errors, not silent truncation. Returns an error
+// text or nullptr.
+const char* parse_record(const char* p, Record& rec) {
+  rec.order = 0;
+  while (is_blank(*p)) ++p;
+  if (*p == '\0' || *p == '#') return nullptr;
+  for (;;) {
+    const char* const begin = p;
+    while (*p != '\0' && !is_blank(*p)) ++p;
+    const char* const end = p;
+    while (is_blank(*p)) ++p;
+    if (*p == '\0') {  // the last token is the value
+      if (rec.order == 0) return "truncated record (needs >=1 index + value)";
+      return parse_value(begin, end, rec.value);
+    }
+    if (rec.order == kMaxOrder) return too_many_indices();
+    if (const char* err = parse_index(begin, end, rec.coords[rec.order]))
+      return err;
+    ++rec.order;
+  }
+}
+
+// Accepts lines one at a time and appends the records straight into the
+// per-mode index arrays.
+class RecordSink {
+ public:
+  RecordSink(const shape_t& shape_hint, const TnsReadOptions& opts,
+             TnsReadStats& st)
+      : hint_(shape_hint), opts_(opts), st_(st) {}
+
+  // Line [b, e) with *e == '\0'. Returns false when the fault-injection
+  // short read ends the stream here.
+  bool line(const char* b, const char* e) {
+    ++line_no_;
+    st_.lines_read = line_no_;
+    // Fault-injection site: simulate a short read (io.lines=N) by ending the
+    // stream after N lines; downstream sees an ordinary shorter tensor.
+    if (fault::should_inject(fault::Site::kIo, line_no_)) {
+      st_.truncated = true;
+      return false;
+    }
+    if (const char* err = parse_record(b, rec_)) {
+      if (opts_.strict) fail_line(line_no_, err, {b, e});
+      ++st_.skipped_malformed;
+      return true;
+    }
+    if (rec_.order == 0) return true;
+    if (idx_.empty()) {
+      idx_.resize(rec_.order);
+      shape_.assign(rec_.order, 0);
+    } else if (rec_.order != idx_.size()) {
+      if (opts_.strict) {
+        std::ostringstream os;
+        os << ".tns line " << line_no_ << ": record has " << rec_.order
+           << " indices, expected " << idx_.size();
+        throw parse_error(os.str(), line_no_);
+      }
+      ++st_.skipped_malformed;
+      return true;
+    }
+    if (!hint_.empty()) {
+      if (hint_.size() != rec_.order)
+        fail_line(line_no_, "record arity does not match the shape hint",
+                  {b, e});
+      for (std::size_t m = 0; m < rec_.order; ++m)
+        if (rec_.coords[m] >= hint_[m])
+          fail_line(line_no_, "index exceeds the shape hint", {b, e});
+    }
+    for (std::size_t m = 0; m < rec_.order; ++m) {
+      idx_[m].push_back(rec_.coords[m]);
+      shape_[m] = std::max(shape_[m], rec_.coords[m] + 1);
+    }
+    vals_.push_back(rec_.value);
+    return true;
   }
 
-  const Token& vtok = tokens.back();
-  errno = 0;
-  char* vend = nullptr;
-  const double value = std::strtod(vtok.begin, &vend);
-  if (vend != vtok.end || vend == vtok.begin)
-    fail_line(line_no, "non-numeric value token", line);
-  if (!std::isfinite(value))
-    fail_line(line_no, "non-finite value", line);
-  out.value = static_cast<real_t>(value);
-  return true;
-}
+  CooTensor finish() {
+    if (idx_.empty()) throw parse_error(".tns stream contains no nonzeros");
+    st_.records = vals_.size();
+    return CooTensor(hint_.empty() ? std::move(shape_) : hint_,
+                     std::move(idx_), std::move(vals_));
+  }
+
+ private:
+  const shape_t& hint_;
+  const TnsReadOptions& opts_;
+  TnsReadStats& st_;
+  std::size_t line_no_ = 0;
+  Record rec_;
+  shape_t shape_;  // per-mode max index + 1 of the accepted records
+  std::vector<std::vector<index_t>> idx_;
+  std::vector<real_t> vals_;
+};
 
 }  // namespace
 
 CooTensor read_tns(std::istream& in, const shape_t& shape_hint,
                    const TnsReadOptions& opts, TnsReadStats* stats) {
+  MDCP_TRACE_SPAN_VAR(span, "io.read", "records");
   TnsReadStats local;
   TnsReadStats& st = stats != nullptr ? *stats : local;
   st = TnsReadStats{};
+  RecordSink sink(shape_hint, opts, st);
 
-  std::vector<ParsedLine> lines;
-  std::string line;
-  ParsedLine parsed;
-  std::size_t arity = 0;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    st.lines_read = line_no;
-    // Fault-injection site: simulate a short read (io.lines=N) by ending the
-    // stream after N lines; downstream sees an ordinary shorter tensor.
-    if (fault::should_inject(fault::Site::kIo, line_no)) {
-      st.truncated = true;
-      break;
-    }
-    bool is_record = false;
-    try {
-      is_record = parse_line(line, line_no, parsed);
-    } catch (const parse_error&) {
-      if (opts.strict) throw;
-      ++st.skipped_malformed;
-      continue;
-    }
-    if (!is_record) continue;
-    if (arity == 0) {
-      arity = parsed.coords.size();
-    } else if (parsed.coords.size() != arity) {
-      if (opts.strict) {
-        std::ostringstream os;
-        os << ".tns line " << line_no << ": record has "
-           << parsed.coords.size() << " indices, expected " << arity;
-        throw parse_error(os.str(), line_no);
+  // Lines are split as std::getline splits them: at '\n', with a final
+  // unterminated line counted when it is not empty. The partial last line
+  // of each block moves to the front and the next read completes it.
+  std::size_t cap = kBlockBytes;
+  std::vector<char> buf(cap + 1);  // +1: room for the final line's NUL
+  std::size_t have = 0;
+  bool at_eof = false;
+  while (!at_eof) {
+    if (have == cap) buf.resize((cap *= 2) + 1);  // one line fills the buffer
+    in.read(buf.data() + have, static_cast<std::streamsize>(cap - have));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    at_eof = have + got < cap;
+    have += got;
+    char* p = buf.data();
+    char* const end = p + have;
+    while (p < end) {
+      auto* nl = static_cast<char*>(std::memchr(p, '\n', end - p));
+      if (nl == nullptr) {
+        if (!at_eof) break;
+        nl = end;
       }
-      ++st.skipped_malformed;
-      continue;
-    }
-    if (!shape_hint.empty()) {
-      if (shape_hint.size() != parsed.coords.size())
-        fail_line(line_no, "record arity does not match the shape hint", line);
-      for (std::size_t m = 0; m < parsed.coords.size(); ++m) {
-        if (parsed.coords[m] >= shape_hint[m])
-          fail_line(line_no, "index exceeds the shape hint", line);
+      *nl = '\0';  // tokens end here, or at an earlier embedded NUL
+      if (!sink.line(p, nl)) {
+        at_eof = true;
+        break;
       }
+      p = nl + 1;
     }
-    lines.push_back(parsed);
-  }
-  if (arity == 0) throw parse_error(".tns stream contains no nonzeros");
-  st.records = lines.size();
-
-  shape_t shape = shape_hint;
-  if (shape.empty()) {
-    shape.assign(arity, 0);
-    for (const auto& l : lines)
-      for (std::size_t m = 0; m < arity; ++m)
-        shape[m] = std::max(shape[m], l.coords[m] + 1);
-  } else {
-    MDCP_CHECK_MSG(shape.size() == arity, "shape hint arity mismatch");
+    have = p < end ? static_cast<std::size_t>(end - p) : 0;
+    std::memmove(buf.data(), p, have);
   }
 
-  CooTensor t(shape);
-  t.reserve(lines.size());
-  for (const auto& l : lines) t.push_back(l.coords, l.value);
+  CooTensor t = sink.finish();
+  span.set_arg(static_cast<std::int64_t>(st.records));
   return t;
 }
 

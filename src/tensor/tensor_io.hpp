@@ -4,10 +4,21 @@
 // tensor community (SPLATT, ParTI, FROSTT all read it).
 //
 // Parsing is field-checked: non-numeric tokens, non-integral or out-of-range
-// indices (anything that does not fit index_t), inconsistent arity, and
-// truncated records raise a line-numbered mdcp::parse_error in strict mode
-// (the default). Non-strict mode skips malformed lines and counts them in
-// TnsReadStats instead — for salvaging partially corrupt dumps.
+// indices (anything that does not fit index_t), more than kMaxOrder indices,
+// inconsistent arity, and truncated records raise a line-numbered
+// mdcp::parse_error in strict mode (the default). Non-strict mode skips
+// malformed lines and counts them in TnsReadStats instead — for salvaging
+// partially corrupt dumps.
+//
+// Token grammar (unchanged since the reader parsed with strtoll/strtod):
+// tokens are separated by spaces, tabs and '\r'; a line ends at '\n' (an
+// embedded NUL ends its tokens early); a line whose first non-blank
+// character is '#' is a comment. An index token is any base-10 integer strtoll accepts
+// whole (leading '+' included); a value token is any number strtod accepts
+// whole (hex floats included; underflow gives 0) that is finite. The reader
+// parses with std::from_chars in blocks of about 1 MiB and defers to
+// strtoll/strtod for a token from_chars does not take whole, so it accepts,
+// rejects and rounds every token as those functions do.
 #pragma once
 
 #include <cstddef>

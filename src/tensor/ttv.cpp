@@ -1,30 +1,11 @@
 #include "tensor/ttv.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "mttkrp/microkernel.hpp"
 #include "util/error.hpp"
 
 namespace mdcp {
 
 namespace {
-
-// Sorted permutation of X's nonzeros by the modes in `keep` (ascending ids).
-std::vector<nnz_t> projection_permutation(const CooTensor& x,
-                                          const std::vector<mode_t>& keep) {
-  std::vector<nnz_t> perm(x.nnz());
-  std::iota(perm.begin(), perm.end(), nnz_t{0});
-  std::stable_sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
-    for (mode_t m : keep) {
-      const index_t ia = x.index(m, a);
-      const index_t ib = x.index(m, b);
-      if (ia != ib) return ia < ib;
-    }
-    return false;
-  });
-  return perm;
-}
 
 bool same_projection(const CooTensor& x, const std::vector<mode_t>& keep,
                      nnz_t a, nnz_t b) {
@@ -48,7 +29,7 @@ CooTensor ttv(const CooTensor& x, mode_t mode, std::span<const real_t> v) {
   CooTensor out(out_shape);
   if (x.nnz() == 0) return out;
 
-  const auto perm = projection_permutation(x, keep);
+  const auto perm = x.sorted_permutation(keep);
   std::vector<index_t> c(x.order());
   real_t acc = 0;
   for (nnz_t p = 0; p < perm.size(); ++p) {
@@ -80,7 +61,7 @@ SemiSparseTensor ttm(const CooTensor& x, mode_t mode, const Matrix& u) {
     return z;
   }
 
-  const auto perm = projection_permutation(x, z.modes);
+  const auto perm = x.sorted_permutation(z.modes);
 
   // First pass: count groups to size the value matrix.
   nnz_t groups = 1;

@@ -132,7 +132,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CorruptCase{"negative_index.tns", 4, 2},
                       CorruptCase{"zero_index.tns", 2, 1},
                       CorruptCase{"wrong_arity.tns", 4, 3},
-                      CorruptCase{"truncated_record.tns", 4, 2}),
+                      CorruptCase{"truncated_record.tns", 4, 2},
+                      CorruptCase{"too_many_modes.tns", 3, 2}),
     [](const ::testing::TestParamInfo<CorruptCase>& info) {
       std::string n = info.param.file;
       return n.substr(0, n.find('.'));

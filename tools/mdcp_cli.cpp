@@ -278,12 +278,7 @@ void write_factor(const std::string& path, const Matrix& f) {
 
 int cmd_decompose(const Args& args) {
   if (args.positional().empty()) usage("decompose needs a tensor file");
-  const CooTensor t = read_input(args, args.positional()[0]);
-  std::printf("input: %s\n", t.summary().c_str());
-
-  if (args.has("threads"))
-    set_num_threads(static_cast<int>(args.get_num("threads", 1)));
-
+  // Tracing starts before the read, so the trace holds its io.read span.
   const std::string trace_path = args.get("trace");
   if (!trace_path.empty()) {
     obs::Tracer::instance().set_process_name("mdcp_cli decompose");
@@ -294,6 +289,12 @@ int cmd_decompose(const Args& args) {
                    trace_path.c_str());
     obs::Tracer::instance().set_enabled(true);
   }
+
+  const CooTensor t = read_input(args, args.positional()[0]);
+  std::printf("input: %s\n", t.summary().c_str());
+
+  if (args.has("threads"))
+    set_num_threads(static_cast<int>(args.get_num("threads", 1)));
 
   // Cross-run history: --history-dir names a directory of JSONL run reports
   // (the persistent store — see obs/history.hpp). Prior runs are ingested
