@@ -88,6 +88,19 @@ void append_kernel_stats(obs::JsonWriter& w, const KernelStats& s) {
       .end_object();
 }
 
+// The rows of each mode that own at least one nonzero, ascending.
+std::vector<std::vector<index_t>> occupied_rows(const CooTensor& t) {
+  std::vector<std::vector<index_t>> rows(t.order());
+  std::vector<char> used;
+  for (mode_t m = 0; m < t.order(); ++m) {
+    used.assign(t.dim(m), 0);
+    for (const index_t i : t.mode_indices(m)) used[i] = 1;
+    for (index_t i = 0; i < t.dim(m); ++i)
+      if (used[i]) rows[m].push_back(i);
+  }
+  return rows;
+}
+
 }  // namespace
 
 CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
@@ -193,6 +206,15 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   std::vector<Matrix> grams(order);
   for (mode_t m = 0; m < order; ++m) gram(factors[m], grams[m]);
 
+  // The MTTKRP row of an empty slice is +0, and a +0 row solves to +0 and
+  // adds exactly nothing to a norm, a Gram or the fit. So once a factor is
+  // +0 outside its occupied rows, its updates visit only those rows and
+  // keep every bit. rest_zero[m] records that state of factors[m]: the
+  // random init, a recovery and a zero-column re-randomization clear it,
+  // and the next update of that mode then solves every row, zeroing them.
+  const std::vector<std::vector<index_t>> occupied = occupied_rows(tensor);
+  std::vector<char> rest_zero(order, 0);
+
   const real_t x_norm = tensor.norm();
   std::vector<real_t> lambda(rank, 1);
   Matrix mttkrp_out;
@@ -217,6 +239,7 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
       std::printf("[cp-als] recovery %d: %s, re-randomizing factor %u\n",
                   result.recoveries, why, static_cast<unsigned>(n));
     factors[n] = Matrix::random_uniform(tensor.dim(n), rank, rng);
+    rest_zero[n] = 0;
     column_normalize(factors[n]);
     std::fill(lambda.begin(), lambda.end(), real_t{1});
     gram(factors[n], grams[n]);
@@ -263,6 +286,7 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
       mode_latency[n]->record(mttkrp_secs);
 
       const auto mode_arg = static_cast<std::int64_t>(n);
+      const RowSet rows = RowSet::list(occupied[n]);
       {
         // H^(n) = ∘_{i≠n} Gram_i.
         obs::Phase phase(obs::FrPhase::kSolve, "cpals.hadamard", mode_arg,
@@ -284,7 +308,9 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
                          result.solve_seconds);
         SolveInfo solve_info;
         try {
-          solve_normal_equations(h, mttkrp_out, factors[n], &solve_info);
+          solve_normal_equations(
+              h, mttkrp_out, rest_zero[n] ? rows : RowSet::all(tensor.dim(n)),
+              factors[n], &solve_info);
           // Guard the update itself: a NaN/Inf row (e.g. a poisoned MTTKRP
           // output pushed through the solve) must not survive into the Gram
           // matrices, where it would contaminate every later mode.
@@ -299,11 +325,14 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
         if (solve_info.used_pseudo_inverse) ++result.pseudo_inverse_solves;
         if (!update_ok) {
           recover_factor(n, "non-finite factor update");
-        } else if (options.nonnegative) {
-          // Projected ALS: negative entries are infeasible for count data.
-          real_t* data = factors[n].data();
-          for (std::size_t e = 0; e < factors[n].size(); ++e)
-            if (data[e] < 0) data[e] = 0;
+        } else {
+          rest_zero[n] = 1;
+          if (options.nonnegative) {
+            // Projected ALS: negative entries are infeasible for count data.
+            for (index_t p = 0; p < rows.count; ++p)
+              for (real_t& v : factors[n].row(rows[p]))
+                if (v < 0) v = 0;
+          }
         }
       }
 
@@ -311,8 +340,15 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
         {
           obs::Phase phase(obs::FrPhase::kSolve, "cpals.normalize", mode_arg,
                            result.normalize_seconds);
-          lambda = column_normalize(factors[n]);
-          // Columns that collapsed to zero would poison H; re-randomize them.
+          lambda = column_norms(factors[n], rows);
+        }
+        obs::Phase phase(obs::FrPhase::kSolve, "cpals.gram", mode_arg,
+                         result.gram_seconds);
+        normalize_gram(factors[n], rows, lambda, grams[n]);
+        if (std::find(lambda.begin(), lambda.end(), real_t{0}) !=
+            lambda.end()) {
+          // Columns that collapsed to zero would poison H; re-randomize them
+          // over every row and redo the Gram.
           for (index_t r = 0; r < rank; ++r) {
             if (lambda[r] == 0) {
               for (index_t i = 0; i < factors[n].rows(); ++i)
@@ -321,10 +357,9 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
               (void)norms;
             }
           }
+          rest_zero[n] = 0;
+          gram(factors[n], grams[n]);
         }
-        obs::Phase phase(obs::FrPhase::kSolve, "cpals.gram", mode_arg,
-                         result.gram_seconds);
-        gram(factors[n], grams[n]);
       }
       result.dense_seconds = result.hadamard_seconds + result.solve_seconds +
                              result.normalize_seconds + result.gram_seconds;
@@ -343,8 +378,9 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
                        result.fit_seconds);
       real_t inner = 0;
       {
+        // Rows of empty slices have a +0 MTTKRP row: their terms are ±0.
         const auto& u = factors[order - 1];
-        for (index_t i = 0; i < u.rows(); ++i) {
+        for (const index_t i : occupied[order - 1]) {
           const auto urow = u.row(i);
           const auto mrow = mttkrp_out.row(i);
           for (index_t r = 0; r < rank; ++r)

@@ -8,43 +8,101 @@
 
 namespace mdcp {
 
-void gram(const Matrix& a, Matrix& out) {
-  const index_t n = a.rows();
-  const index_t r = a.cols();
-  out.resize(r, r, 0);
+namespace {
 
-  // Fixed-size row blocks (independent of the thread count) accumulated in
-  // parallel, then reduced in block order: bitwise-deterministic for any
-  // number of threads, atomics-free, single scan of the tall matrix. The
-  // per-block R×R partials share one contiguous buffer (one allocation per
-  // call, not one per block).
-  constexpr index_t kBlock = 2048;
-  const index_t num_blocks = (n + kBlock - 1) / kBlock;
+// Adds rows x0..x3, in that order, to the full R×R Gram partial g, four rows
+// per load/store of g. Each g(j,k) is one chain that adds the rows in order,
+// exactly as a row-at-a-time loop would. Both triangles are formed: g(k,j)
+// sees the same products (x[k]·x[j] = x[j]·x[k]) in the same order as
+// g(j,k), so the square is symmetric bit for bit. Rows with a zero entry
+// are not skipped: a product of 0 added to a partial that starts at +0, and
+// so is never −0, changes nothing for finite input.
+void gram_add4(real_t* g, const real_t* x0, const real_t* x1,
+               const real_t* x2, const real_t* x3, index_t r) {
+  for (index_t j = 0; j < r; ++j) {
+    const real_t a0 = x0[j], a1 = x1[j], a2 = x2[j], a3 = x3[j];
+    real_t* gj = g + static_cast<std::size_t>(j) * r;
+#pragma omp simd
+    for (index_t k = 0; k < r; ++k) {
+      real_t v = gj[k];
+      v += a0 * x0[k];
+      v += a1 * x1[k];
+      v += a2 * x2[k];
+      v += a3 * x3[k];
+      gj[k] = v;
+    }
+  }
+}
+
+void gram_add1(real_t* g, const real_t* x0, index_t r) {
+  for (index_t j = 0; j < r; ++j) {
+    const real_t a0 = x0[j];
+    real_t* gj = g + static_cast<std::size_t>(j) * r;
+#pragma omp simd
+    for (index_t k = 0; k < r; ++k) gj[k] += a0 * x0[k];
+  }
+}
+
+// The Gram block loop behind gram and normalize_gram. Fixed kGramBlock-row
+// blocks (independent of the thread count) accumulate in parallel, each
+// walking only its listed rows, and are reduced in block order: bitwise
+// deterministic for any number of threads, atomics-free, one scan of the
+// tall matrix. row_at(i) returns row i ready to accumulate; it is called
+// once per listed row, in row order within a block, by the block's thread.
+template <class RowAt>
+void block_gram(index_t n, index_t r, RowSet rows, RowAt row_at,
+                Matrix& out) {
+  out.resize(r, r, 0);
+  const index_t num_blocks = (n + kGramBlock - 1) / kGramBlock;
   const std::size_t rr = static_cast<std::size_t>(r) * r;
   aligned_real_vector partial(num_blocks * rr, 0);
 #pragma omp parallel for schedule(static)
   for (std::int64_t b = 0; b < static_cast<std::int64_t>(num_blocks); ++b) {
-    real_t* local = partial.data() + static_cast<std::size_t>(b) * rr;
-    const index_t begin = static_cast<index_t>(b) * kBlock;
-    const index_t end = std::min<index_t>(begin + kBlock, n);
-    for (index_t i = begin; i < end; ++i) {
-      const auto row = a.row(i);
-      for (index_t j = 0; j < r; ++j) {
-        const real_t aj = row[j];
-        if (aj == 0) continue;
-        real_t* lrow = local + static_cast<std::size_t>(j) * r;
-        for (index_t k = j; k < r; ++k) lrow[k] += aj * row[k];
-      }
+    real_t* g = partial.data() + static_cast<std::size_t>(b) * rr;
+    const index_t begin = static_cast<index_t>(b) * kGramBlock;
+    const auto [first, last] =
+        rows.positions(begin, std::min<index_t>(begin + kGramBlock, n));
+    index_t p = first;
+    for (; p + 4 <= last; p += 4) {
+      const real_t* x0 = row_at(rows[p]);
+      const real_t* x1 = row_at(rows[p + 1]);
+      const real_t* x2 = row_at(rows[p + 2]);
+      const real_t* x3 = row_at(rows[p + 3]);
+      gram_add4(g, x0, x1, x2, x3, r);
     }
+    for (; p < last; ++p) gram_add1(g, row_at(rows[p]), r);
   }
+  real_t* o = out.data();
   for (index_t b = 0; b < num_blocks; ++b) {
-    const real_t* p = partial.data() + static_cast<std::size_t>(b) * rr;
-    for (index_t j = 0; j < r; ++j)
-      for (index_t k = j; k < r; ++k) out(j, k) += p[j * r + k];
+    const real_t* g = partial.data() + static_cast<std::size_t>(b) * rr;
+    for (std::size_t e = 0; e < rr; ++e) o[e] += g[e];
   }
-  // Mirror the upper triangle.
-  for (index_t j = 0; j < r; ++j)
-    for (index_t k = j + 1; k < r; ++k) out(k, j) = out(j, k);
+}
+
+// Per-column divisors of a normalization: the norm, or 1 (an exact no-op
+// division) for a zero column, which is left as it is.
+std::vector<real_t> divisors(const std::vector<real_t>& norms) {
+  std::vector<real_t> d(norms);
+  for (auto& x : d)
+    if (!(x > 0)) x = 1;
+  return d;
+}
+
+void divide_row(real_t* row, const real_t* d, index_t r) {
+#pragma omp simd
+  for (index_t j = 0; j < r; ++j) row[j] /= d[j];
+}
+
+}  // namespace
+
+void gram(const Matrix& a, Matrix& out) {
+  gram(a, RowSet::all(a.rows()), out);
+}
+
+void gram(const Matrix& a, RowSet rows, Matrix& out) {
+  MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
+  block_gram(a.rows(), a.cols(), rows,
+             [&](index_t i) { return a.row(i).data(); }, out);
 }
 
 Matrix gram(const Matrix& a) {
@@ -91,19 +149,38 @@ Matrix hadamard_all(const std::vector<const Matrix*>& ms) {
 }
 
 std::vector<real_t> column_normalize(Matrix& a) {
+  std::vector<real_t> norms = column_norms(a, RowSet::all(a.rows()));
+  const std::vector<real_t> d = divisors(norms);
+  for (index_t i = 0; i < a.rows(); ++i)
+    divide_row(a.row(i).data(), d.data(), a.cols());
+  return norms;
+}
+
+std::vector<real_t> column_norms(const Matrix& a, RowSet rows) {
+  MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
   const index_t r = a.cols();
   std::vector<real_t> norms(r, 0);
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const auto row = a.row(i);
+  for (index_t p = 0; p < rows.count; ++p) {
+    const auto row = a.row(rows[p]);
     for (index_t j = 0; j < r; ++j) norms[j] += row[j] * row[j];
   }
   for (auto& x : norms) x = std::sqrt(x);
-  for (index_t i = 0; i < a.rows(); ++i) {
-    auto row = a.row(i);
-    for (index_t j = 0; j < r; ++j)
-      if (norms[j] > 0) row[j] /= norms[j];
-  }
   return norms;
+}
+
+void normalize_gram(Matrix& a, RowSet rows, const std::vector<real_t>& norms,
+                    Matrix& out) {
+  MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
+  MDCP_CHECK(norms.size() == a.cols());
+  const std::vector<real_t> d = divisors(norms);
+  const index_t r = a.cols();
+  block_gram(a.rows(), r, rows,
+             [&](index_t i) {
+               real_t* row = a.row(i).data();
+               divide_row(row, d.data(), r);
+               return static_cast<const real_t*>(row);
+             },
+             out);
 }
 
 real_t dot(const Matrix& a, const Matrix& b) {

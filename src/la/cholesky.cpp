@@ -36,25 +36,27 @@ bool cholesky_factor(Matrix& a) {
 
 namespace {
 
-// Solves L·Lᵀ·x = b for every row b of `b` into the same row of `x` (same
-// shape; may be `b` itself, since a tile is fully loaded before it is
-// written back). Returns true when every value written is finite.
-bool solve_rows_into(const Matrix& l, const Matrix& b, Matrix& x) {
+// Solves L·Lᵀ·x = b for every listed row b of `b` into the same row of `x`
+// (same shape; may be `b` itself, since a tile is fully loaded before it is
+// written back). A tile gathers kLanes consecutive entries of the row set.
+// Returns true when every value written is finite.
+bool solve_rows_into(const Matrix& l, const Matrix& b, RowSet rows,
+                     Matrix& x) {
   constexpr index_t kLanes = kCholeskyLanes;
   const index_t n = l.rows();
-  const index_t rows = b.rows();
-  const nnz_t num_tiles = (static_cast<nnz_t>(rows) + kLanes - 1) / kLanes;
+  const nnz_t num_tiles =
+      (static_cast<nnz_t>(rows.count) + kLanes - 1) / kLanes;
   std::atomic<bool> every_finite{true};
   parallel_for_chunked(num_tiles, [&](int, Range tiles) {
-    // t[c·kLanes + lane] holds column c of row r0 + lane.
+    // t[c·kLanes + lane] holds column c of row rows[p0 + lane].
     aligned_real_vector tile(static_cast<std::size_t>(n) * kLanes);
     real_t* t = tile.data();
     bool finite = true;
     for (nnz_t ti = tiles.begin; ti < tiles.end; ++ti) {
-      const index_t r0 = static_cast<index_t>(ti) * kLanes;
-      const index_t count = std::min(kLanes, rows - r0);
+      const index_t p0 = static_cast<index_t>(ti) * kLanes;
+      const index_t count = std::min(kLanes, rows.count - p0);
       for (index_t lane = 0; lane < count; ++lane) {
-        const auto row = b.row(r0 + lane);
+        const auto row = b.row(rows[p0 + lane]);
         for (index_t c = 0; c < n; ++c) t[c * kLanes + lane] = row[c];
       }
       for (index_t lane = count; lane < kLanes; ++lane)
@@ -90,7 +92,7 @@ bool solve_rows_into(const Matrix& l, const Matrix& b, Matrix& x) {
       }
 
       for (index_t lane = 0; lane < count; ++lane) {
-        auto row = x.row(r0 + lane);
+        auto row = x.row(rows[p0 + lane]);
         for (index_t c = 0; c < n; ++c) {
           const real_t v = t[c * kLanes + lane];
           row[c] = v;
@@ -108,25 +110,32 @@ bool solve_rows_into(const Matrix& l, const Matrix& b, Matrix& x) {
 bool cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows) {
   MDCP_CHECK(l.rows() == l.cols());
   MDCP_CHECK(rhs_rows.cols() == l.rows());
-  return solve_rows_into(l, rhs_rows, rhs_rows);
+  return solve_rows_into(l, rhs_rows, RowSet::all(rhs_rows.rows()), rhs_rows);
 }
 
 void solve_normal_equations(const Matrix& h, const Matrix& m, Matrix& x,
                             SolveInfo* info) {
+  if (x.rows() != m.rows() || x.cols() != m.cols())
+    x.resize(m.rows(), m.cols());
+  solve_normal_equations(h, m, RowSet::all(m.rows()), x, info);
+}
+
+void solve_normal_equations(const Matrix& h, const Matrix& m, RowSet rows,
+                            Matrix& x, SolveInfo* info) {
   MDCP_CHECK(h.rows() == h.cols());
   MDCP_CHECK(m.cols() == h.rows());
+  MDCP_CHECK(x.rows() == m.rows() && x.cols() == m.cols());
+  MDCP_CHECK_MSG(rows.within(m.rows()), "row set reaches past the matrix");
   MDCP_CHECK_MSG(&x != &m, "solve_normal_equations: x must not alias m");
   SolveInfo local;
   SolveInfo& si = info != nullptr ? *info : local;
   si = SolveInfo{};
   const index_t n = h.rows();
-  if (x.rows() != m.rows() || x.cols() != m.cols())
-    x.resize(m.rows(), m.cols());
 
   Matrix l = h;
   si.cholesky = cholesky_factor_status(l);
   if (si.cholesky == CholeskyStatus::kOk) {
-    si.finite = solve_rows_into(l, m, x);
+    si.finite = solve_rows_into(l, m, rows, x);
     return;
   }
   if (si.cholesky == CholeskyStatus::kNanInput)
@@ -149,17 +158,24 @@ void solve_normal_equations(const Matrix& h, const Matrix& m, Matrix& x,
       si.ridge_retries = retry;
       if (cholesky_factor_status(lr) == CholeskyStatus::kOk) {
         si.ridge_lambda = lambda;
-        si.finite = solve_rows_into(lr, m, x);
+        si.finite = solve_rows_into(lr, m, rows, x);
         return;
       }
     }
   }
 
-  // Last resort: the Moore–Penrose pseudo-inverse.
+  // Last resort: the Moore–Penrose pseudo-inverse, M·H⁺ copied into the
+  // listed rows.
   si.used_pseudo_inverse = true;
-  multiply_into(m, pseudo_inverse(h), x);
-  si.finite = std::all_of(x.data(), x.data() + x.size(),
-                          [](real_t v) { return std::isfinite(v); });
+  const Matrix full = multiply(m, pseudo_inverse(h));
+  for (index_t p = 0; p < rows.count; ++p) {
+    const auto src = full.row(rows[p]);
+    auto dst = x.row(rows[p]);
+    std::copy(src.begin(), src.end(), dst.begin());
+    si.finite = si.finite && std::all_of(src.begin(), src.end(), [](real_t v) {
+                  return std::isfinite(v);
+                });
+  }
 }
 
 Matrix solve_normal_equations(const Matrix& h, const Matrix& m,

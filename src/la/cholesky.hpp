@@ -17,7 +17,9 @@
 // Every row still sees exactly the per-row operation sequence of the textbook
 // loop (s = x[i]; s -= l(i,k)·x[k] for k ascending; x[i] = s / l(i,i), then
 // the mirror for Lᵀ, true division), lanes never interact, and lanes past the
-// last row are zero-padded (zeros solve to zeros). The result is therefore
+// last row are zero-padded (zeros solve to zeros). A tile may gather any
+// ascending set of rows (RowSet): CP-ALS solves only the rows of nonempty
+// slices. The result is therefore
 // bitwise identical to the per-row loop for any tile width and any thread
 // count. la/cholesky.cpp is compiled with -ffp-contract=off so that holds on
 // FMA targets too (src/CMakeLists.txt).
@@ -75,6 +77,15 @@ struct SolveInfo {
 /// CholeskyStatus::kNanInput.
 void solve_normal_equations(const Matrix& h, const Matrix& m, Matrix& x,
                             SolveInfo* info = nullptr);
+
+/// Row-set form of the above: solves only the listed rows of M into the
+/// same rows of `x`, which must already have m's shape; the other rows of
+/// `x` are left as they are. Every listed row gets exactly the bits the
+/// all-rows call gives it, on every path (`info->finite` covers the listed
+/// rows). A +0 row of M solves to a +0 row, so when M's unlisted rows are
+/// +0 and `x`'s are too, `x` equals the all-rows result bit for bit.
+void solve_normal_equations(const Matrix& h, const Matrix& m, RowSet rows,
+                            Matrix& x, SolveInfo* info = nullptr);
 
 /// Returning form of the above: X = M · H⁺ as a new matrix.
 Matrix solve_normal_equations(const Matrix& h, const Matrix& m,

@@ -10,7 +10,9 @@
 // whenever cols() is a multiple of the vector width (mk::kVectorWidth).
 #pragma once
 
+#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/aligned.hpp"
@@ -18,6 +20,42 @@
 #include "util/types.hpp"
 
 namespace mdcp {
+
+/// The rows of a matrix a row-set kernel visits, in ascending order: every
+/// row 0..count-1 (`ids == nullptr`) or the `count` ids listed. A kernel
+/// leaves the other rows alone. Where those rows are +0, a sum over the
+/// listed rows equals the sum over every row bit for bit: a +0 row adds
+/// exactly nothing, and a sum that starts at +0 never becomes −0.
+struct RowSet {
+  const index_t* ids = nullptr;
+  index_t count = 0;
+
+  static RowSet all(index_t rows) noexcept { return {nullptr, rows}; }
+  /// `ids` must be ascending and outlive the RowSet.
+  static RowSet list(const std::vector<index_t>& ids) noexcept {
+    return {ids.data(), static_cast<index_t>(ids.size())};
+  }
+
+  /// Row id at position p.
+  index_t operator[](index_t p) const noexcept {
+    return ids != nullptr ? ids[p] : p;
+  }
+
+  /// True when every listed row is below `rows`.
+  bool within(index_t rows) const noexcept {
+    return count == 0 || (*this)[count - 1] < rows;
+  }
+
+  /// Positions [first, last) of the listed rows that lie in [begin, end).
+  std::pair<index_t, index_t> positions(index_t begin,
+                                        index_t end) const noexcept {
+    if (ids == nullptr)
+      return {std::min(begin, count), std::min(end, count)};
+    const index_t* first = std::lower_bound(ids, ids + count, begin);
+    const index_t* last = std::lower_bound(first, ids + count, end);
+    return {static_cast<index_t>(first - ids), static_cast<index_t>(last - ids)};
+  }
+};
 
 class Matrix {
  public:

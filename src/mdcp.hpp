@@ -42,11 +42,9 @@
 #include "obs/roofline.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
-#include "tensor/compact.hpp"
 #include "tensor/coo_tensor.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/stats.hpp"
-#include "tensor/ttv.hpp"
 #include "tensor/tensor_io.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"

@@ -47,6 +47,12 @@ void projection_hashes(const CooTensor& t, mode_set_t modes, nnz_t first,
 }
 
 nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes) {
+  DistinctCountScratch scratch;
+  return count_distinct_hashes(hashes, scratch);
+}
+
+nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes,
+                            DistinctCountScratch& scratch) {
   const std::size_t n = hashes.size();
   if (n == 0) return 0;
 
@@ -57,11 +63,13 @@ nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes) {
   const auto bucket_of = [bits](std::uint64_t h) {
     return static_cast<std::size_t>((h >> 1) >> (63 - bits));
   };
-  std::vector<std::size_t> start((std::size_t{1} << bits) + 1, 0);
+  std::vector<std::size_t>& start = scratch.start;
+  start.assign((std::size_t{1} << bits) + 1, 0);
   for (const std::uint64_t h : hashes) ++start[bucket_of(h) + 1];
   const std::size_t largest = *std::max_element(start.begin(), start.end());
   for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
-  std::vector<std::uint64_t> parted(n);
+  std::vector<std::uint64_t>& parted = scratch.parted;
+  parted.resize(n);
   {
     std::vector<std::size_t> next(start.begin(), start.end() - 1);
     for (const std::uint64_t h : hashes) parted[next[bucket_of(h)]++] = h;
@@ -70,10 +78,15 @@ nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes) {
   // One linear-probing table (load ≤ 1/2) reused by every bucket; 0 marks an
   // empty slot, so a real hash of 0 is counted on the side. Each bucket
   // clears exactly the slots it filled: clearing only the home slots would
-  // leave entries that spilled past them to pile up across buckets.
-  std::vector<std::uint64_t> table(std::bit_ceil(2 * largest), 0);
-  std::vector<std::size_t> filled(largest);
-  const std::size_t mask = table.size() - 1;
+  // leave entries that spilled past them to pile up across buckets. So the
+  // table is all 0 again on return, and a later call may use the first
+  // `slots` entries of a larger one as they are.
+  const std::size_t slots = std::bit_ceil(2 * largest);
+  std::vector<std::uint64_t>& table = scratch.table;
+  if (table.size() < slots) table.assign(slots, 0);
+  std::vector<std::size_t>& filled = scratch.filled;
+  filled.resize(largest);
+  const std::size_t mask = slots - 1;
   nnz_t distinct = 0;
   bool saw_zero = false;
   for (std::size_t b = 0; b + 1 < start.size(); ++b) {
@@ -98,11 +111,17 @@ nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes) {
 }
 
 nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes) {
+  DistinctCountScratch scratch;
+  return exact_distinct_projections(t, modes, scratch);
+}
+
+nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes,
+                                 DistinctCountScratch& scratch) {
   if (t.nnz() == 0) return 0;
   if ((modes & all_modes(t.order())) == 0) return 1;  // scalar projection
-  std::vector<std::uint64_t> hashes(t.nnz());
-  projection_hashes(t, modes, 0, hashes);
-  return count_distinct_hashes(hashes);
+  scratch.hashes.assign(t.nnz(), 0);
+  projection_hashes(t, modes, 0, scratch.hashes);
+  return count_distinct_hashes(scratch.hashes, scratch);
 }
 
 nnz_t kmv_distinct_projections(const CooTensor& t, mode_set_t modes,
@@ -150,7 +169,7 @@ nnz_t ProjectionCounter::count(mode_set_t modes) {
   obs::MetricsRegistry::instance().counter("tuner.sketch_passes").add();
   ++passes_;
   const nnz_t result = (tensor_.nnz() <= kExactProjectionThreshold)
-                           ? exact_distinct_projections(tensor_, modes)
+                           ? exact_distinct_projections(tensor_, modes, scratch_)
                            : kmv_distinct_projections(tensor_, modes, kKmvK);
   cache_.emplace(modes, result);
   return result;

@@ -15,6 +15,7 @@
 
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "tensor/coo_tensor.hpp"
 #include "util/types.hpp"
@@ -39,15 +40,34 @@ void projection_hashes(const CooTensor& t, mode_set_t modes, nnz_t first,
                        std::span<std::uint64_t> out,
                        std::uint64_t seed = kProjectionSeed);
 
+/// Buffers of the exact distinct count. A caller that counts many subsets
+/// of one tensor keeps one of these, so each pass reuses the two nnz-long
+/// hash arrays and the probe table instead of faulting in fresh pages.
+struct DistinctCountScratch {
+  std::vector<std::uint64_t> hashes;  ///< projection hashes (exact pass)
+  std::vector<std::uint64_t> parted;  ///< hashes partitioned by bucket
+  std::vector<std::uint64_t> table;   ///< probe table; all 0 between calls
+  std::vector<std::size_t> start;     ///< bucket offsets into `parted`
+  std::vector<std::size_t> filled;    ///< table slots one bucket filled
+};
+
 /// Exact number of distinct values in `hashes`, in O(n): a counting-sort
 /// partition by the top bits into buckets of about 1k entries, then one
 /// reused open-addressing table counts each bucket.
 nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes);
 
+/// The same count in the caller's buffers; `hashes` may be scratch.hashes.
+nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes,
+                            DistinctCountScratch& scratch);
+
 /// Exact distinct-projection count: count_distinct_hashes over every
 /// nonzero's projection_hash. (Collisions would undercount with probability
 /// ~nnz²/2⁶⁴ — negligible at any realistic size.)
 nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes);
+
+/// The same count in the caller's buffers.
+nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes,
+                                 DistinctCountScratch& scratch);
 
 /// KMV estimate of the distinct-projection count using the k smallest
 /// distinct hashes: D ≈ (k−1)·2⁶⁴ / h_(k). Relative error ~1/√k.
@@ -74,6 +94,7 @@ class ProjectionCounter {
   const CooTensor& tensor_;
   std::unordered_map<mode_set_t, nnz_t> cache_;
   std::size_t passes_ = 0;
+  DistinctCountScratch scratch_;  // reused by every exact pass
 };
 
 }  // namespace mdcp

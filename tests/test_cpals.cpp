@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "cpals/cp_mu.hpp"
 #include "cpals/cpals.hpp"
@@ -279,8 +283,11 @@ TEST(CpAls, ZeroRidgeMatchesDefault) {
 
 // One cp_als run rebuilt from the public layer calls, in cp_als's order:
 // random_uniform init, then per mode compute → hadamard_inplace → the
-// returning solve_normal_equations → column_normalize → gram →
-// factor_updated, then the fit identity through fit_from_parts.
+// returning solve_normal_equations → (the nonnegative projection) →
+// column_normalize → gram → factor_updated, then the fit identity through
+// fit_from_parts. Every call runs over all rows. With stop_iteration ≥ 0 it
+// returns right after mode stop_mode of that iteration is updated, where a
+// cancelled cp_als stops.
 struct Replay {
   std::vector<Matrix> factors;
   std::vector<real_t> lambda;
@@ -288,7 +295,8 @@ struct Replay {
 };
 
 Replay replay_cp_als(const CooTensor& t, MttkrpEngine& engine,
-                     const CpAlsOptions& opt) {
+                     const CpAlsOptions& opt, int stop_iteration = -1,
+                     mode_t stop_mode = 0) {
   const mode_t order = t.order();
   const index_t rank = opt.rank;
   Replay r;
@@ -310,9 +318,17 @@ Replay replay_cp_als(const CooTensor& t, MttkrpEngine& engine,
       r.factors[n] = solve_normal_equations(h, out, &info);
       EXPECT_TRUE(info.finite && info.ridge_retries == 0 &&
                   !info.used_pseudo_inverse);
+      if (opt.nonnegative) {
+        real_t* data = r.factors[n].data();
+        for (std::size_t e = 0; e < r.factors[n].size(); ++e)
+          if (data[e] < 0) data[e] = 0;
+      }
       r.lambda = column_normalize(r.factors[n]);
+      // cp_als would re-randomize a zero column; the replay does not.
+      EXPECT_EQ(std::count(r.lambda.begin(), r.lambda.end(), real_t{0}), 0);
       gram(r.factors[n], grams[n]);
       engine.factor_updated(n);
+      if (it == stop_iteration && n == stop_mode) return r;
     }
     real_t inner = 0;
     const Matrix& u = r.factors[order - 1];
@@ -331,38 +347,140 @@ Replay replay_cp_als(const CooTensor& t, MttkrpEngine& engine,
   return r;
 }
 
+void expect_matches_replay(const CpAlsResult& result, const Replay& replay,
+                           const std::string& where) {
+  ASSERT_EQ(result.fits.size(), replay.fits.size()) << where;
+  for (std::size_t i = 0; i < replay.fits.size(); ++i)
+    EXPECT_EQ(std::memcmp(&result.fits[i], &replay.fits[i], sizeof(real_t)), 0)
+        << where << " iteration " << i;
+  ASSERT_EQ(result.model.weights.size(), replay.lambda.size()) << where;
+  EXPECT_EQ(std::memcmp(result.model.weights.data(), replay.lambda.data(),
+                        replay.lambda.size() * sizeof(real_t)),
+            0)
+      << where;
+  ASSERT_EQ(result.model.factors.size(), replay.factors.size()) << where;
+  for (std::size_t m = 0; m < replay.factors.size(); ++m) {
+    const Matrix& a = result.model.factors[m];
+    const Matrix& b = replay.factors[m];
+    ASSERT_EQ(a.size(), b.size()) << where << " mode " << m;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)), 0)
+        << where << " mode " << m;
+  }
+}
+
+// Most slices of modes 1 and 2 are empty. Mode 1 spans more than four Gram
+// blocks, and its nonzeros avoid the first and the last block entirely.
+CooTensor sparse_slice_tensor() {
+  CooTensor t(shape_t{60, 4 * kGramBlock + 300, 500, 33});
+  Rng rng(71);
+  for (int e = 0; e < 3000; ++e) {
+    t.push_back(std::array<index_t, 4>{rng.next_index(60),
+                                       kGramBlock + rng.next_index(2 * kGramBlock),
+                                       5 * rng.next_index(60),
+                                       rng.next_index(33)},
+                rng.next_real() + 0.1);
+  }
+  t.coalesce();
+  return t;
+}
+
+double empty_slice_share(const CooTensor& t, mode_t m) {
+  std::vector<char> used(t.dim(m), 0);
+  for (const index_t i : t.mode_indices(m)) used[i] = 1;
+  return 1.0 - static_cast<double>(std::count(used.begin(), used.end(), 1)) /
+                   static_cast<double>(t.dim(m));
+}
+
 TEST(CpAls, MatchesLayerReplayBitwise) {
-  // Guards cp_als's in-place update: solving straight into factors[n] must
-  // give exactly what the returning solve gives. The rows span several
-  // substitution tiles plus a partial one.
-  const auto t = generate_zipf(shape_t{70, 45, 90, 33}, 4000, 1.1, 71);
+  // cp_als solves straight into factors[n], skips the rows of empty slices
+  // and fuses the division of the normalization into the Gram pass; the
+  // replay does none of that. Fits, λ and factors must still agree bit for
+  // bit, for every engine, with and without the nonnegative projection, at
+  // 1 and 4 threads.
+  const CooTensor t = sparse_slice_tensor();
+  ASSERT_GT(t.dim(1), 3 * kGramBlock);
+  ASSERT_GE(empty_slice_share(t, 1), 0.6);
+  ASSERT_GE(empty_slice_share(t, 2), 0.6);
   CpAlsOptions opt;
   opt.rank = 7;
   opt.max_iterations = 4;
   opt.tolerance = 0;
   opt.seed = 123;
-  for (const std::string name : {"coo", "dtree-bdt"}) {
-    opt.engine = name;
-    const auto result = cp_als(t, opt);
-    auto engine = make_engine(name, t, opt.rank);
-    const Replay replay = replay_cp_als(t, *engine, opt);
-    ASSERT_EQ(result.fits.size(), replay.fits.size()) << name;
-    for (std::size_t i = 0; i < replay.fits.size(); ++i)
-      EXPECT_EQ(std::memcmp(&result.fits[i], &replay.fits[i], sizeof(real_t)),
-                0)
-          << name << " iteration " << i;
-    ASSERT_EQ(result.model.weights.size(), replay.lambda.size());
-    EXPECT_EQ(std::memcmp(result.model.weights.data(), replay.lambda.data(),
-                          replay.lambda.size() * sizeof(real_t)),
-              0)
-        << name;
-    for (mode_t m = 0; m < t.order(); ++m) {
-      const Matrix& a = result.model.factors[m];
-      const Matrix& b = replay.factors[m];
-      ASSERT_EQ(a.size(), b.size()) << name << " mode " << m;
-      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)), 0)
-          << name << " mode " << m;
+  const int saved_threads = num_threads();
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const std::string& name : EngineRegistry::instance().names()) {
+      for (const bool nonnegative : {false, true}) {
+        opt.engine = name;
+        opt.nonnegative = nonnegative;
+        // One engine serves both runs, so auto+probe's timed pick is shared.
+        auto engine = make_engine(name, t, opt.rank);
+        const CpAlsResult result = cp_als(t, *engine, opt);
+        const Replay replay = replay_cp_als(t, *engine, opt);
+        expect_matches_replay(result, replay,
+                              name + (nonnegative ? " nonnegative" : "") +
+                                  " threads=" + std::to_string(threads));
+      }
     }
+  }
+  set_num_threads(saved_threads);
+}
+
+// Runs `inner` and raises `cancel` once factor `mode` has been updated in
+// iteration `iteration`; cp_als sees the flag before the next mode.
+class CancelAfterUpdate final : public MttkrpEngine {
+ public:
+  CancelAfterUpdate(std::unique_ptr<MttkrpEngine> inner, mode_t mode,
+                    int iteration, std::atomic<bool>& cancel)
+      : inner_(std::move(inner)),
+        mode_(mode),
+        iteration_(iteration),
+        cancel_(cancel) {}
+
+  void factor_updated(mode_t mode) override {
+    inner_->factor_updated(mode);
+    if (mode == mode_ && updates_++ == iteration_) cancel_.store(true);
+  }
+  void invalidate_all() override { inner_->invalidate_all(); }
+  std::string name() const override { return inner_->name(); }
+
+ protected:
+  void do_prepare(index_t rank) override { inner_->prepare(tensor(), rank); }
+  void do_compute(mode_t mode, const std::vector<Matrix>& factors,
+                  Matrix& out) override {
+    inner_->compute(mode, factors, out);
+  }
+
+ private:
+  std::unique_ptr<MttkrpEngine> inner_;
+  mode_t mode_;
+  int iteration_;
+  std::atomic<bool>& cancel_;
+  int updates_ = 0;
+};
+
+TEST(CpAls, CancelledRunMatchesReplayStoppedThere) {
+  // Cancelled after mode 1 of iteration 0 (modes 0–1 solved over every row,
+  // modes 2–3 still the random init) and of iteration 1 (rows of empty
+  // slices skipped): the returned factors and λ are the replay's state at
+  // the same point.
+  const CooTensor t = sparse_slice_tensor();
+  CpAlsOptions opt;
+  opt.rank = 7;
+  opt.max_iterations = 4;
+  opt.tolerance = 0;
+  opt.seed = 123;
+  for (const int iteration : {0, 1}) {
+    std::atomic<bool> cancel{false};
+    opt.cancel = &cancel;
+    CancelAfterUpdate engine(make_engine("dtree-bdt"), 1, iteration, cancel);
+    const CpAlsResult result = cp_als(t, engine, opt);
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_EQ(result.iterations, iteration);
+    auto replay_engine = make_engine("dtree-bdt", t, opt.rank);
+    const Replay replay = replay_cp_als(t, *replay_engine, opt, iteration, 1);
+    expect_matches_replay(result, replay,
+                          "cancelled in iteration " + std::to_string(iteration));
   }
 }
 

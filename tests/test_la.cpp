@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
@@ -40,6 +43,40 @@ void reference_solve_rows(const Matrix& l, Matrix& rhs_rows) {
       x[ii] = s / l(ii, ii);
     }
   }
+}
+
+// The Gram loop the four-row kernel replaced, kept verbatim as the bitwise
+// oracle: fixed row blocks, the upper triangle one row at a time with zero
+// entries skipped, reduced in block order and mirrored.
+Matrix reference_gram(const Matrix& a) {
+  const index_t n = a.rows();
+  const index_t r = a.cols();
+  Matrix out(r, r, 0);
+  const index_t num_blocks = (n + kGramBlock - 1) / kGramBlock;
+  const std::size_t rr = static_cast<std::size_t>(r) * r;
+  std::vector<real_t> partial(num_blocks * rr, 0);
+  for (index_t b = 0; b < num_blocks; ++b) {
+    real_t* local = partial.data() + static_cast<std::size_t>(b) * rr;
+    const index_t begin = b * kGramBlock;
+    const index_t end = std::min<index_t>(begin + kGramBlock, n);
+    for (index_t i = begin; i < end; ++i) {
+      const auto row = a.row(i);
+      for (index_t j = 0; j < r; ++j) {
+        const real_t aj = row[j];
+        if (aj == 0) continue;
+        real_t* lrow = local + static_cast<std::size_t>(j) * r;
+        for (index_t k = j; k < r; ++k) lrow[k] += aj * row[k];
+      }
+    }
+  }
+  for (index_t b = 0; b < num_blocks; ++b) {
+    const real_t* p = partial.data() + static_cast<std::size_t>(b) * rr;
+    for (index_t j = 0; j < r; ++j)
+      for (index_t k = j; k < r; ++k) out(j, k) += p[j * r + k];
+  }
+  for (index_t j = 0; j < r; ++j)
+    for (index_t k = j + 1; k < r; ++k) out(k, j) = out(j, k);
+  return out;
 }
 
 // SPD R×R matrix BᵀB + I.
@@ -388,6 +425,181 @@ TEST(Cholesky, InPlaceSolveRejectsNonFiniteGramAndAliasing) {
   h(1, 1) = std::numeric_limits<real_t>::quiet_NaN();
   Matrix x;
   EXPECT_THROW(solve_normal_equations(h, m, x), numeric_error);
+}
+
+// --- Row sets: the kernels CP-ALS runs over the occupied rows only. -------
+
+const index_t kRowSetRanks[] = {1, 3, 10, 16, 17, 32, 64};
+
+// Row lists over n rows that straddle the 16-lane tiles and the Gram
+// blocks: every row, no row, sparse and dense strided lists, runs across a
+// tile and a block edge, and (for n past three blocks) a list whose first
+// and last blocks are empty.
+std::vector<std::vector<index_t>> row_lists(index_t n, Rng& rng) {
+  std::vector<std::vector<index_t>> lists(5);
+  for (index_t i = 0; i < n; ++i) {
+    lists[0].push_back(i);
+    if (i % 3 == 1) lists[2].push_back(i);
+    if (rng.next_real() < 0.3) lists[3].push_back(i);
+  }
+  for (index_t i = kCholeskyLanes - 2; i < kCholeskyLanes + 3 && i < n; ++i)
+    lists[4].push_back(i);
+  for (index_t i = kGramBlock - 9; i < kGramBlock + 9 && i < n; ++i)
+    lists[4].push_back(i);
+  if (n > 3 * kGramBlock) {
+    std::vector<index_t> inner;
+    for (index_t i = kGramBlock; i < (n / kGramBlock) * kGramBlock; ++i)
+      if (rng.next_real() < 0.4) inner.push_back(i);
+    lists.push_back(std::move(inner));
+  }
+  return lists;
+}
+
+// m with every row outside `rows` set to +0.
+Matrix zero_unlisted(Matrix m, const std::vector<index_t>& rows) {
+  std::vector<char> keep(m.rows(), 0);
+  for (const index_t i : rows) keep[i] = 1;
+  for (index_t i = 0; i < m.rows(); ++i)
+    if (!keep[i]) std::fill(m.row(i).begin(), m.row(i).end(), real_t{0});
+  return m;
+}
+
+TEST(Blas, GramMatchesTriangularLoopBitwise) {
+  const index_t row_counts[] = {0, 1, 3, 4, 5, 7, kGramBlock - 1, kGramBlock,
+                                kGramBlock + 1, 3 * kGramBlock + 5};
+  const int saved_threads = num_threads();
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const index_t r : kRowSetRanks) {
+      Rng rng(2000 + r);
+      for (const index_t rows : row_counts) {
+        Matrix a = Matrix::random_normal(rows, r, rng);
+        // Zero entries exercise the reference's skip.
+        for (std::size_t e = 0; e < a.size(); e += 7) a.data()[e] = 0;
+        EXPECT_TRUE(bitwise_equal(gram(a), reference_gram(a)))
+            << "R=" << r << " rows=" << rows << " threads=" << threads;
+      }
+    }
+  }
+  set_num_threads(saved_threads);
+}
+
+TEST(Blas, RowSetKernelsMatchAllRowsBitwise) {
+  const index_t row_counts[] = {1,
+                                kCholeskyLanes - 1,
+                                kCholeskyLanes + 1,
+                                kGramBlock + 3,
+                                4 * kGramBlock + 100};
+  const int saved_threads = num_threads();
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const index_t r : kRowSetRanks) {
+      Rng rng(3000 + r);
+      Matrix l = random_spd(r, rng);
+      const Matrix h = l;
+      ASSERT_TRUE(cholesky_factor(l));
+      for (const index_t n : row_counts) {
+        const auto lists = row_lists(n, rng);
+        for (std::size_t li = 0; li < lists.size(); ++li) {
+          const auto& list = lists[li];
+          const RowSet rows = RowSet::list(list);
+          const std::string where = "R=" + std::to_string(r) +
+                                    " n=" + std::to_string(n) +
+                                    " list=" + std::to_string(li) +
+                                    " threads=" + std::to_string(threads);
+          const Matrix m =
+              zero_unlisted(Matrix::random_normal(n, r, rng), list);
+
+          // Solve: the all-rows result, and the row-set solve into a +0
+          // target and into one whose unlisted rows must survive.
+          const Matrix want = solve_normal_equations(h, m);
+          Matrix got(n, r, 0);
+          SolveInfo info;
+          solve_normal_equations(h, m, rows, got, &info);
+          EXPECT_TRUE(info.finite) << where;
+          EXPECT_TRUE(bitwise_equal(got, want)) << where;
+          Matrix kept(n, r, -7.0);
+          solve_normal_equations(h, m, rows, kept);
+          EXPECT_TRUE(bitwise_equal(zero_unlisted(kept, list), want)) << where;
+          std::size_t untouched = 0;
+          for (const real_t v : std::span<const real_t>(kept.data(), kept.size()))
+            untouched += v == -7.0;
+          EXPECT_EQ(untouched, (n - list.size()) * std::size_t{r}) << where;
+
+          // Gram over the listed rows.
+          Matrix g;
+          gram(want, rows, g);
+          EXPECT_TRUE(bitwise_equal(g, gram(want))) << where;
+
+          // Fused normalize+Gram, with a zero column on odd lists.
+          Matrix a = want;
+          if (li % 2 == 1)
+            for (index_t i = 0; i < n; ++i) a(i, r - 1) = 0;
+          Matrix a_full = a;
+          const auto norms_full = column_normalize(a_full);
+          Matrix g_full;
+          gram(a_full, g_full);
+          const auto norms = column_norms(a, rows);
+          ASSERT_EQ(norms.size(), norms_full.size());
+          EXPECT_EQ(std::memcmp(norms.data(), norms_full.data(),
+                                norms.size() * sizeof(real_t)),
+                    0)
+              << where;
+          Matrix g_fused;
+          normalize_gram(a, rows, norms, g_fused);
+          EXPECT_TRUE(bitwise_equal(a, a_full)) << where;
+          EXPECT_TRUE(bitwise_equal(g_fused, g_full)) << where;
+        }
+      }
+    }
+  }
+  set_num_threads(saved_threads);
+}
+
+TEST(Cholesky, RowSetSolveMatchesAllRowsOnFallbackPaths) {
+  // The ridge (rank-one H) and pseudo-inverse (indefinite H) paths write
+  // the listed rows exactly as the all-rows solve does, and nothing else.
+  Matrix indefinite(3, 3, 0.0);
+  indefinite(0, 0) = 1;
+  indefinite(1, 1) = -3;
+  indefinite(2, 2) = 0.5;
+  const Matrix hs[] = {Matrix(3, 3, 1.0), indefinite};
+  Rng rng(36);
+  const index_t n = 3 * kCholeskyLanes + 5;
+  std::vector<index_t> list;
+  for (index_t i = 2; i < n; i += 3) list.push_back(i);
+  const Matrix m = Matrix::random_normal(n, 3, rng);
+  for (const Matrix& h : hs) {
+    SolveInfo want_info;
+    const Matrix want = solve_normal_equations(h, m, &want_info);
+    Matrix got(n, 3, -7.0);
+    SolveInfo info;
+    solve_normal_equations(h, m, RowSet::list(list), got, &info);
+    EXPECT_EQ(info.ridge_retries, want_info.ridge_retries);
+    EXPECT_EQ(info.used_pseudo_inverse, want_info.used_pseudo_inverse);
+    EXPECT_TRUE(info.finite);
+    std::size_t p = 0;
+    for (index_t i = 0; i < n; ++i) {
+      const bool listed = p < list.size() && list[p] == i;
+      if (listed) ++p;
+      for (index_t c = 0; c < 3; ++c) {
+        if (listed)
+          EXPECT_EQ(std::memcmp(got.row(i).data() + c, want.row(i).data() + c,
+                                sizeof(real_t)),
+                    0)
+              << "row " << i;
+        else
+          EXPECT_EQ(got(i, c), -7.0) << "row " << i;
+      }
+    }
+  }
+}
+
+TEST(Blas, RowSetRejectsRowsPastTheMatrix) {
+  Matrix a(10, 2, 1.0), g;
+  const std::vector<index_t> list = {3, 10};
+  EXPECT_THROW(gram(a, RowSet::list(list), g), error);
+  EXPECT_THROW(column_norms(a, RowSet::list(list)), error);
 }
 
 }  // namespace
