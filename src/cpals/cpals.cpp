@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 
+#include "cpals/cp_mu.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "model/tuner.hpp"
@@ -18,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace mdcp {
@@ -101,10 +103,32 @@ std::vector<std::vector<index_t>> occupied_rows(const CooTensor& t) {
   return rows;
 }
 
-}  // namespace
+// The run state the sweep driver shares with its update step.
+struct Sweep {
+  Sweep(const CooTensor& t, index_t r, std::uint64_t seed)
+      : tensor(t), rank(r), rng(seed), lambda(r, 1) {}
+  const CooTensor& tensor;
+  index_t rank;
+  Rng rng;
+  std::vector<Matrix> factors;
+  std::vector<Matrix> grams;
+  std::vector<real_t> lambda;  ///< stays ≡ 1 under MU
+  CpAlsResult result;
+};
 
-CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
-                   const CpAlsOptions& options) {
+// The one sweep loop behind cp_als and cp_mu. It owns engine prepare,
+// liveness and crash forensics, the MTTKRP and its per-mode telemetry,
+// H = ∘ Gram, recovery, the fit, convergence, the run report and the
+// history feed. `step` (AlsStep, MuStep) supplies the per-mode update:
+//   draw(s, n, recovery)      a fresh factor n, at the start or on recovery;
+//   update(s, n, h, m, rows)  U^(n) from MTTKRP m and H; false if non-finite;
+//   normalize(s, n, rows)     column norms into s.lambda (ALS only);
+//   refresh_gram(s, n, rows)  Gram_n of the updated factor;
+//   finish(s)                 the returned Kruskal model.
+// `rows` lists the occupied rows of mode n.
+template <class Step>
+CpAlsResult run_sweeps(const CooTensor& tensor, MttkrpEngine& engine,
+                       const CpAlsOptions& options, Step& step) {
   MDCP_CHECK_MSG(options.rank > 0, "rank must be positive");
   MDCP_CHECK_MSG(options.max_iterations > 0, "need at least one iteration");
   const mode_t order = tensor.order();
@@ -125,7 +149,8 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   engine.invalidate_all();
   if (!engine.prepared()) engine.prepare(tensor, rank);
 
-  CpAlsResult result;
+  Sweep s(tensor, rank, options.seed);
+  CpAlsResult& result = s.result;
   result.engine_name = engine.name();
   result.mttkrp_mode_seconds.assign(order, 0.0);
 
@@ -196,51 +221,41 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   std::vector<double> iter_mode_seconds(order, 0.0);
   double iteration_seconds = 0;  // feeds only the cpals.iteration span
 
-  // Initialize factors Uniform(0,1) and precompute Gram matrices.
-  Rng rng(options.seed);
-  std::vector<Matrix> factors;
+  // Initialize the factors and precompute their Gram matrices.
+  std::vector<Matrix>& factors = s.factors;
+  std::vector<Matrix>& grams = s.grams;
   factors.reserve(order);
-  for (mode_t m = 0; m < order; ++m)
-    factors.push_back(Matrix::random_uniform(tensor.dim(m), rank, rng));
-
-  std::vector<Matrix> grams(order);
+  for (mode_t m = 0; m < order; ++m) factors.push_back(step.draw(s, m, false));
+  grams.resize(order);
   for (mode_t m = 0; m < order; ++m) gram(factors[m], grams[m]);
 
-  // The MTTKRP row of an empty slice is +0, and a +0 row solves to +0 and
-  // adds exactly nothing to a norm, a Gram or the fit. So once a factor is
-  // +0 outside its occupied rows, its updates visit only those rows and
-  // keep every bit. rest_zero[m] records that state of factors[m]: the
-  // random init, a recovery and a zero-column re-randomization clear it,
-  // and the next update of that mode then solves every row, zeroing them.
   const std::vector<std::vector<index_t>> occupied = occupied_rows(tensor);
-  std::vector<char> rest_zero(order, 0);
-
   const real_t x_norm = tensor.norm();
-  std::vector<real_t> lambda(rank, 1);
+  std::vector<real_t>& lambda = s.lambda;
   Matrix mttkrp_out;
   Matrix h;
   real_t prev_fit = 0;
 
   obs::Counter& recoveries_metric = metrics.counter("cpals.recoveries");
-  // Bounded restart: re-randomize the offending factor and continue the
-  // sweep. Throws numeric_error once the per-run budget is spent — a
-  // persistently poisoned input must not loop forever.
+  // Bounded restart: re-draw the offending factor and continue the sweep.
+  // Throws numeric_error once the per-run budget is spent — a persistently
+  // poisoned input must not loop forever.
   const auto recover_factor = [&](mode_t n, const char* why) {
     ++result.recoveries;
     if (result.recoveries > options.max_recoveries)
-      throw numeric_error(std::string("cp-als: numerical recovery budget "
-                                      "exhausted (last cause: ") +
+      throw numeric_error(std::string(Step::kName) +
+                          ": numerical recovery budget exhausted (last "
+                          "cause: " +
                           why + ")");
     MDCP_TRACE_SPAN("cpals.recovery", "mode", static_cast<std::int64_t>(n));
     obs::fr_record(obs::FrEvent::kRecovery, obs::FrPhase::kSolve,
                    static_cast<std::int64_t>(n));
     recoveries_metric.add();
     if (options.verbose)
-      std::printf("[cp-als] recovery %d: %s, re-randomizing factor %u\n",
-                  result.recoveries, why, static_cast<unsigned>(n));
-    factors[n] = Matrix::random_uniform(tensor.dim(n), rank, rng);
-    rest_zero[n] = 0;
-    column_normalize(factors[n]);
+      std::printf("[%s] recovery %d: %s, re-randomizing factor %u\n",
+                  Step::kName, result.recoveries, why,
+                  static_cast<unsigned>(n));
+    factors[n] = step.draw(s, n, true);
     std::fill(lambda.begin(), lambda.end(), real_t{1});
     gram(factors[n], grams[n]);
     engine.factor_updated(n);
@@ -295,71 +310,25 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
         for (mode_t i = 0; i < order; ++i) {
           if (i != n) hadamard_inplace(h, grams[i]);
         }
-        if (options.ridge > 0) {
-          for (index_t d = 0; d < rank; ++d) h(d, d) += options.ridge;
+        if (step.ridge > 0) {
+          for (index_t d = 0; d < rank; ++d) h(d, d) += step.ridge;
         }
       }
 
-      // The solve writes U^(n) straight into factors[n] (no I×R temporary)
-      // and reports whether every value it wrote is finite.
       bool update_ok = true;
       {
         obs::Phase phase(obs::FrPhase::kSolve, "cpals.solve", mode_arg,
                          result.solve_seconds);
-        SolveInfo solve_info;
-        try {
-          solve_normal_equations(
-              h, mttkrp_out, rest_zero[n] ? rows : RowSet::all(tensor.dim(n)),
-              factors[n], &solve_info);
-          // Guard the update itself: a NaN/Inf row (e.g. a poisoned MTTKRP
-          // output pushed through the solve) must not survive into the Gram
-          // matrices, where it would contaminate every later mode.
-          update_ok = solve_info.finite;
-        } catch (const numeric_error&) {
-          // Non-finite Gram matrix: a poisoned upstream factor (or injected
-          // kernel NaN) reached H. Regularization cannot repair it — restart
-          // the factor instead.
-          update_ok = false;
-        }
-        result.ridge_retries += solve_info.ridge_retries;
-        if (solve_info.used_pseudo_inverse) ++result.pseudo_inverse_solves;
-        if (!update_ok) {
-          recover_factor(n, "non-finite factor update");
-        } else {
-          rest_zero[n] = 1;
-          if (options.nonnegative) {
-            // Projected ALS: negative entries are infeasible for count data.
-            for (index_t p = 0; p < rows.count; ++p)
-              for (real_t& v : factors[n].row(rows[p]))
-                if (v < 0) v = 0;
-          }
-        }
+        update_ok = step.update(s, n, h, mttkrp_out, rows);
+        // A non-finite update must not reach the Gram matrices, where it
+        // would contaminate every later mode.
+        if (!update_ok) recover_factor(n, "non-finite factor update");
       }
-
       if (update_ok) {
-        {
-          obs::Phase phase(obs::FrPhase::kSolve, "cpals.normalize", mode_arg,
-                           result.normalize_seconds);
-          lambda = column_norms(factors[n], rows);
-        }
+        step.normalize(s, n, rows);
         obs::Phase phase(obs::FrPhase::kSolve, "cpals.gram", mode_arg,
                          result.gram_seconds);
-        normalize_gram(factors[n], rows, lambda, grams[n]);
-        if (std::find(lambda.begin(), lambda.end(), real_t{0}) !=
-            lambda.end()) {
-          // Columns that collapsed to zero would poison H; re-randomize them
-          // over every row and redo the Gram.
-          for (index_t r = 0; r < rank; ++r) {
-            if (lambda[r] == 0) {
-              for (index_t i = 0; i < factors[n].rows(); ++i)
-                factors[n](i, r) = rng.next_real();
-              auto norms = column_normalize(factors[n]);
-              (void)norms;
-            }
-          }
-          rest_zero[n] = 0;
-          gram(factors[n], grams[n]);
-        }
+        step.refresh_gram(s, n, rows);
       }
       result.dense_seconds = result.hadamard_seconds + result.solve_seconds +
                              result.normalize_seconds + result.gram_seconds;
@@ -413,8 +382,8 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
     result.fits.push_back(fit);
     result.iterations = it + 1;
     if (options.verbose) {
-      std::printf("[cp-als %s] iter %3d fit %.6f\n", engine.name().c_str(),
-                  it + 1, static_cast<double>(fit));
+      std::printf("[%s %s] iter %3d fit %.6f\n", Step::kName,
+                  engine.name().c_str(), it + 1, static_cast<double>(fit));
     }
 
     if (options.reporter != nullptr) {
@@ -460,8 +429,7 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   }
   result.cancelled = cancelled;
 
-  result.model.weights = std::move(lambda);
-  result.model.factors = std::move(factors);
+  step.finish(s);
   result.total_seconds = total_timer.seconds();
   // KernelStats::since is a field-wise delta EXCEPT peak_scratch_bytes: a
   // workspace high-water mark cannot be subtracted, so the peak is carried
@@ -609,7 +577,160 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
     o.plan_source = result.plan_source;
     options.history->record(std::move(o));
   }
-  return result;
+  return std::move(s.result);
+}
+
+// ALS: the ridge-regularized normal-equations solve, the optional
+// nonnegative projection, then the column norms into λ and the division
+// fused with the Gram refresh.
+struct AlsStep {
+  static constexpr const char* kName = "cp-als";
+  real_t ridge;
+  bool nonnegative;
+  // The MTTKRP row of an empty slice is +0, and a +0 row solves to +0 and
+  // adds exactly nothing to a norm, a Gram or the fit. So once a factor is
+  // +0 outside its occupied rows, its updates visit only those rows and
+  // keep every bit. rest_zero[m] records that state of factor m: a draw and
+  // a zero-column re-randomization clear it, and the next update of that
+  // mode then solves every row, zeroing them.
+  std::vector<char> rest_zero;
+
+  Matrix draw(Sweep& s, mode_t n, bool recovery) {
+    Matrix f = Matrix::random_uniform(s.tensor.dim(n), s.rank, s.rng);
+    rest_zero[n] = 0;
+    if (recovery) column_normalize(f);
+    return f;
+  }
+
+  // Solves U^(n) straight into s.factors[n] (no I×R temporary).
+  bool update(Sweep& s, mode_t n, const Matrix& h, const Matrix& m,
+              const RowSet& rows) {
+    SolveInfo solve_info;
+    bool finite = false;
+    try {
+      solve_normal_equations(
+          h, m, rest_zero[n] ? rows : RowSet::all(s.tensor.dim(n)),
+          s.factors[n], &solve_info);
+      finite = solve_info.finite;
+    } catch (const numeric_error&) {
+      // Non-finite Gram matrix: a poisoned upstream factor (or injected
+      // kernel NaN) reached H. Regularization cannot repair it — restart
+      // the factor instead.
+    }
+    s.result.ridge_retries += solve_info.ridge_retries;
+    if (solve_info.used_pseudo_inverse) ++s.result.pseudo_inverse_solves;
+    if (!finite) return false;
+    rest_zero[n] = 1;
+    if (nonnegative) {
+      // Projected ALS: negative entries are infeasible for count data.
+      for (index_t p = 0; p < rows.count; ++p)
+        for (real_t& v : s.factors[n].row(rows[p]))
+          if (v < 0) v = 0;
+    }
+    return true;
+  }
+
+  void normalize(Sweep& s, mode_t n, const RowSet& rows) {
+    obs::Phase phase(obs::FrPhase::kSolve, "cpals.normalize",
+                     static_cast<std::int64_t>(n), s.result.normalize_seconds);
+    s.lambda = column_norms(s.factors[n], rows);
+  }
+
+  void refresh_gram(Sweep& s, mode_t n, const RowSet& rows) {
+    Matrix& u = s.factors[n];
+    normalize_gram(u, rows, s.lambda, s.grams[n]);
+    if (std::find(s.lambda.begin(), s.lambda.end(), real_t{0}) ==
+        s.lambda.end())
+      return;
+    // Columns that collapsed to zero would poison H; re-randomize them over
+    // every row and redo the Gram.
+    for (index_t r = 0; r < s.rank; ++r) {
+      if (s.lambda[r] == 0) {
+        for (index_t i = 0; i < u.rows(); ++i) u(i, r) = s.rng.next_real();
+        column_normalize(u);
+      }
+    }
+    rest_zero[n] = 0;
+    gram(u, s.grams[n]);
+  }
+
+  void finish(Sweep& s) {
+    s.result.model.weights = std::move(s.lambda);
+    s.result.model.factors = std::move(s.factors);
+  }
+};
+
+// MU: the multiplicative update of cp_mu.hpp over every row. λ stays ≡ 1
+// during the run, so the driver's fit is exact for it; the column norms
+// move into the weights once, at return.
+struct MuStep {
+  static constexpr const char* kName = "cp-mu";
+  static constexpr real_t ridge = 0;  // MU ignores options.ridge
+  static constexpr real_t kEps = 1e-12;  // denominator guard
+  Matrix denom;
+
+  // Strictly positive, at the start and on recovery, so the multiplicative
+  // iterates stay well-defined.
+  Matrix draw(Sweep& s, mode_t n, bool /*recovery*/) {
+    Matrix f = Matrix::random_uniform(s.tensor.dim(n), s.rank, s.rng);
+    for (std::size_t e = 0; e < f.size(); ++e) f.data()[e] += real_t{0.1};
+    return f;
+  }
+
+  bool update(Sweep& s, mode_t n, const Matrix& h, const Matrix& m,
+              const RowSet& /*rows*/) {
+    Matrix& u = s.factors[n];
+    multiply_into(u, h, denom);
+    parallel_for(u.rows(), [&](nnz_t i) {
+      auto urow = u.row(static_cast<index_t>(i));
+      const auto mrow = m.row(static_cast<index_t>(i));
+      const auto drow = denom.row(static_cast<index_t>(i));
+      // M is nonnegative here (nonneg tensor × nonneg factors), so the
+      // update preserves nonnegativity.
+      for (index_t r = 0; r < s.rank; ++r)
+        urow[r] *= mrow[r] / (drow[r] + kEps);
+    });
+    return std::all_of(u.data(), u.data() + u.size(),
+                       [](real_t v) { return std::isfinite(v); });
+  }
+
+  void normalize(Sweep&, mode_t, const RowSet&) {}
+
+  void refresh_gram(Sweep& s, mode_t n, const RowSet& /*rows*/) {
+    gram(s.factors[n], s.grams[n]);
+  }
+
+  void finish(Sweep& s) {
+    KruskalTensor& model = s.result.model;
+    model.factors = std::move(s.factors);
+    model.weights.assign(s.rank, 1);
+    for (Matrix& f : model.factors) {
+      const std::vector<real_t> norms = column_normalize(f);
+      for (index_t r = 0; r < s.rank; ++r) model.weights[r] *= norms[r];
+    }
+  }
+};
+
+}  // namespace
+
+CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
+                   const CpAlsOptions& options) {
+  AlsStep step{options.ridge, options.nonnegative,
+               std::vector<char>(tensor.order(), 0)};
+  return run_sweeps(tensor, engine, options, step);
+}
+
+CpAlsResult cp_mu(const CooTensor& tensor, const CpAlsOptions& options) {
+  const auto engine = make_cp_engine(options);
+  return cp_mu(tensor, *engine, options);
+}
+
+CpAlsResult cp_mu(const CooTensor& tensor, MttkrpEngine& engine,
+                  const CpAlsOptions& options) {
+  for (real_t v : tensor.values())
+    MDCP_CHECK_MSG(v >= 0, "cp_mu requires a nonnegative tensor");
+  MuStep step;
+  return run_sweeps(tensor, engine, options, step);
 }
 
 }  // namespace mdcp

@@ -1,11 +1,13 @@
 // CP-ALS: alternating least squares for sparse CP decomposition, with a
 // pluggable MTTKRP engine.
 //
-// The driver implements the standard ALS sweep: for each mode n, compute the
-// MTTKRP M^(n), form H^(n) = ∘_{i≠n} U^(i)ᵀU^(i), solve U^(n) = M^(n)·H⁺,
-// column-normalize into λ, refresh the Gram matrix, and notify the engine
-// that U^(n) changed. Convergence is monitored with the O(I·R) fit identity
-// — the dense reconstruction is never formed.
+// The sweep driver (ALS and MU) runs the standard alternating sweep: for
+// each mode n, compute the MTTKRP M^(n), form H^(n) = ∘_{i≠n} U^(i)ᵀU^(i),
+// update U^(n), refresh its Gram matrix, and notify the engine that U^(n)
+// changed. Only the update differs: ALS solves U^(n) = M^(n)·H⁺ and
+// column-normalizes into λ; MU (cp_mu.hpp) applies the multiplicative rule.
+// Convergence is monitored with the O(I·R) fit identity — the dense
+// reconstruction is never formed.
 #pragma once
 
 #include <atomic>
@@ -51,11 +53,11 @@ struct CpAlsOptions {
   /// non-finite update throws).
   int max_recoveries = 5;
   bool verbose = false;
-  /// Optional JSONL run reporter: when set, cp_als appends one "iteration"
-  /// record per ALS iteration (fit, fit delta, per-mode MTTKRP seconds,
-  /// phase split, kernel-stats and memo hit/miss deltas) and one "summary"
-  /// record at the end. The caller owns the reporter (and typically writes
-  /// the provenance header first); see obs/report.hpp.
+  /// Optional JSONL run reporter: when set, the sweep driver (ALS and MU)
+  /// appends one "iteration" record per sweep (fit, fit delta, per-mode
+  /// MTTKRP seconds, phase split, kernel-stats and memo hit/miss deltas)
+  /// and one "summary" record at the end. The caller owns the reporter (and
+  /// typically writes the provenance header first); see obs/report.hpp.
   obs::RunReporter* reporter = nullptr;
   /// Optional cross-run history store (see obs/history.hpp). When set, the
   /// model-driven engines (auto / auto+probe) consult the measured-best
@@ -70,16 +72,17 @@ struct CpAlsOptions {
   /// before history may override the model (same build/machine runs weigh
   /// 1 each; see obs::TrustPolicy).
   double history_min_weight = 1.0;
-  /// Cooperative cancellation flag (null = never cancelled). Checked between
-  /// modes and iterations; when it flips, the run stops cleanly with
-  /// result.cancelled = true and a "cancelled":true summary record instead
-  /// of a hard abort. Set by `mdcp_cli --timeout-s` and by the watchdog's
-  /// cancel policy.
+  /// Cooperative cancellation flag (null = never cancelled). The sweep
+  /// driver (ALS and MU) checks it between modes and iterations; when it
+  /// flips, the run stops cleanly with result.cancelled = true and a
+  /// "cancelled":true summary record instead of a hard abort. Set by
+  /// `mdcp_cli --timeout-s` and by the watchdog's cancel policy.
   std::atomic<bool>* cancel = nullptr;
   /// Opt-in stall watchdog for this run (deadline_seconds <= 0 = off, the
-  /// default). cp_als starts the monitor thread for the duration of the run;
-  /// under the kCancel policy with no explicit `cancel` target it is wired
-  /// to a run-local flag automatically. See obs/watchdog.hpp.
+  /// default). The sweep driver (ALS and MU) starts the monitor thread for
+  /// the duration of the run; under the kCancel policy with no explicit
+  /// `cancel` target it is wired to a run-local flag automatically. See
+  /// obs/watchdog.hpp.
   obs::WatchdogOptions watchdog;
 };
 

@@ -484,6 +484,114 @@ TEST(CpAls, CancelledRunMatchesReplayStoppedThere) {
   }
 }
 
+// One cp_mu run rebuilt from the public layer calls, in cp_mu's order:
+// uniform + 0.1 init, then per mode compute → hadamard_inplace →
+// multiply_into → the elementwise multiplicative update → gram →
+// factor_updated, then the fit identity over every row with λ ≡ 1, and at
+// the end each factor's column norms multiplied into the weights. Stops
+// where replay_cp_als does.
+Replay replay_cp_mu(const CooTensor& t, MttkrpEngine& engine,
+                    const CpAlsOptions& opt, int stop_iteration = -1,
+                    mode_t stop_mode = 0) {
+  const mode_t order = t.order();
+  const index_t rank = opt.rank;
+  Replay r;
+  r.factors = mdcp::testing::random_factors(t, rank, opt.seed);
+  for (Matrix& f : r.factors)
+    for (std::size_t e = 0; e < f.size(); ++e) f.data()[e] += real_t{0.1};
+  std::vector<Matrix> grams(order);
+  for (mode_t m = 0; m < order; ++m) gram(r.factors[m], grams[m]);
+  engine.invalidate_all();
+  if (!engine.prepared()) engine.prepare(t, rank);
+  const real_t x_norm = t.norm();
+  const auto into_weights = [&] {
+    r.lambda.assign(rank, 1);
+    for (Matrix& f : r.factors) {
+      const std::vector<real_t> norms = column_normalize(f);
+      for (index_t q = 0; q < rank; ++q) r.lambda[q] *= norms[q];
+    }
+    return r;
+  };
+  Matrix out, h, denom;
+  for (int it = 0; it < opt.max_iterations; ++it) {
+    for (mode_t n = 0; n < order; ++n) {
+      engine.compute(n, r.factors, out);
+      h.resize(rank, rank, 1);
+      for (mode_t i = 0; i < order; ++i)
+        if (i != n) hadamard_inplace(h, grams[i]);
+      Matrix& u = r.factors[n];
+      multiply_into(u, h, denom);
+      for (index_t i = 0; i < u.rows(); ++i)
+        for (index_t q = 0; q < rank; ++q)
+          u(i, q) *= out(i, q) / (denom(i, q) + real_t{1e-12});
+      gram(u, grams[n]);
+      engine.factor_updated(n);
+      if (it == stop_iteration && n == stop_mode) return into_weights();
+    }
+    real_t inner = 0;
+    const Matrix& u = r.factors[order - 1];
+    for (index_t i = 0; i < u.rows(); ++i)
+      for (index_t q = 0; q < rank; ++q) inner += u(i, q) * out(i, q);
+    Matrix acc(rank, rank, 1);
+    for (mode_t i = 0; i < order; ++i) hadamard_inplace(acc, grams[i]);
+    real_t m_norm_sq = 0;
+    for (index_t p = 0; p < rank; ++p)
+      for (index_t q = 0; q < rank; ++q) m_norm_sq += acc(p, q);
+    r.fits.push_back(fit_from_parts(
+        x_norm, inner, std::sqrt(std::max<real_t>(m_norm_sq, 0))));
+  }
+  return into_weights();
+}
+
+TEST(CpMu, MatchesLayerReplayBitwise) {
+  // cp_mu runs on the shared sweep driver, whose fit walks only the rows of
+  // occupied slices and weighs by λ; the replay walks every row unweighted.
+  // Fits, weights and factors must still agree bit for bit, for every
+  // engine, at 1 and 4 threads.
+  const CooTensor t = sparse_slice_tensor();
+  CpAlsOptions opt;
+  opt.rank = 7;
+  opt.max_iterations = 4;
+  opt.tolerance = 0;
+  opt.seed = 123;
+  const int saved_threads = num_threads();
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const std::string& name : EngineRegistry::instance().names()) {
+      opt.engine = name;
+      auto engine = make_engine(name, t, opt.rank);
+      const CpAlsResult result = cp_mu(t, *engine, opt);
+      const Replay replay = replay_cp_mu(t, *engine, opt);
+      expect_matches_replay(result, replay,
+                            name + " threads=" + std::to_string(threads));
+    }
+  }
+  set_num_threads(saved_threads);
+}
+
+TEST(CpMu, CancelledRunMatchesReplayStoppedThere) {
+  // A cancelled cp_mu still folds its factors' column norms into the
+  // weights, from the state after the last completed update.
+  const CooTensor t = sparse_slice_tensor();
+  CpAlsOptions opt;
+  opt.rank = 7;
+  opt.max_iterations = 4;
+  opt.tolerance = 0;
+  opt.seed = 123;
+  for (const int iteration : {0, 1}) {
+    std::atomic<bool> cancel{false};
+    opt.cancel = &cancel;
+    CancelAfterUpdate engine(make_engine("dtree-bdt"), 1, iteration, cancel);
+    const CpAlsResult result = cp_mu(t, engine, opt);
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_EQ(result.iterations, iteration);
+    auto replay_engine = make_engine("dtree-bdt", t, opt.rank);
+    const Replay replay = replay_cp_mu(t, *replay_engine, opt, iteration, 1);
+    expect_matches_replay(
+        result, replay, "cancelled in iteration " + std::to_string(iteration));
+  }
+}
+
 TEST(CpAls, DenseSplitSumsToDenseSeconds) {
   const auto t = generate_uniform(shape_t{20, 20, 20}, 1000, 19);
   CpAlsOptions opt;

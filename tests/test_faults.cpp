@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "cpals/cp_mu.hpp"
 #include "cpals/cpals.hpp"
 #include "model/cost_model.hpp"
 #include "model/tuner.hpp"
@@ -384,15 +385,16 @@ TEST_F(InjectedFaults, NanPoisonTriggersRecoveryAndConverges) {
   opt.max_iterations = 10;
   opt.tolerance = 0;
   opt.engine = "coo";
-  fault::FaultPlan::instance().parse_spec("nan.nth=2;nan.limit=1");
-
-  const CpAlsResult r = cp_als(t, opt);
-  EXPECT_GE(r.recoveries, 1);
-  ASSERT_FALSE(r.fits.empty());
-  EXPECT_TRUE(std::isfinite(r.final_fit()));
-  // One poisoned kernel output must not wreck the decomposition: the
-  // re-randomized factor re-converges to a sane fit.
-  EXPECT_GT(r.final_fit(), 0);
+  for (const bool mu : {false, true}) {
+    fault::FaultPlan::instance().parse_spec("nan.nth=2;nan.limit=1");
+    const CpAlsResult r = mu ? cp_mu(t, opt) : cp_als(t, opt);
+    EXPECT_GE(r.recoveries, 1) << (mu ? "mu" : "als");
+    ASSERT_FALSE(r.fits.empty());
+    EXPECT_TRUE(std::isfinite(r.final_fit())) << (mu ? "mu" : "als");
+    // One poisoned kernel output must not wreck the decomposition: the
+    // re-randomized factor re-converges to a sane fit.
+    EXPECT_GT(r.final_fit(), 0) << (mu ? "mu" : "als");
+  }
 }
 
 TEST_F(InjectedFaults, RecoveryBudgetExhaustionIsTyped) {

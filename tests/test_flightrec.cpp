@@ -31,6 +31,7 @@
 #include <unistd.h>
 #endif
 
+#include "cpals/cp_mu.hpp"
 #include "cpals/cpals.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/history.hpp"
@@ -348,43 +349,47 @@ TEST(Cancel, PreSetFlagStopsBeforeFirstIteration) {
   opt.max_iterations = 20;
   opt.engine = "coo";
   opt.cancel = &cancel;
-  const CpAlsResult r = cp_als(t, opt);
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.iterations, 0);
+  for (const bool mu : {false, true}) {
+    const CpAlsResult r = mu ? cp_mu(t, opt) : cp_als(t, opt);
+    EXPECT_TRUE(r.cancelled) << (mu ? "mu" : "als");
+    EXPECT_FALSE(r.converged) << (mu ? "mu" : "als");
+    EXPECT_EQ(r.iterations, 0) << (mu ? "mu" : "als");
+  }
 }
 
 TEST(Cancel, SummaryRecordsCancelledTrue) {
   const CooTensor t = generate_uniform({12, 13, 14}, 300, 7);
   const std::string dir = temp_dir("cancel-report");
-  const std::string report = dir + "/run.jsonl";
   std::atomic<bool> cancel{true};
-  {
-    obs::RunReporter reporter(report);
-    ASSERT_TRUE(reporter.ok());
-    reporter.write_header(t, "test", 1);
-    CpAlsOptions opt;
-    opt.rank = 3;
-    opt.max_iterations = 20;
-    opt.engine = "coo";
-    opt.cancel = &cancel;
-    opt.reporter = &reporter;
-    const CpAlsResult r = cp_als(t, opt);
-    EXPECT_TRUE(r.cancelled);
-    ASSERT_TRUE(reporter.close());
+  for (const bool mu : {false, true}) {
+    const std::string report = dir + (mu ? "/mu.jsonl" : "/als.jsonl");
+    {
+      obs::RunReporter reporter(report);
+      ASSERT_TRUE(reporter.ok());
+      reporter.write_header(t, "test", 1);
+      CpAlsOptions opt;
+      opt.rank = 3;
+      opt.max_iterations = 20;
+      opt.engine = "coo";
+      opt.cancel = &cancel;
+      opt.reporter = &reporter;
+      const CpAlsResult r = mu ? cp_mu(t, opt) : cp_als(t, opt);
+      EXPECT_TRUE(r.cancelled);
+      ASSERT_TRUE(reporter.close());
+    }
+    std::ifstream is(report);
+    std::string line, last;
+    while (std::getline(is, line))
+      if (!line.empty()) last = line;
+    obs::JsonValue v;
+    ASSERT_TRUE(obs::json_parse(last, v, nullptr)) << last;
+    const auto* cancelled = v.find("cancelled", obs::JsonValue::Kind::kBool);
+    ASSERT_NE(cancelled, nullptr) << last;
+    EXPECT_TRUE(cancelled->as_bool());
+    const auto* aborted = v.find("aborted", obs::JsonValue::Kind::kBool);
+    ASSERT_NE(aborted, nullptr);
+    EXPECT_FALSE(aborted->as_bool());
   }
-  std::ifstream is(report);
-  std::string line, last;
-  while (std::getline(is, line))
-    if (!line.empty()) last = line;
-  obs::JsonValue v;
-  ASSERT_TRUE(obs::json_parse(last, v, nullptr)) << last;
-  const auto* cancelled = v.find("cancelled", obs::JsonValue::Kind::kBool);
-  ASSERT_NE(cancelled, nullptr);
-  EXPECT_TRUE(cancelled->as_bool());
-  const auto* aborted = v.find("aborted", obs::JsonValue::Kind::kBool);
-  ASSERT_NE(aborted, nullptr);
-  EXPECT_FALSE(aborted->as_bool());
 }
 
 TEST(Cancel, TimerFlipsFlag) {

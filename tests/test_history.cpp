@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cpals/cp_mu.hpp"
 #include "cpals/cpals.hpp"
 #include "model/tuner.hpp"
 #include "obs/history.hpp"
@@ -147,27 +148,30 @@ TEST(Report, CloseRenamesTmpIntoPlace) {
   EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
-// A real cp_als run with reporter + history attached must produce a report
-// parse_report_file can round-trip, and must record the same observation
-// in-process.
+// A real cp_als (or cp_mu) run with reporter + history attached must produce
+// a report parse_report_file can round-trip, and must record the same
+// observation in-process.
 TEST(HistoryRoundTrip, CpAlsReportMatchesInProcessObservation) {
-  const std::string path = ::testing::TempDir() + "/mdcp_history_rt.jsonl";
   const auto tensor = generate_uniform({20, 24, 28}, 800, 17);
 
-  obs::HistoryStore store;
   CpAlsOptions opt;
   opt.rank = 6;
   opt.max_iterations = 3;
   opt.tolerance = 0;
   opt.seed = 5;
   opt.engine = "auto";
-  opt.history = &store;
-  {
+  // MU feeds history through the same sweep driver as ALS.
+  for (const bool mu : {false, true}) {
+    const std::string path = ::testing::TempDir() +
+                             (mu ? "/mdcp_history_rt_mu.jsonl"
+                                 : "/mdcp_history_rt.jsonl");
+    obs::HistoryStore store;
+    opt.history = &store;
     obs::RunReporter reporter(path);
     ASSERT_TRUE(reporter.ok());
     reporter.write_header(tensor, "test_history round-trip", 1);
     opt.reporter = &reporter;
-    const auto result = cp_als(tensor, opt);
+    const auto result = mu ? cp_mu(tensor, opt) : cp_als(tensor, opt);
     EXPECT_EQ(result.iterations, 3);
     // Empty store at selection time: the tuner had nothing to consult.
     EXPECT_EQ(result.plan_source, "model");

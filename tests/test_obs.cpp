@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "cpals/cp_mu.hpp"
 #include "cpals/cpals.hpp"
 #include "mttkrp/registry.hpp"
 #include "obs/clock.hpp"
@@ -780,7 +781,6 @@ TEST(Report, TensorFingerprintIsContentSensitive) {
 // a header, one record per iteration, and a summary — every line valid JSON
 // with the documented required keys.
 TEST(Report, RunReportMatchesGoldenSchema) {
-  const std::string path = ::testing::TempDir() + "/mdcp_test_report.jsonl";
   const auto tensor = generate_uniform({20, 24, 28, 16}, 600, 11);
 
   CpAlsOptions opt;
@@ -789,68 +789,72 @@ TEST(Report, RunReportMatchesGoldenSchema) {
   opt.tolerance = 0;  // fixed iteration count
   opt.seed = 99;
   opt.engine = "dtree-bdt";
-  {
-    obs::RunReporter reporter(path);
-    ASSERT_TRUE(reporter.ok());
-    reporter.write_header(tensor, "test_obs golden", 1);
-    opt.reporter = &reporter;
-    const auto result = cp_als(tensor, opt);
-    EXPECT_EQ(result.iterations, 3);
-  }
+  // The sweep driver writes the same records for ALS and MU.
+  for (const bool mu : {false, true}) {
+    const std::string path = ::testing::TempDir() +
+                             (mu ? "/mdcp_test_report_mu.jsonl"
+                                 : "/mdcp_test_report.jsonl");
+    {
+      obs::RunReporter reporter(path);
+      ASSERT_TRUE(reporter.ok());
+      reporter.write_header(tensor, "test_obs golden", 1);
+      opt.reporter = &reporter;
+      const auto result = mu ? cp_mu(tensor, opt) : cp_als(tensor, opt);
+      EXPECT_EQ(result.iterations, 3);
+    }
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);)
-    if (!line.empty()) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 5u);  // header + 3 iterations + summary
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+      if (!line.empty()) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 5u);  // header + 3 iterations + summary
 
-  const auto has_keys = [](const std::string& line,
-                           const std::vector<std::string>& keys) {
-    for (const auto& k : keys)
-      if (line.find("\"" + k + "\"") == std::string::npos) return false;
-    return true;
-  };
-  for (const auto& line : lines) {
-    EXPECT_TRUE(JsonChecker::valid(line)) << line;
-    EXPECT_NE(line.find("\"schema\":\"mdcp-run-report/1\""),
-              std::string::npos)
-        << line;
+    const auto has_keys = [](const std::string& line,
+                             const std::vector<std::string>& keys) {
+      for (const auto& k : keys)
+        if (line.find("\"" + k + "\"") == std::string::npos) return false;
+      return true;
+    };
+    for (const auto& line : lines) {
+      EXPECT_TRUE(JsonChecker::valid(line)) << line;
+      EXPECT_NE(line.find("\"schema\":\"mdcp-run-report/1\""),
+                std::string::npos)
+          << line;
+    }
+    EXPECT_TRUE(has_keys(lines[0],
+                         {"type", "command", "compiler", "build_type", "order",
+                          "shape", "nnz", "fingerprint", "kernel_threads",
+                          "report_version", "host"}))
+        << lines[0];
+    EXPECT_NE(lines[0].find("\"type\":\"header\""), std::string::npos);
+    for (int it = 1; it <= 3; ++it) {
+      const std::string& line = lines[static_cast<std::size_t>(it)];
+      EXPECT_TRUE(has_keys(
+          line, {"iter", "fit", "fit_delta", "mttkrp_seconds", "dense_seconds",
+                 "hadamard_seconds", "solve_seconds", "normalize_seconds",
+                 "gram_seconds", "fit_seconds", "mttkrp_mode_seconds",
+                 "memo_hits", "memo_misses", "kernel"}))
+          << line;
+      EXPECT_NE(line.find("\"type\":\"iteration\""), std::string::npos);
+      EXPECT_NE(line.find("\"iter\":" + std::to_string(it)), std::string::npos);
+    }
+    EXPECT_TRUE(has_keys(lines[4],
+                         {"engine", "rank", "plan_source", "iterations",
+                          "converged", "final_fit", "total_seconds",
+                          "mttkrp_seconds", "dense_seconds", "hadamard_seconds",
+                          "solve_seconds", "normalize_seconds", "gram_seconds",
+                          "mttkrp_mode_quantiles",
+                          "engine_peak_memory_bytes", "memo_hits_total",
+                          "memo_misses_total", "workspace_thread_peak_bytes"}))
+        << lines[4];
+    // Quantile objects carry the p50/p95/p99 trio per mode.
+    EXPECT_NE(lines[4].find("\"p99\""), std::string::npos) << lines[4];
+    // A fixed engine is not model-driven.
+    EXPECT_NE(lines[4].find("\"plan_source\":\"fixed\""), std::string::npos)
+        << lines[4];
+    EXPECT_NE(lines[4].find("\"type\":\"summary\""), std::string::npos);
   }
-  EXPECT_TRUE(has_keys(lines[0], {"type", "command", "compiler", "build_type",
-                                  "order", "shape", "nnz", "fingerprint",
-                                  "kernel_threads", "report_version", "host"}))
-      << lines[0];
-  EXPECT_NE(lines[0].find("\"type\":\"header\""), std::string::npos);
-  for (int it = 1; it <= 3; ++it) {
-    EXPECT_TRUE(has_keys(
-        lines[static_cast<std::size_t>(it)],
-        {"iter", "fit", "fit_delta", "mttkrp_seconds", "dense_seconds",
-         "hadamard_seconds", "solve_seconds", "normalize_seconds",
-         "gram_seconds", "fit_seconds", "mttkrp_mode_seconds", "memo_hits",
-         "memo_misses", "kernel"}))
-        << lines[static_cast<std::size_t>(it)];
-    EXPECT_NE(lines[static_cast<std::size_t>(it)].find("\"type\":\"iteration\""),
-              std::string::npos);
-    EXPECT_NE(lines[static_cast<std::size_t>(it)].find(
-                  "\"iter\":" + std::to_string(it)),
-              std::string::npos);
-  }
-  EXPECT_TRUE(has_keys(lines[4],
-                       {"engine", "rank", "plan_source", "iterations",
-                        "converged", "final_fit", "total_seconds",
-                        "mttkrp_seconds", "dense_seconds", "hadamard_seconds",
-                        "solve_seconds", "normalize_seconds", "gram_seconds",
-                        "mttkrp_mode_quantiles",
-                        "engine_peak_memory_bytes", "memo_hits_total",
-                        "memo_misses_total", "workspace_thread_peak_bytes"}))
-      << lines[4];
-  // Quantile objects carry the p50/p95/p99 trio per mode.
-  EXPECT_NE(lines[4].find("\"p99\""), std::string::npos) << lines[4];
-  // A fixed engine is not model-driven.
-  EXPECT_NE(lines[4].find("\"plan_source\":\"fixed\""), std::string::npos)
-      << lines[4];
-  EXPECT_NE(lines[4].find("\"type\":\"summary\""), std::string::npos);
 }
 
 }  // namespace

@@ -364,6 +364,9 @@ int cmd_decompose(const Args& args) {
   const std::string algorithm = args.get("algorithm", "als");
   if (algorithm != "als" && algorithm != "mu")
     usage(("unknown --algorithm: " + algorithm).c_str());
+  const int restarts = static_cast<int>(args.get_num("restarts", 1));
+  if (restarts > 1 && algorithm == "mu")
+    usage("--restarts applies to --algorithm als only");
 
   // Liveness + crash forensics: a stall watchdog for the run (--watchdog-s),
   // a cooperative wall-clock timeout (--timeout-s), and process-wide signal
@@ -392,17 +395,14 @@ int cmd_decompose(const Args& args) {
                  "forensics disabled\n",
                  crash_dir.c_str());
 
-  // Runs the tuner could consult (cp_als records this run into the store
-  // afterwards, so the size is captured before).
+  // Runs the tuner could consult (cp_als and cp_mu record this run into the
+  // store afterwards, so the size is captured before).
   const std::size_t prior_runs = history.size();
-  const int restarts = static_cast<int>(args.get_num("restarts", 1));
   CpAlsResult result;
   if (algorithm == "mu") {
     result = cp_mu(t, opt);
-  } else if (algorithm == "als") {
-    result = restarts > 1 ? cp_als_best_of(t, opt, restarts) : cp_als(t, opt);
   } else {
-    usage(("unknown --algorithm: " + algorithm).c_str());
+    result = restarts > 1 ? cp_als_best_of(t, opt, restarts) : cp_als(t, opt);
   }
 
   std::printf("engine: %s\n", result.engine_name.c_str());
