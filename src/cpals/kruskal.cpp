@@ -4,6 +4,7 @@
 
 #include "la/blas.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 
 namespace mdcp {
 
@@ -62,6 +63,7 @@ real_t inner_product_from_mttkrp(const KruskalTensor& m,
 }
 
 real_t fit_from_parts(real_t x_norm, real_t inner, real_t m_norm) {
+  const FlushSubnormals fp;
   const real_t resid_sq =
       std::max<real_t>(x_norm * x_norm - 2 * inner + m_norm * m_norm, 0);
   if (x_norm <= 0) return 0;

@@ -44,7 +44,8 @@ real_t inner_product(const CooTensor& x, const KruskalTensor& m);
 real_t inner_product_from_mttkrp(const KruskalTensor& m,
                                  const Matrix& mttkrp_last, mode_t mode);
 
-/// Fit = 1 − ‖X − M‖ / ‖X‖, from precomputed ‖X‖ and ⟨X,M⟩.
+/// Fit = 1 − ‖X − M‖ / ‖X‖, from precomputed ‖X‖ and ⟨X,M⟩. Runs under
+/// FlushSubnormals (util/fpenv.hpp), like the la kernels CP-ALS calls.
 real_t fit_from_parts(real_t x_norm, real_t inner, real_t m_norm);
 
 /// Fully evaluates ‖X − M‖ over X's nonzeros *and* M's mass off the nonzeros.

@@ -6,6 +6,7 @@
 #include "mttkrp/microkernel.hpp"
 #include "sched/reduce.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -88,6 +89,7 @@ void csf_mttkrp_root(const CsfTensor& csf, const std::vector<Matrix>& factors,
   ws->reserve(num_threads(), Scratch::reals(csf.order(), r) * sizeof(real_t));
 #pragma omp parallel
   {
+    const FlushSubnormals fp;
     const Scratch s{ws->thread_scratch<real_t>(Scratch::reals(csf.order(), r)),
                     mk};
 #pragma omp for schedule(dynamic, 8)
@@ -203,6 +205,7 @@ void CsfMttkrpEngine::do_compute(mode_t mode,
     ws.reserve(effective_threads(), acc_elems * sizeof(real_t));
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const Scratch s{ws.thread_scratch<real_t>(acc_elems), mk_};
 #pragma omp for schedule(dynamic, 1)
       for (int tile = 0; tile < tp.tiles(); ++tile) {
@@ -222,6 +225,7 @@ void CsfMttkrpEngine::do_compute(mode_t mode,
     sched::PartialSet parts;
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const int team = team_size();
       const int tid = thread_id();
       // Traversal accumulators first (padded strides) so every acc(l) and

@@ -114,7 +114,8 @@ class DimensionTree {
   /// Bytes of all symbolic structures (index arrays + reduction sets).
   std::size_t symbolic_bytes() const;
 
-  /// Bytes of currently materialized value matrices.
+  /// Bytes of currently materialized value matrices (their entries; the
+  /// storage an invalidated node keeps for re-evaluation is not counted).
   std::size_t value_bytes() const;
 
  private:

@@ -9,6 +9,7 @@
 #include "obs/trace.hpp"
 #include "sched/reduce.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 #include "util/types.hpp"
 
@@ -132,6 +133,7 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
     ws.reserve(num_threads(), mk.padded() * sizeof(real_t));
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const auto tmp = ws.thread_scratch<real_t>(mk.padded());
 #pragma omp for schedule(dynamic, 1)
       for (int tile = 0; tile < tp.tiles(); ++tile) {
@@ -151,6 +153,7 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
     sched::PartialSet parts;
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const int team = team_size();
       const int tid = thread_id();
       // Accumulator first (padded stride) so both it and the partial slab

@@ -47,12 +47,15 @@ std::uint64_t compute_node_values(DimensionTree& tree, int which,
                                   index_t rank, Workspace& ws,
                                   TtmvSched* ts = nullptr);
 
-/// Marks invalid (and frees) the value matrix of every node whose tensor was
-/// contracted with factor `mode` (i.e. mode ∉ μ(t)). Call whenever factor
-/// `mode` changes.
+/// Marks invalid the value matrix of every node whose tensor was contracted
+/// with factor `mode` (i.e. mode ∉ μ(t)) and empties it to 0×0. Its storage
+/// is kept (Matrix::resize keeps the capacity), so re-evaluating the node
+/// reuses it without an allocation; DimensionTree::value_bytes() counts
+/// only the materialized entries. Call whenever factor `mode` changes.
 void invalidate_mode(DimensionTree& tree, mode_t mode);
 
-/// Frees all value matrices.
+/// Marks invalid and empties every value matrix, keeping the storage for
+/// re-evaluation as invalidate_mode does.
 void invalidate_all_nodes(DimensionTree& tree);
 
 }  // namespace mdcp

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -56,21 +57,25 @@ void block_gram(index_t n, index_t r, RowSet rows, RowAt row_at,
   const index_t num_blocks = (n + kGramBlock - 1) / kGramBlock;
   const std::size_t rr = static_cast<std::size_t>(r) * r;
   aligned_real_vector partial(num_blocks * rr, 0);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t b = 0; b < static_cast<std::int64_t>(num_blocks); ++b) {
-    real_t* g = partial.data() + static_cast<std::size_t>(b) * rr;
-    const index_t begin = static_cast<index_t>(b) * kGramBlock;
-    const auto [first, last] =
-        rows.positions(begin, std::min<index_t>(begin + kGramBlock, n));
-    index_t p = first;
-    for (; p + 4 <= last; p += 4) {
-      const real_t* x0 = row_at(rows[p]);
-      const real_t* x1 = row_at(rows[p + 1]);
-      const real_t* x2 = row_at(rows[p + 2]);
-      const real_t* x3 = row_at(rows[p + 3]);
-      gram_add4(g, x0, x1, x2, x3, r);
+#pragma omp parallel
+  {
+    const FlushSubnormals fp;
+#pragma omp for schedule(static)
+    for (std::int64_t b = 0; b < static_cast<std::int64_t>(num_blocks); ++b) {
+      real_t* g = partial.data() + static_cast<std::size_t>(b) * rr;
+      const index_t begin = static_cast<index_t>(b) * kGramBlock;
+      const auto [first, last] =
+          rows.positions(begin, std::min<index_t>(begin + kGramBlock, n));
+      index_t p = first;
+      for (; p + 4 <= last; p += 4) {
+        const real_t* x0 = row_at(rows[p]);
+        const real_t* x1 = row_at(rows[p + 1]);
+        const real_t* x2 = row_at(rows[p + 2]);
+        const real_t* x3 = row_at(rows[p + 3]);
+        gram_add4(g, x0, x1, x2, x3, r);
+      }
+      for (; p < last; ++p) gram_add1(g, row_at(rows[p]), r);
     }
-    for (; p < last; ++p) gram_add1(g, row_at(rows[p]), r);
   }
   real_t* o = out.data();
   for (index_t b = 0; b < num_blocks; ++b) {
@@ -100,6 +105,7 @@ void gram(const Matrix& a, Matrix& out) {
 }
 
 void gram(const Matrix& a, RowSet rows, Matrix& out) {
+  const FlushSubnormals fp;
   MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
   block_gram(a.rows(), a.cols(), rows,
              [&](index_t i) { return a.row(i).data(); }, out);
@@ -112,6 +118,7 @@ Matrix gram(const Matrix& a) {
 }
 
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  const FlushSubnormals fp;
   MDCP_CHECK(a.cols() == b.rows());
   c.resize(a.rows(), b.cols(), 0);
   const index_t bi = b.rows();
@@ -135,6 +142,7 @@ Matrix multiply(const Matrix& a, const Matrix& b) {
 }
 
 void hadamard_inplace(Matrix& a, const Matrix& b) {
+  const FlushSubnormals fp;
   MDCP_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
   real_t* pa = a.data();
   const real_t* pb = b.data();
@@ -149,6 +157,7 @@ Matrix hadamard_all(const std::vector<const Matrix*>& ms) {
 }
 
 std::vector<real_t> column_normalize(Matrix& a) {
+  const FlushSubnormals fp;
   std::vector<real_t> norms = column_norms(a, RowSet::all(a.rows()));
   const std::vector<real_t> d = divisors(norms);
   for (index_t i = 0; i < a.rows(); ++i)
@@ -157,6 +166,7 @@ std::vector<real_t> column_normalize(Matrix& a) {
 }
 
 std::vector<real_t> column_norms(const Matrix& a, RowSet rows) {
+  const FlushSubnormals fp;
   MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
   const index_t r = a.cols();
   std::vector<real_t> norms(r, 0);
@@ -170,6 +180,7 @@ std::vector<real_t> column_norms(const Matrix& a, RowSet rows) {
 
 void normalize_gram(Matrix& a, RowSet rows, const std::vector<real_t>& norms,
                     Matrix& out) {
+  const FlushSubnormals fp;
   MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
   MDCP_CHECK(norms.size() == a.cols());
   const std::vector<real_t> d = divisors(norms);
@@ -184,6 +195,7 @@ void normalize_gram(Matrix& a, RowSet rows, const std::vector<real_t>& norms,
 }
 
 real_t dot(const Matrix& a, const Matrix& b) {
+  const FlushSubnormals fp;
   MDCP_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
   real_t s = 0;
   const real_t* pa = a.data();

@@ -1,5 +1,6 @@
 // Hand-rolled dense kernels sized for CP-ALS: tall-skinny Gram products,
-// tiny R×R algebra, Hadamard products, and column normalization.
+// tiny R×R algebra, Hadamard products, and column normalization. Every
+// entry point runs under FlushSubnormals (util/fpenv.hpp).
 #pragma once
 
 #include <vector>

@@ -7,11 +7,13 @@
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
 
 CholeskyStatus cholesky_factor_status(Matrix& a) {
+  const FlushSubnormals fp;
   MDCP_CHECK(a.rows() == a.cols());
   const index_t n = a.rows();
   for (index_t j = 0; j < n; ++j) {
@@ -108,6 +110,7 @@ bool solve_rows_into(const Matrix& l, const Matrix& b, RowSet rows,
 }  // namespace
 
 bool cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows) {
+  const FlushSubnormals fp;
   MDCP_CHECK(l.rows() == l.cols());
   MDCP_CHECK(rhs_rows.cols() == l.rows());
   return solve_rows_into(l, rhs_rows, RowSet::all(rhs_rows.rows()), rhs_rows);
@@ -122,6 +125,7 @@ void solve_normal_equations(const Matrix& h, const Matrix& m, Matrix& x,
 
 void solve_normal_equations(const Matrix& h, const Matrix& m, RowSet rows,
                             Matrix& x, SolveInfo* info) {
+  const FlushSubnormals fp;
   MDCP_CHECK(h.rows() == h.cols());
   MDCP_CHECK(m.cols() == h.rows());
   MDCP_CHECK(x.rows() == m.rows() && x.cols() == m.cols());

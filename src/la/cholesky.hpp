@@ -22,7 +22,8 @@
 // slices. The result is therefore
 // bitwise identical to the per-row loop for any tile width and any thread
 // count. la/cholesky.cpp is compiled with -ffp-contract=off so that holds on
-// FMA targets too (src/CMakeLists.txt).
+// FMA targets too (src/CMakeLists.txt). The factorization, the substitution
+// and the solves run under FlushSubnormals (util/fpenv.hpp).
 #pragma once
 
 #include "la/matrix.hpp"

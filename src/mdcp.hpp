@@ -47,6 +47,7 @@
 #include "tensor/stats.hpp"
 #include "tensor/tensor_io.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"

@@ -8,6 +8,7 @@
 
 #include "model/cost_model.hpp"
 #include "sched/reduce.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -262,6 +263,7 @@ void AltoMttkrpEngine::compute_impl(const std::vector<Key>& keys, mode_t mode,
       ws.reserve(effective_threads(), padded * sizeof(real_t));
 #pragma omp parallel
       {
+        const FlushSubnormals fp;
         const auto tmp = ws.thread_scratch<real_t>(padded);
 #pragma omp for schedule(dynamic, 1)
         for (int tile = 0; tile < tp.tiles(); ++tile) {
@@ -282,6 +284,7 @@ void AltoMttkrpEngine::compute_impl(const std::vector<Key>& keys, mode_t mode,
       sched::PartialSet parts;
 #pragma omp parallel
       {
+        const FlushSubnormals fp;
         const int team = team_size();
         const int tid = thread_id();
         // One slab per thread: the Hadamard accumulator first (padded
@@ -365,6 +368,7 @@ void AltoMttkrpEngine::compute_impl(const std::vector<Key>& keys, mode_t mode,
     real_t* const acc = master.data() + padded;
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       real_t* tmp = ws.thread_scratch<real_t>(padded).data();
 #pragma omp for schedule(dynamic, 1)
       for (int tile = 0; tile < tp.tiles(); ++tile) {
@@ -432,6 +436,7 @@ void AltoMttkrpEngine::compute_impl(const std::vector<Key>& keys, mode_t mode,
     sched::PartialSet parts;
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const int team = team_size();
       const int tid = thread_id();
       const auto slab = ws.thread_scratch<real_t>(padded + out_elems);

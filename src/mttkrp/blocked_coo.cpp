@@ -6,6 +6,7 @@
 
 #include "sched/reduce.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -193,6 +194,7 @@ void BlockedCooEngine::do_compute(mode_t mode,
     ws.reserve(effective_threads(), mk_.padded() * sizeof(real_t));
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const auto tmp = ws.thread_scratch<real_t>(mk_.padded());
 #pragma omp for schedule(dynamic, 1)
       for (int tile = 0; tile < tp.tiles(); ++tile) {
@@ -215,6 +217,7 @@ void BlockedCooEngine::do_compute(mode_t mode,
     sched::PartialSet parts;
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const int team = team_size();
       const int tid = thread_id();
       // Accumulator first (padded stride) so both it and the partial slab

@@ -6,6 +6,7 @@
 #include "model/cost_model.hpp"
 #include "sched/reduce.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -116,6 +117,7 @@ void CooMttkrpEngine::do_compute(mode_t mode,
     ws.reserve(effective_threads(), mk_.padded() * sizeof(real_t));
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const auto tmp = ws.thread_scratch<real_t>(mk_.padded());
 #pragma omp for schedule(dynamic, 1)
       for (int tile = 0; tile < tp.tiles(); ++tile) {
@@ -135,6 +137,7 @@ void CooMttkrpEngine::do_compute(mode_t mode,
     sched::PartialSet parts;
 #pragma omp parallel
     {
+      const FlushSubnormals fp;
       const int team = team_size();
       const int tid = thread_id();
       // One slab per thread: the Hadamard accumulator first (padded stride,

@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -110,6 +111,7 @@ void MttkrpEngine::prepare(const CooTensor& tensor, index_t rank) {
 
 void MttkrpEngine::compute(mode_t mode, const std::vector<Matrix>& factors,
                            Matrix& out) {
+  const FlushSubnormals fp;
   MDCP_CHECK_MSG(prepared(), "engine " << name()
                                        << ": compute() before prepare()");
   if (trace_label_.empty()) trace_label_ = "mttkrp:" + name();

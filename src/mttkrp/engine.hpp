@@ -56,7 +56,9 @@ class MttkrpEngine {
   /// `out` is resized to (dim(mode) × R). `factors` must contain one I_m×R
   /// matrix per mode, all with the same column count R. Requires prepare();
   /// draws all scratch from the context workspace (no heap allocation on
-  /// the steady-state path).
+  /// the steady-state path). Runs under FlushSubnormals (util/fpenv.hpp) on
+  /// the calling thread and on every kernel thread: results below DBL_MIN
+  /// are 0, and the caller's MXCSR is restored on return.
   void compute(mode_t mode, const std::vector<Matrix>& factors, Matrix& out);
 
   bool prepared() const noexcept { return tensor_ != nullptr; }

@@ -2,13 +2,16 @@
 //
 // Central place for thread-count control so benchmarks can sweep thread
 // counts without touching environment variables, and so the library still
-// compiles (serially) if OpenMP were ever unavailable.
+// compiles (serially) if OpenMP were ever unavailable. Every team member of
+// the helpers below runs its share under FlushSubnormals (util/fpenv.hpp),
+// like every other parallel body in the library.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "obs/flightrec.hpp"
+#include "util/fpenv.hpp"
 #include "util/types.hpp"
 
 namespace mdcp {
@@ -61,12 +64,16 @@ Range chunk_range(nnz_t n, int parts, int p) noexcept;
 /// Runs fn(i) for i in [0, n) with OpenMP static scheduling.
 template <typename Fn>
 void parallel_for(nnz_t n, Fn&& fn) {
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if ((static_cast<nnz_t>(i) & (kHeartbeatStride - 1)) == 0) {
-      obs::fr_beat(obs::FrPhase::kParallelFor, i);
+#pragma omp parallel
+  {
+    const FlushSubnormals fp;
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
+      if ((static_cast<nnz_t>(i) & (kHeartbeatStride - 1)) == 0) {
+        obs::fr_beat(obs::FrPhase::kParallelFor, i);
+      }
+      fn(static_cast<nnz_t>(i));
     }
-    fn(static_cast<nnz_t>(i));
   }
 }
 
@@ -76,12 +83,16 @@ void parallel_for(nnz_t n, Fn&& fn) {
 template <typename Fn>
 void parallel_for_dynamic(nnz_t n, Fn&& fn, nnz_t grain = 64) {
   const auto chunk = static_cast<std::int64_t>(grain == 0 ? 1 : grain);
-#pragma omp parallel for schedule(dynamic, chunk)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if ((static_cast<nnz_t>(i) & (kHeartbeatStride - 1)) == 0) {
-      obs::fr_beat(obs::FrPhase::kParallelFor, i);
+#pragma omp parallel
+  {
+    const FlushSubnormals fp;
+#pragma omp for schedule(dynamic, chunk)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
+      if ((static_cast<nnz_t>(i) & (kHeartbeatStride - 1)) == 0) {
+        obs::fr_beat(obs::FrPhase::kParallelFor, i);
+      }
+      fn(static_cast<nnz_t>(i));
     }
-    fn(static_cast<nnz_t>(i));
   }
 }
 
@@ -93,6 +104,7 @@ template <typename Fn>
 void parallel_for_chunked(nnz_t n, Fn&& fn) {
 #pragma omp parallel
   {
+    const FlushSubnormals fp;
     const int parts = team_size();
     const int tid = thread_id();
     obs::fr_beat(obs::FrPhase::kParallelFor, tid);

@@ -16,6 +16,8 @@
 namespace mdcp {
 namespace {
 
+using mdcp::testing::clear_flush_bits_everywhere;
+using mdcp::testing::has_subnormal;
 using mdcp::testing::random_factors;
 
 class ThreadRestore {
@@ -179,6 +181,77 @@ TEST(Determinism, CpAlsBitwiseAcrossThreadCounts) {
     EXPECT_EQ(r1.fits[i], r4.fits[i]) << "iteration " << i;
   for (mode_t m = 0; m < 3; ++m)
     EXPECT_TRUE(r1.model.factors[m] == r4.model.factors[m]) << "mode " << m;
+}
+
+// A clustered order-5 tensor with as many components as well-separated
+// clusters: each component settles on one cluster, and its entries on rows
+// outside that cluster shrink by orders of magnitude per sweep, down to
+// about 1e-300 within ten sweeps. Products of such entries fall below
+// DBL_MIN, so a parallel body that runs without FlushSubnormals makes
+// subnormals on worker threads where the one-thread run makes zeros. The
+// workers' MXCSR bits are cleared before each run (see
+// clear_flush_bits_everywhere), as on threads created outside any kernel.
+TEST(Determinism, CpAlsBitwiseAcrossThreadCountsOnUnderflowingFactors) {
+  ThreadRestore restore;
+  const auto t = generate_clustered(shape_t{400, 320, 240, 160, 80}, 3000,
+                                    {.clusters = 8, .spread = 2.0}, 91);
+  CpAlsOptions opt;
+  opt.rank = 8;
+  opt.max_iterations = 10;
+  opt.tolerance = 0;
+  const auto run = [&](const std::string& engine, int threads) {
+    opt.engine = engine;
+    set_num_threads(threads);
+    clear_flush_bits_everywhere();
+    return cp_als(t, opt);
+  };
+
+  const std::vector<Matrix> iterates = run("dtree-bdt", 1).model.factors;
+  real_t smallest = 1;
+  for (const Matrix& f : iterates)
+    for (std::size_t e = 0; e < f.size(); ++e)
+      if (f.data()[e] != 0)
+        smallest = std::min(smallest, std::abs(f.data()[e]));
+  ASSERT_LT(smallest, 1e-290) << "the factors no longer underflow";
+
+  for (const auto& name : EngineRegistry::instance().names()) {
+    if (name == "auto+probe") continue;
+    // Every MTTKRP on the iterates, owner-computes so that the thread count
+    // may not change a bit.
+    KernelContext ctx;
+    ctx.sched = ScheduleMode::kOwner;
+    for (mode_t m = 0; m < t.order(); ++m) {
+      std::vector<Matrix> outs;
+      for (const int threads : {1, 4}) {
+        set_num_threads(threads);
+        clear_flush_bits_everywhere();
+        Matrix out;
+        make_engine(name, t, opt.rank, ctx)->compute(m, iterates, out);
+        EXPECT_FALSE(has_subnormal(out))
+            << name << " mode " << m << " threads=" << threads;
+        outs.push_back(std::move(out));
+      }
+      EXPECT_TRUE(outs[0] == outs[1]) << name << " mode " << m;
+      // Privatized partials reassociate across thread counts, so that
+      // schedule is held only to making no subnormal.
+      KernelContext split;
+      split.sched = ScheduleMode::kPrivatized;
+      Matrix out;
+      make_engine(name, t, opt.rank, split)->compute(m, iterates, out);
+      EXPECT_FALSE(has_subnormal(out))
+          << name << " mode " << m << " privatized";
+    }
+
+    // Whole runs from the same start.
+    const CpAlsResult r1 = run(name, 1);
+    const CpAlsResult r4 = run(name, 4);
+    ASSERT_EQ(r1.fits.size(), r4.fits.size()) << name;
+    for (std::size_t i = 0; i < r1.fits.size(); ++i)
+      EXPECT_EQ(r1.fits[i], r4.fits[i]) << name << " iteration " << i;
+    for (mode_t m = 0; m < t.order(); ++m)
+      EXPECT_TRUE(r1.model.factors[m] == r4.model.factors[m])
+          << name << " mode " << m;
+  }
 }
 
 }  // namespace

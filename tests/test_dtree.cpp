@@ -226,6 +226,37 @@ TEST(DTreeEngine, FactorUpdatedInvalidatesCorrectly) {
   }
 }
 
+TEST(DTreeEngine, InvalidatedNodeReusesItsStorage) {
+  // Invalidation empties a node's value matrix but keeps its storage, so
+  // the next evaluation of the node writes into the same buffer.
+  const auto t = generate_uniform(shape_t{18, 20, 22, 24}, 900, 43);
+  auto engine = make_dtree_bdt(t);
+  const auto factors = random_factors(t, 5, 16);
+  Matrix out;
+  engine->compute(0, factors, out);
+  const DimensionTree& tree = engine->tree();
+  std::vector<const real_t*> before(tree.size(), nullptr);
+  for (int i = 0; i < tree.size(); ++i)
+    if (!tree.node(i).is_root() && tree.node(i).valid)
+      before[i] = tree.node(i).values.data();
+  const std::size_t bytes_before = tree.value_bytes();
+  engine->factor_updated(3);
+  int invalidated = 0;
+  for (int i = 0; i < tree.size(); ++i) {
+    if (before[i] == nullptr || tree.node(i).valid) continue;
+    ++invalidated;
+    EXPECT_EQ(tree.node(i).values.size(), 0u) << "node " << i;
+  }
+  ASSERT_GT(invalidated, 0);
+  EXPECT_LT(tree.value_bytes(), bytes_before);
+  engine->compute(0, factors, out);
+  for (int i = 0; i < tree.size(); ++i) {
+    if (before[i] == nullptr) continue;
+    ASSERT_TRUE(tree.node(i).valid) << "node " << i;
+    EXPECT_EQ(tree.node(i).values.data(), before[i]) << "node " << i;
+  }
+}
+
 TEST(DTreeEngine, StaleResultsWithoutInvalidationDiffer) {
   // Deliberately omit factor_updated: the engine is expected to serve the
   // memoized (now stale) intermediates. This documents the contract.

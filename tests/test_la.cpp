@@ -12,7 +12,9 @@
 #include "la/cholesky.hpp"
 #include "la/eigen.hpp"
 #include "la/matrix.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -600,6 +602,144 @@ TEST(Blas, RowSetRejectsRowsPastTheMatrix) {
   const std::vector<index_t> list = {3, 10};
   EXPECT_THROW(gram(a, RowSet::list(list), g), error);
   EXPECT_THROW(column_norms(a, RowSet::list(list)), error);
+}
+
+using mdcp::testing::mxcsr_controls;
+
+std::vector<real_t> values(const Matrix& m) {
+  return {m.data(), m.data() + m.size()};
+}
+
+// Runs `kernel`, which returns the values it wrote, once with the caller's
+// MXCSR as it stands and once with FTZ|DAZ already set by the caller. Both
+// runs must give the same bits, none of them subnormal, and each call must
+// leave the caller's MXCSR as it found it.
+template <class Kernel>
+void expect_flushed_whatever_the_caller(const std::string& where,
+                                        Kernel kernel) {
+  const unsigned plain_csr = mxcsr_controls();
+  const std::vector<real_t> plain = kernel();
+  EXPECT_EQ(mxcsr_controls(), plain_csr) << where;
+  std::vector<real_t> flushed;
+  {
+    const FlushSubnormals caller;
+    const unsigned flushed_csr = mxcsr_controls();
+    flushed = kernel();
+    EXPECT_EQ(mxcsr_controls(), flushed_csr) << where;
+  }
+  ASSERT_EQ(plain.size(), flushed.size()) << where;
+  EXPECT_EQ(std::memcmp(plain.data(), flushed.data(),
+                        plain.size() * sizeof(real_t)),
+            0)
+      << where;
+  EXPECT_EQ(std::count_if(plain.begin(), plain.end(),
+                          [](real_t v) {
+                            return std::fpclassify(v) == FP_SUBNORMAL;
+                          }),
+            0)
+      << where;
+}
+
+// Entries scaled so that each kernel's products or quotients fall below
+// DBL_MIN: without flush-to-zero every output below would hold subnormals.
+TEST(FpEnv, LaKernelsFlushSubnormalsWhateverTheCaller) {
+#if !defined(__SSE2__)
+  GTEST_SKIP() << "no MXCSR on this target";
+#endif
+  const index_t n = 2 * kGramBlock + 50;
+  const index_t r = 6;
+  const auto scaled = [](Matrix m, real_t scale) {
+    for (std::size_t e = 0; e < m.size(); ++e)
+      m.data()[e] = (1 + m.data()[e]) * scale;
+    return m;
+  };
+  std::vector<index_t> list;
+  for (index_t i = 0; i < n; i += 3) list.push_back(i);
+  const RowSet rows = RowSet::list(list);
+  const int saved_threads = num_threads();
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    mdcp::testing::clear_flush_bits_everywhere();
+    const std::string at = " threads=" + std::to_string(threads);
+    Rng rng(91);
+    // Products of two entries are about 1e-320.
+    const Matrix tiny = scaled(Matrix::random_uniform(n, r, rng), 1e-160);
+    const Matrix tiny_sq = scaled(Matrix::random_uniform(r, r, rng), 1e-160);
+    // Unit-scale columns after a 1e10 first row: the quotients of the other
+    // rows are about 1e-310.
+    Matrix spiked = scaled(Matrix::random_uniform(n, r, rng), 1e-300);
+    for (index_t c = 0; c < r; ++c) spiked(0, c) = 1e10;
+    // H about 1e4 × an SPD matrix, right-hand sides about 1e-307: the
+    // solutions are about 1e-311.
+    Matrix h = random_spd(r, rng);
+    for (std::size_t e = 0; e < h.size(); ++e) h.data()[e] *= 1e4;
+    const Matrix rhs = scaled(Matrix::random_uniform(n, r, rng), 1e-307);
+    // Diagonal 1e20, off-diagonal entries about 1e-300: the factor's
+    // off-diagonal entries are about 1e-310.
+    Matrix spd = scaled(Matrix::random_uniform(r, r, rng), 1e-300);
+    for (index_t i = 0; i < r; ++i)
+      for (index_t j = 0; j < i; ++j) spd(j, i) = spd(i, j);
+    for (index_t i = 0; i < r; ++i) spd(i, i) = 1e20;
+
+    expect_flushed_whatever_the_caller("gram" + at, [&] {
+      Matrix g;
+      gram(tiny, g);
+      return values(g);
+    });
+    expect_flushed_whatever_the_caller("gram row set" + at, [&] {
+      Matrix g;
+      gram(tiny, rows, g);
+      return values(g);
+    });
+    expect_flushed_whatever_the_caller("multiply_into" + at, [&] {
+      Matrix c;
+      multiply_into(tiny, tiny_sq, c);
+      return values(c);
+    });
+    expect_flushed_whatever_the_caller("hadamard_inplace" + at, [&] {
+      Matrix a = tiny_sq;
+      hadamard_inplace(a, tiny_sq);
+      return values(a);
+    });
+    expect_flushed_whatever_the_caller("dot" + at, [&] {
+      return std::vector<real_t>{dot(tiny, tiny)};
+    });
+    expect_flushed_whatever_the_caller("column_norms" + at, [&] {
+      return column_norms(tiny, rows);
+    });
+    expect_flushed_whatever_the_caller("column_normalize" + at, [&] {
+      Matrix a = spiked;
+      std::vector<real_t> out = column_normalize(a);
+      out.insert(out.end(), a.data(), a.data() + a.size());
+      return out;
+    });
+    expect_flushed_whatever_the_caller("normalize_gram" + at, [&] {
+      Matrix a = spiked;
+      Matrix g;
+      normalize_gram(a, RowSet::all(n), column_norms(a, RowSet::all(n)), g);
+      std::vector<real_t> out = values(g);
+      out.insert(out.end(), a.data(), a.data() + a.size());
+      return out;
+    });
+    expect_flushed_whatever_the_caller("cholesky_factor_status" + at, [&] {
+      Matrix l = spd;
+      EXPECT_EQ(cholesky_factor_status(l), CholeskyStatus::kOk);
+      return values(l);
+    });
+    expect_flushed_whatever_the_caller("cholesky_solve_rows" + at, [&] {
+      Matrix l = h;
+      EXPECT_TRUE(cholesky_factor(l));
+      Matrix x = rhs;
+      EXPECT_TRUE(cholesky_solve_rows(l, x));
+      return values(x);
+    });
+    expect_flushed_whatever_the_caller("solve_normal_equations" + at, [&] {
+      Matrix x(n, r, 0);
+      solve_normal_equations(h, rhs, rows, x);
+      return values(x);
+    });
+  }
+  set_num_threads(saved_threads);
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <memory>
 #include <tuple>
 
+#include "csf/csf_mttkrp.hpp"
+#include "csf/csf_tensor.hpp"
 #include "mttkrp/registry.hpp"
 #include "tensor/generator.hpp"
 #include "test_helpers.hpp"
@@ -16,7 +19,10 @@
 namespace mdcp {
 namespace {
 
+using mdcp::testing::clear_flush_bits_everywhere;
 using mdcp::testing::exact_engine_names;
+using mdcp::testing::has_subnormal;
+using mdcp::testing::mxcsr_controls;
 using mdcp::testing::random_factors;
 
 // gtest parameter names allow only alphanumerics and underscores.
@@ -186,6 +192,64 @@ TEST(EngineEdgeCases, AutoEngineIsExact) {
     mttkrp_reference(t, factors, m, want);
     EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-9) << "mode " << m;
   }
+}
+
+// Factor entries in [1e-80, 2e-80) on an order-5 tensor: every product of
+// four of them is below DBL_MIN, so without flush-to-zero every MTTKRP entry
+// would be a sum of subnormals. Under the kernels' FTZ|DAZ it is exactly 0.
+// The workers' bits are cleared first, so each parallel body must set them
+// itself; both schedules run, so both kinds of parallel body do. Two modes
+// span several 256-index blocks so that bcoo has more than one tile.
+TEST(FpEnv, EveryEngineFlushesSubnormalsWhateverTheCaller) {
+#if !defined(__SSE2__)
+  GTEST_SKIP() << "no MXCSR on this target";
+#endif
+  const auto t = generate_uniform(shape_t{600, 7, 8, 9, 520}, 400, 41);
+  auto factors = random_factors(t, 5, 42);
+  for (Matrix& f : factors)
+    for (std::size_t e = 0; e < f.size(); ++e)
+      f.data()[e] = (1 + f.data()[e]) * 1e-80;
+  const int saved_threads = num_threads();
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    clear_flush_bits_everywhere();
+    for (const ScheduleMode sched :
+         {ScheduleMode::kOwner, ScheduleMode::kPrivatized}) {
+      KernelContext ctx;
+      ctx.sched = sched;
+      for (const auto& name : EngineRegistry::instance().names()) {
+        const auto engine = make_engine(name, t, 5, ctx);
+        for (mode_t m = 0; m < t.order(); ++m) {
+          const std::string where =
+              name + " mode " + std::to_string(m) + " threads=" +
+              std::to_string(threads) +
+              (sched == ScheduleMode::kOwner ? " owner" : " privatized");
+          const unsigned plain_csr = mxcsr_controls();
+          Matrix plain, flushed;
+          engine->compute(m, factors, plain);
+          EXPECT_EQ(mxcsr_controls(), plain_csr) << where;
+          EXPECT_FALSE(has_subnormal(plain)) << where;
+          {
+            const FlushSubnormals caller;
+            const unsigned flushed_csr = mxcsr_controls();
+            engine->compute(m, factors, flushed);
+            EXPECT_EQ(mxcsr_controls(), flushed_csr) << where;
+          }
+          ASSERT_EQ(plain.size(), flushed.size()) << where;
+          EXPECT_EQ(std::memcmp(plain.data(), flushed.data(),
+                                plain.size() * sizeof(real_t)),
+                    0)
+              << where;
+        }
+      }
+    }
+    // The standalone CSF root kernel has a parallel body of its own.
+    const CsfTensor csf(t, CsfTensor::default_order(t, 2));
+    Matrix root;
+    csf_mttkrp_root(csf, factors, root);
+    EXPECT_FALSE(has_subnormal(root)) << "csf_mttkrp_root threads=" << threads;
+  }
+  set_num_threads(saved_threads);
 }
 
 }  // namespace

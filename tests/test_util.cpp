@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/span_util.hpp"
@@ -192,6 +194,34 @@ TEST(Parallel, ChunkedCoversAllOnceWithDisjointRanges) {
   });
   set_num_threads(1);
   for (nnz_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << "index " << i;
+}
+
+TEST(Parallel, HelpersRunEveryThreadUnderFlushSubnormals) {
+#if !defined(__SSE2__)
+  GTEST_SKIP() << "no MXCSR on this target";
+#endif
+  set_num_threads(4);
+  // Cleared on every team thread first, so the helpers must set them.
+  mdcp::testing::clear_flush_bits_everywhere();
+  using mdcp::testing::mxcsr_controls;
+  const unsigned caller = mxcsr_controls();
+  constexpr nnz_t n = 64;
+  std::vector<unsigned> seen(n, 0);
+  const auto flush_bits = [] {
+    return mxcsr_controls() & kFlushSubnormalBits;
+  };
+  parallel_for(n, [&](nnz_t i) { seen[i] = flush_bits(); });
+  for (const unsigned bits : seen) EXPECT_EQ(bits, kFlushSubnormalBits);
+  std::fill(seen.begin(), seen.end(), 0u);
+  parallel_for_dynamic(n, [&](nnz_t i) { seen[i] = flush_bits(); }, 4);
+  for (const unsigned bits : seen) EXPECT_EQ(bits, kFlushSubnormalBits);
+  std::fill(seen.begin(), seen.end(), 0u);
+  parallel_for_chunked(n, [&](int, Range r) {
+    for (nnz_t i = r.begin; i < r.end; ++i) seen[i] = flush_bits();
+  });
+  for (const unsigned bits : seen) EXPECT_EQ(bits, kFlushSubnormalBits);
+  EXPECT_EQ(mxcsr_controls(), caller);
+  set_num_threads(1);
 }
 
 TEST(Parallel, ThreadScopeRestoresOnExit) {
