@@ -105,6 +105,8 @@ std::size_t DimensionTree::Node::symbolic_bytes() const {
   for (const auto& a : idx) b += a.size() * sizeof(index_t);
   b += red_ptr.size() * sizeof(nnz_t);
   b += red_ids.size() * sizeof(nnz_t);
+  b += red_vals.size() * sizeof(real_t);
+  for (const auto& a : red_idx) b += a.size() * sizeof(index_t);
   return b;
 }
 

@@ -69,8 +69,18 @@ class DimensionTree {
     // --- symbolic sparsity (root aliases the input tensor; empty here) ---
     nnz_t tuples = 0;                       ///< projected distinct tuples
     std::vector<std::vector<index_t>> idx;  ///< [pos in modes][tuple]
-    std::vector<nnz_t> red_ptr;  ///< CSR offsets into red_ids, size tuples+1
-    std::vector<nnz_t> red_ids;  ///< contributing parent tuple ids
+    std::vector<nnz_t> red_ptr;  ///< CSR offsets of the reduction entries,
+                                 ///< size tuples+1
+    std::vector<nnz_t> red_ids;  ///< contributing parent tuple ids (empty
+                                 ///< for children of the root)
+
+    // --- streamed root operands (children of the root only) ---
+    // The tensor's values and the contracted modes' coordinates in
+    // reduction order: entry jp is the nonzero at position jp of the stable
+    // sort by μ(t). The root pass reads them sequentially, with no
+    // permutation of the nonzeros, so red_ids is not kept for these nodes.
+    std::vector<real_t> red_vals;               ///< [entry]
+    std::vector<std::vector<index_t>> red_idx;  ///< [pos in delta][entry]
 
     // --- numeric state ---
     Matrix values;  ///< tuples × R when materialized
@@ -111,7 +121,8 @@ class DimensionTree {
   /// Number of projected tuples of a node (root: nnz of the tensor).
   nnz_t node_tuples(int which) const;
 
-  /// Bytes of all symbolic structures (index arrays + reduction sets).
+  /// Bytes of all symbolic structures (index arrays, reduction sets and
+  /// streamed root operands).
   std::size_t symbolic_bytes() const;
 
   /// Bytes of currently materialized value matrices (their entries; the

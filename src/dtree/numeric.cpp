@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <span>
 
 #include "mttkrp/microkernel.hpp"
@@ -37,6 +38,20 @@ obs::Counter& invalidated_metric() {
   return c;
 }
 
+// How many reduction entries ahead a non-root pass prefetches the parent
+// row. Those rows arrive in the order of the node's sort, which for all but
+// one child of a parent is scattered over the parent's value matrix.
+constexpr nnz_t kAhead = 8;
+
+// Prefetches every cache line that the `cols`-wide row at `row` touches.
+void prefetch_row(const real_t* row, index_t cols) {
+  constexpr std::uintptr_t kLine = 64;
+  const auto first = reinterpret_cast<std::uintptr_t>(row) / kLine;
+  const auto last = (reinterpret_cast<std::uintptr_t>(row + cols) - 1) / kLine;
+  for (std::uintptr_t line = first; line <= last; ++line)
+    __builtin_prefetch(reinterpret_cast<const void*>(line * kLine));
+}
+
 // Computes one node's values from its (already materialized) parent.
 // Returns the multiply/add count of the pass.
 std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
@@ -49,24 +64,27 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
 
   n.values.resize(static_cast<index_t>(n.tuples), rank, 0);
 
-  // Resolve the parent's coordinate arrays for the contracted modes and the
-  // factor matrices once, outside the hot loop. Fixed-size arrays keep this
-  // allocation-free (δ can never exceed the tensor order).
+  // Resolve the coordinate arrays for the contracted modes and the factor
+  // matrices once, outside the hot loop. A child of the root reads its own
+  // streamed copies by reduction entry; any other node reads its parent's
+  // arrays by parent tuple. Fixed-size arrays keep this allocation-free (δ
+  // can never exceed the tensor order).
   const std::size_t nd = n.delta.size();
   MDCP_CHECK_MSG(nd <= kMaxOrder, "contraction set exceeds kMaxOrder");
   std::array<std::span<const index_t>, kMaxOrder> didx;
   std::array<const Matrix*, kMaxOrder> dfac;
   for (std::size_t d = 0; d < nd; ++d) {
-    didx[d] = tree.node_mode_index(n.parent, n.delta[d]);
+    didx[d] = parent_is_root ? std::span<const index_t>(n.red_idx[d])
+                             : tree.node_mode_index(n.parent, n.delta[d]);
     dfac[d] = &factors[n.delta[d]];
   }
-  const std::span<const real_t> root_vals =
-      parent_is_root ? tree.tensor().values() : std::span<const real_t>{};
+  const std::span<const real_t> root_vals = n.red_vals;
+  const nnz_t entries = n.red_ptr.back();
 
   const int threads = ts != nullptr ? ts->threads : num_threads();
   const ScheduleMode smode =
       ts != nullptr ? ts->mode : ScheduleMode::kAuto;
-  const sched::WorkShape shape{.total = n.red_ids.size(),
+  const sched::WorkShape shape{.total = entries,
                                .max_unit = n.max_red,
                                .units = n.tuples,
                                .out_rows = static_cast<index_t>(n.tuples),
@@ -90,7 +108,11 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
     tmp = mk::assume_aligned(tmp);
     real_t* out = dst + t * rank;
     for (nnz_t jp = n.red_ptr[t] + begin; jp < n.red_ptr[t] + end; ++jp) {
-      const nnz_t j = n.red_ids[jp];
+      if (!parent_is_root && jp + kAhead < entries)
+        prefetch_row(
+            p.values.row(static_cast<index_t>(n.red_ids[jp + kAhead])).data(),
+            rank);
+      const nnz_t j = parent_is_root ? jp : n.red_ids[jp];
       const auto frow = [&](std::size_t dd) {
         return dfac[dd]->row(didx[dd][j]).data();
       };
@@ -175,7 +197,7 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
     }
   }
   n.valid = true;
-  return static_cast<std::uint64_t>(n.red_ids.size()) * rank * (nd + 1);
+  return static_cast<std::uint64_t>(entries) * rank * (nd + 1);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "dtree/symbolic.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "dtree/dimension_tree.hpp"
 #include "obs/trace.hpp"
@@ -47,6 +48,22 @@ void build_symbolic(DimensionTree& tree) {
       }
     }
     n.red_ptr.push_back(pcount);
+    if (tree.node(parent).is_root()) {
+      // Store the root pass's operands in reduction order; the pass then
+      // needs no permutation, so red_ids is freed.
+      const CooTensor& t = tree.tensor();
+      const std::span<const real_t> vals = t.values();
+      n.red_vals.resize(pcount);
+      for (nnz_t p = 0; p < pcount; ++p) n.red_vals[p] = vals[n.red_ids[p]];
+      n.red_idx.assign(n.delta.size(), {});
+      for (std::size_t d = 0; d < n.delta.size(); ++d) {
+        const auto coords = t.mode_indices(n.delta[d]);
+        n.red_idx[d].resize(pcount);
+        for (nnz_t p = 0; p < pcount; ++p)
+          n.red_idx[d][p] = coords[n.red_ids[p]];
+      }
+      std::vector<nnz_t>().swap(n.red_ids);
+    }
     n.tuples = n.red_ptr.size() - 1;
     MDCP_CHECK(n.tuples <= pcount);
     n.max_red = 0;

@@ -34,6 +34,8 @@ StrategyPrediction predict_strategy(const CooTensor& tensor,
   // width. Byte terms keep the true r — memory traffic is not padded.
   const double rv = static_cast<double>(mk::padded_rank(rank));
 
+  const mode_set_t root_set = spec_mode_set(spec);
+
   // Per-leaf path costs, used for the peak-value-memory bound.
   std::vector<std::size_t> path_value_bytes;
 
@@ -81,11 +83,19 @@ StrategyPrediction predict_strategy(const CooTensor& tensor,
                     params.threads, static_cast<index_t>(tuples), rank));
           }
 
-          // Persistent symbolic structures of this node.
+          // Persistent symbolic structures of this node: its index arrays,
+          // reduction offsets and one operand set per reduction entry — the
+          // parent tuple id, or for a child of the root the tensor value and
+          // the contracted coordinates (dtree/symbolic.hpp).
+          const std::size_t entry_bytes =
+              parent_set == root_set
+                  ? sizeof(real_t) +
+                        static_cast<std::size_t>(nc.delta) * sizeof(index_t)
+                  : sizeof(nnz_t);
           pred.symbolic_bytes +=
-              static_cast<std::size_t>(tuples) *
-                  (node.is_leaf() ? 1 : node.modes.size()) * sizeof(index_t) +
-              static_cast<std::size_t>(parent_tuples) * sizeof(nnz_t) +
+              static_cast<std::size_t>(tuples) * node.modes.size() *
+                  sizeof(index_t) +
+              static_cast<std::size_t>(parent_tuples) * entry_bytes +
               (static_cast<std::size_t>(tuples) + 1) * sizeof(nnz_t);
           my_value_bytes =
               static_cast<std::size_t>(tuples) * rank * sizeof(real_t);

@@ -3,21 +3,31 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <numeric>
+#include <string>
 
+#include "cpals/cpals.hpp"
 #include "dtree/dimension_tree.hpp"
 #include "dtree/dtree_engine.hpp"
 #include "dtree/numeric.hpp"
+#include "model/sketch.hpp"
+#include "model/strategy.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/stats.hpp"
 #include "test_helpers.hpp"
+#include "ttmv_oracle.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/workspace.hpp"
 
 namespace mdcp {
 namespace {
 
+using mdcp::testing::pull_ttmv;
 using mdcp::testing::random_factors;
+using mdcp::testing::stable_reduction_order;
 
 std::vector<mode_t> natural(mode_t n) {
   std::vector<mode_t> o(n);
@@ -118,21 +128,46 @@ TEST(DimensionTree, SymbolicTupleCountsMatchProjections) {
 
 TEST(DimensionTree, ReductionSetsPartitionParent) {
   const auto t = generate_uniform(shape_t{20, 20, 20, 20}, 800, 7);
-  const DimensionTree tree(t, TreeSpec::bdt(natural(4)));
-  for (int i = 0; i < tree.size(); ++i) {
-    const auto& n = tree.node(i);
-    if (n.is_root()) continue;
-    const nnz_t parent_tuples = tree.node_tuples(n.parent);
-    // red_ids is a permutation of the parent's tuple ids.
-    EXPECT_EQ(n.red_ids.size(), parent_tuples);
-    std::vector<bool> seen(parent_tuples, false);
-    for (nnz_t id : n.red_ids) {
-      ASSERT_LT(id, parent_tuples);
-      EXPECT_FALSE(seen[id]);
-      seen[id] = true;
+  for (const TreeSpec& spec :
+       {TreeSpec::bdt(natural(4)), TreeSpec::flat(natural(4))}) {
+    const DimensionTree tree(t, spec);
+    for (int i = 0; i < tree.size(); ++i) {
+      const auto& n = tree.node(i);
+      if (n.is_root()) continue;
+      SCOPED_TRACE(spec.to_string() + " node " + std::to_string(i));
+      const nnz_t parent_tuples = tree.node_tuples(n.parent);
+      EXPECT_EQ(n.red_ptr.front(), 0u);
+      EXPECT_EQ(n.red_ptr.back(), parent_tuples);
+      if (tree.node(n.parent).is_root()) {
+        // The streamed operands are the tensor's values and contracted
+        // coordinates taken in the stable-sorted reduction order.
+        const auto order = stable_reduction_order(t, n.modes);
+        EXPECT_TRUE(n.red_ids.empty());
+        ASSERT_EQ(n.red_vals.size(), parent_tuples);
+        ASSERT_EQ(n.red_idx.size(), n.delta.size());
+        for (nnz_t jp = 0; jp < parent_tuples; ++jp)
+          ASSERT_EQ(n.red_vals[jp], t.values()[order[jp]]) << "entry " << jp;
+        for (std::size_t d = 0; d < n.delta.size(); ++d) {
+          const auto coords = t.mode_indices(n.delta[d]);
+          ASSERT_EQ(n.red_idx[d].size(), parent_tuples);
+          for (nnz_t jp = 0; jp < parent_tuples; ++jp)
+            ASSERT_EQ(n.red_idx[d][jp], coords[order[jp]])
+                << "mode " << n.delta[d] << " entry " << jp;
+        }
+        continue;
+      }
+      // Below the root's children, red_ids is a permutation of the parent's
+      // tuple ids.
+      EXPECT_TRUE(n.red_vals.empty());
+      EXPECT_TRUE(n.red_idx.empty());
+      EXPECT_EQ(n.red_ids.size(), parent_tuples);
+      std::vector<bool> seen(parent_tuples, false);
+      for (nnz_t id : n.red_ids) {
+        ASSERT_LT(id, parent_tuples);
+        EXPECT_FALSE(seen[id]);
+        seen[id] = true;
+      }
     }
-    EXPECT_EQ(n.red_ptr.front(), 0u);
-    EXPECT_EQ(n.red_ptr.back(), parent_tuples);
   }
 }
 
@@ -167,6 +202,71 @@ TEST(DimensionTree, RequiresOrderTwoPlus) {
   TreeSpec leaf;
   leaf.modes = {0};
   EXPECT_THROW(DimensionTree(t, leaf), error);
+}
+
+// The streamed TTMV against the pull loop it replaced (ttmv_oracle.hpp),
+// node by node and bit for bit: flat, three-level, binary and greedy trees,
+// owner-computes and privatized, 1 and 4 threads. The factors are ALS
+// iterates of a clustered tensor whose entries fall to about 1e-300, so
+// products underflow and both sides must flush them alike.
+TEST(DTreeNumeric, StreamedTtmvMatchesPullLoopBitwise) {
+  const auto t = generate_clustered(shape_t{400, 320, 240, 160, 80}, 3000,
+                                    {.clusters = 8, .spread = 2.0}, 91);
+  CpAlsOptions opt;
+  opt.rank = 8;
+  opt.max_iterations = 10;
+  opt.tolerance = 0;
+  opt.engine = "dtree-bdt";
+  const std::vector<Matrix> iterates = [&] {
+    const ThreadScope one(1);
+    return cp_als(t, opt).model.factors;
+  }();
+  real_t smallest = 1;
+  for (const Matrix& f : iterates)
+    for (std::size_t e = 0; e < f.size(); ++e)
+      if (f.data()[e] != 0)
+        smallest = std::min(smallest, std::abs(f.data()[e]));
+  ASSERT_LT(smallest, 1e-290) << "the factors no longer underflow";
+
+  ProjectionCounter counter(t);
+  const auto order = natural(5);
+  // Three-level at 2 and at 4 together reach every fused path: root
+  // children contract 1 to 4 modes and inner nodes 1 to 3.
+  const std::vector<TreeSpec> specs{
+      TreeSpec::flat(order), TreeSpec::three_level(order, 2),
+      TreeSpec::three_level(order, 4), TreeSpec::bdt(order),
+      greedy_tree(t, counter)};
+  for (const TreeSpec& spec : specs) {
+    for (const ScheduleMode mode :
+         {ScheduleMode::kOwner, ScheduleMode::kPrivatized}) {
+      for (const int threads : {1, 4}) {
+        const ThreadScope scope(threads);
+        DimensionTree tree(t, spec);
+        Workspace ws;
+        TtmvSched ts;
+        ts.threads = threads;
+        ts.mode = mode;
+        for (mode_t m = 0; m < t.order(); ++m)
+          compute_node_values(tree, tree.leaf_for_mode(m), iterates,
+                              opt.rank, ws, &ts);
+        for (const int id : tree.bfs_order()) {
+          const auto& n = tree.node(id);
+          if (n.is_root()) continue;
+          SCOPED_TRACE(spec.to_string() + " node " + std::to_string(id) +
+                       (mode == ScheduleMode::kOwner ? " owner" : " privatized") +
+                       " threads=" + std::to_string(threads));
+          ASSERT_TRUE(n.valid);
+          const Matrix want =
+              pull_ttmv(tree, id, iterates, opt.rank, threads, mode);
+          ASSERT_EQ(n.values.rows(), want.rows());
+          ASSERT_EQ(n.values.cols(), want.cols());
+          EXPECT_EQ(std::memcmp(n.values.data(), want.data(),
+                                want.size() * sizeof(real_t)),
+                    0);
+        }
+      }
+    }
+  }
 }
 
 TEST(DTreeEngine, MatchesReferenceAllShapes) {

@@ -193,6 +193,28 @@ TEST(CostModel, PredictedTuplesMatchSymbolicTree) {
   }
 }
 
+// Below kExactProjectionThreshold the counts are exact, so the predicted
+// symbolic footprint must be the built tree's, byte for byte, for every
+// candidate the tuner ranks (the greedy tree included).
+TEST(CostModel, SymbolicBytesMatchBuiltTree) {
+  const std::vector<CooTensor> tensors{
+      generate_zipf(shape_t{80, 400, 2000, 600}, 20000, 1.1, 3),
+      generate_clustered(shape_t{200, 150, 100, 50, 20}, 20000,
+                         {.clusters = 32, .spread = 6.0}, 5),
+      generate_uniform(shape_t{50, 60, 70}, 10000, 7)};
+  for (const CooTensor& t : tensors) {
+    ASSERT_LE(t.nnz(), kExactProjectionThreshold);
+    ProjectionCounter counter(t);
+    for (const Strategy& s : enumerate_strategies(t, &counter)) {
+      const auto pred = predict_strategy(t, s.spec, 8, counter);
+      const DimensionTree tree(t, s.spec);
+      EXPECT_EQ(pred.symbolic_bytes, tree.symbolic_bytes())
+          << "order " << t.order() << " " << s.name << " "
+          << s.spec.to_string();
+    }
+  }
+}
+
 TEST(CostModel, PeakValueMemoryTracksMeasuredPeak) {
   const auto t = generate_uniform(shape_t{60, 60, 60, 60}, 3000, 23);
   ProjectionCounter counter(t);
