@@ -52,7 +52,9 @@ void DTreeMttkrpEngine::do_compute(mode_t mode,
 
   const int leaf = tree.leaf_for_mode(mode);
   record_tile(mk::select_tile(r));
-  TtmvSched ts{.threads = effective_threads(), .mode = schedule_mode()};
+  TtmvSched ts;
+  ts.threads = effective_threads();
+  ts.mode = schedule_mode();
   count_flops(compute_node_values(tree, leaf, factors, r, workspace(), &ts));
   peak_bytes_ = std::max(peak_bytes_, memory_bytes());
 

@@ -11,6 +11,7 @@
 #include "sched/reduce.hpp"
 #include "util/error.hpp"
 #include "util/fpenv.hpp"
+#include "util/isa.hpp"
 #include "util/parallel.hpp"
 #include "util/types.hpp"
 
@@ -44,12 +45,106 @@ obs::Counter& invalidated_metric() {
 constexpr nnz_t kAhead = 8;
 
 // Prefetches every cache line that the `cols`-wide row at `row` touches.
-void prefetch_row(const real_t* row, index_t cols) {
+MDCP_ALWAYS_INLINE void prefetch_row(const real_t* row, index_t cols) {
   constexpr std::uintptr_t kLine = 64;
   const auto first = reinterpret_cast<std::uintptr_t>(row) / kLine;
   const auto last = (reinterpret_cast<std::uintptr_t>(row + cols) - 1) / kLine;
   for (std::uintptr_t line = first; line <= last; ++line)
     __builtin_prefetch(reinterpret_cast<const void*>(line * kLine));
+}
+
+// What one node pass reads, resolved once outside the hot loop. A child of
+// the root reads its own streamed copies (root_vals, didx) by reduction
+// entry; any other node reads its parent's arrays by parent tuple.
+// Fixed-size arrays keep this allocation-free (δ can never exceed the
+// tensor order).
+struct TtmvPass {
+  const DimensionTree::Node* n = nullptr;
+  const Matrix* parent_values = nullptr;
+  bool parent_is_root = false;
+  std::size_t nd = 0;
+  std::array<std::span<const index_t>, kMaxOrder> didx{};
+  std::array<const Matrix*, kMaxOrder> dfac{};
+  std::span<const real_t> root_vals;
+  nnz_t entries = 0;
+  index_t rank = 0;
+  mk::Kernel mk;
+  const sched::TilePlan* plan = nullptr;
+};
+
+// Accumulates reduction entries [red_ptr[t]+begin, red_ptr[t]+end) of
+// tuple t into `dst` row t. The fused microkernel paths cover the common
+// small contraction sets; wider δ falls back to the Hadamard accumulator
+// `tmp` (slab-origin, 64-byte aligned).
+MDCP_ALWAYS_INLINE void accumulate(const TtmvPass& a, nnz_t t, nnz_t begin,
+                                   nnz_t end, real_t* tmp, real_t* dst) {
+  const auto& n = *a.n;
+  const mk::Kernel& mk = a.mk;
+  const std::size_t nd = a.nd;
+  tmp = mk::assume_aligned(tmp);
+  real_t* out = dst + t * a.rank;
+  for (nnz_t jp = n.red_ptr[t] + begin; jp < n.red_ptr[t] + end; ++jp) {
+    if (!a.parent_is_root && jp + kAhead < a.entries)
+      prefetch_row(a.parent_values
+                       ->row(static_cast<index_t>(n.red_ids[jp + kAhead]))
+                       .data(),
+                   a.rank);
+    const nnz_t j = a.parent_is_root ? jp : n.red_ids[jp];
+    const auto frow = [&](std::size_t dd) MDCP_INLINE_LAMBDA {
+      return a.dfac[dd]->row(a.didx[dd][j]).data();
+    };
+    if (a.parent_is_root) {
+      const real_t v = a.root_vals[j];
+      if (nd == 1) {
+        mk.axpy_accum(out, frow(0), v);
+      } else if (nd == 2) {
+        mk.fused2_accum(out, frow(0), frow(1), v);
+      } else if (nd == 3) {
+        mk.fused3_accum(out, frow(0), frow(1), frow(2), v);
+      } else {
+        mk.fill(tmp, v);
+        for (std::size_t dd = 0; dd < nd; ++dd) mk.hadamard(tmp, frow(dd));
+        mk.accum(out, tmp);
+      }
+    } else {
+      const real_t* prow =
+          a.parent_values->row(static_cast<index_t>(j)).data();
+      if (nd == 1) {
+        mk.fused2_accum(out, prow, frow(0), 1);
+      } else if (nd == 2) {
+        mk.fused3_accum(out, prow, frow(0), frow(1), 1);
+      } else {
+        mk.copy(tmp, prow);
+        for (std::size_t dd = 0; dd < nd; ++dd) mk.hadamard(tmp, frow(dd));
+        mk.accum(out, tmp);
+      }
+    }
+  }
+}
+
+// Runs every group range of tile `tile` of the pass's plan into `dst`. The
+// per-tile body of both schedules, compiled once per ISA variant below.
+MDCP_ALWAYS_INLINE void ttmv_tile(const TtmvPass& a, int tile, real_t* tmp,
+                                  real_t* dst) {
+  const auto& red_ptr = a.n->red_ptr;
+  sched::for_each_group_range(
+      *a.plan, tile,
+      [&](nnz_t t) MDCP_INLINE_LAMBDA { return red_ptr[t + 1] - red_ptr[t]; },
+      [&](nnz_t t, nnz_t begin, nnz_t end) MDCP_INLINE_LAMBDA {
+        accumulate(a, t, begin, end, tmp, dst);
+      });
+}
+
+using TtmvTileFn = void (*)(const TtmvPass&, int, real_t*, real_t*);
+
+void ttmv_tile_baseline(const TtmvPass& a, int tile, real_t* tmp,
+                        real_t* dst) {
+  ttmv_tile(a, tile, tmp, dst);
+}
+
+MDCP_TARGET_AVX2 void ttmv_tile_avx2(const TtmvPass& a, int tile,
+                                     real_t* tmp, real_t* dst) {
+  ttmv_tile(a, tile, tmp, dst);
 }
 
 // Computes one node's values from its (already materialized) parent.
@@ -60,31 +155,33 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
                                TtmvSched* ts) {
   auto& n = tree.node(which);
   const auto& p = tree.node(n.parent);
-  const bool parent_is_root = p.is_root();
 
   n.values.resize(static_cast<index_t>(n.tuples), rank, 0);
 
-  // Resolve the coordinate arrays for the contracted modes and the factor
-  // matrices once, outside the hot loop. A child of the root reads its own
-  // streamed copies by reduction entry; any other node reads its parent's
-  // arrays by parent tuple. Fixed-size arrays keep this allocation-free (δ
-  // can never exceed the tensor order).
-  const std::size_t nd = n.delta.size();
-  MDCP_CHECK_MSG(nd <= kMaxOrder, "contraction set exceeds kMaxOrder");
-  std::array<std::span<const index_t>, kMaxOrder> didx;
-  std::array<const Matrix*, kMaxOrder> dfac;
-  for (std::size_t d = 0; d < nd; ++d) {
-    didx[d] = parent_is_root ? std::span<const index_t>(n.red_idx[d])
-                             : tree.node_mode_index(n.parent, n.delta[d]);
-    dfac[d] = &factors[n.delta[d]];
+  TtmvPass a;
+  a.n = &n;
+  a.parent_values = &p.values;
+  a.parent_is_root = p.is_root();
+  a.nd = n.delta.size();
+  MDCP_CHECK_MSG(a.nd <= kMaxOrder, "contraction set exceeds kMaxOrder");
+  for (std::size_t d = 0; d < a.nd; ++d) {
+    a.didx[d] = a.parent_is_root
+                    ? std::span<const index_t>(n.red_idx[d])
+                    : tree.node_mode_index(n.parent, n.delta[d]);
+    a.dfac[d] = &factors[n.delta[d]];
   }
-  const std::span<const real_t> root_vals = n.red_vals;
-  const nnz_t entries = n.red_ptr.back();
+  a.root_vals = n.red_vals;
+  a.entries = n.red_ptr.back();
+  a.rank = rank;
+  a.mk = mk::Kernel(rank);
 
   const int threads = ts != nullptr ? ts->threads : num_threads();
   const ScheduleMode smode =
       ts != nullptr ? ts->mode : ScheduleMode::kAuto;
-  const sched::WorkShape shape{.total = entries,
+  const TtmvTileFn tile_fn =
+      isa::pick(ts != nullptr ? ts->variant : isa::dispatched(),
+                &ttmv_tile_baseline, &ttmv_tile_avx2);
+  const sched::WorkShape shape{.total = a.entries,
                                .max_unit = n.max_red,
                                .units = n.tuples,
                                .out_rows = static_cast<index_t>(n.tuples),
@@ -97,81 +194,27 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
     ts->last = d;
   }
 
-  const mk::Kernel mk(rank);
-
-  // Accumulates reduction entries [red_ptr[t]+begin, red_ptr[t]+end) of
-  // tuple t into `dst` row t. The fused microkernel paths cover the common
-  // small contraction sets; wider δ falls back to the Hadamard accumulator
-  // `tmp` (slab-origin, 64-byte aligned).
-  const auto accumulate = [&](nnz_t t, nnz_t begin, nnz_t end, real_t* tmp,
-                              real_t* dst) {
-    tmp = mk::assume_aligned(tmp);
-    real_t* out = dst + t * rank;
-    for (nnz_t jp = n.red_ptr[t] + begin; jp < n.red_ptr[t] + end; ++jp) {
-      if (!parent_is_root && jp + kAhead < entries)
-        prefetch_row(
-            p.values.row(static_cast<index_t>(n.red_ids[jp + kAhead])).data(),
-            rank);
-      const nnz_t j = parent_is_root ? jp : n.red_ids[jp];
-      const auto frow = [&](std::size_t dd) {
-        return dfac[dd]->row(didx[dd][j]).data();
-      };
-      if (parent_is_root) {
-        const real_t v = root_vals[j];
-        if (nd == 1) {
-          mk.axpy_accum(out, frow(0), v);
-        } else if (nd == 2) {
-          mk.fused2_accum(out, frow(0), frow(1), v);
-        } else if (nd == 3) {
-          mk.fused3_accum(out, frow(0), frow(1), frow(2), v);
-        } else {
-          mk.fill(tmp, v);
-          for (std::size_t dd = 0; dd < nd; ++dd) mk.hadamard(tmp, frow(dd));
-          mk.accum(out, tmp);
-        }
-      } else {
-        const real_t* prow = p.values.row(static_cast<index_t>(j)).data();
-        if (nd == 1) {
-          mk.fused2_accum(out, prow, frow(0), 1);
-        } else if (nd == 2) {
-          mk.fused3_accum(out, prow, frow(0), frow(1), 1);
-        } else {
-          mk.copy(tmp, prow);
-          for (std::size_t dd = 0; dd < nd; ++dd) mk.hadamard(tmp, frow(dd));
-          mk.accum(out, tmp);
-        }
-      }
-    }
-  };
-  const auto red_size = [&](nnz_t t) {
-    return n.red_ptr[t + 1] - n.red_ptr[t];
-  };
-
+  const index_t padded = a.mk.padded();
   if (d.schedule == sched::Schedule::kOwner) {
-    const sched::TilePlan& tp = sched::cached_tiles(
+    a.plan = &sched::cached_tiles(
         n.owner_tiles, d.tiles,
         [&](int nt) { return sched::tile_groups(n.red_ptr, nt); });
     // Serial scratch acquisition: growth must not throw inside the region.
-    ws.reserve(num_threads(), mk.padded() * sizeof(real_t));
+    ws.reserve(num_threads(), padded * sizeof(real_t));
 #pragma omp parallel
     {
       const FlushSubnormals fp;
-      const auto tmp = ws.thread_scratch<real_t>(mk.padded());
+      const auto tmp = ws.thread_scratch<real_t>(padded);
 #pragma omp for schedule(dynamic, 1)
-      for (int tile = 0; tile < tp.tiles(); ++tile) {
-        sched::for_each_group_range(tp, tile, red_size,
-                                    [&](nnz_t t, nnz_t begin, nnz_t end) {
-                                      accumulate(t, begin, end, tmp.data(),
-                                                 n.values.data());
-                                    });
-      }
+      for (int tile = 0; tile < a.plan->tiles(); ++tile)
+        tile_fn(a, tile, tmp.data(), n.values.data());
     }
   } else {
-    const sched::TilePlan& tp = sched::cached_tiles(
+    a.plan = &sched::cached_tiles(
         n.split_tiles, d.tiles,
         [&](int nt) { return sched::tile_groups_split(n.red_ptr, nt); });
     const nnz_t out_elems = n.tuples * rank;
-    ws.reserve(num_threads(), (mk.padded() + out_elems) * sizeof(real_t));
+    ws.reserve(num_threads(), (padded + out_elems) * sizeof(real_t));
     sched::PartialSet parts;
 #pragma omp parallel
     {
@@ -180,24 +223,20 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
       const int tid = thread_id();
       // Accumulator first (padded stride) so both it and the partial slab
       // stay 64-byte aligned.
-      const auto slab = ws.thread_scratch<real_t>(mk.padded() + out_elems);
+      const auto slab = ws.thread_scratch<real_t>(padded + out_elems);
       real_t* tmp = slab.data();
-      real_t* partial = tmp + mk.padded();
+      real_t* partial = tmp + padded;
       std::fill(partial, partial + out_elems, real_t{0});
       parts.publish(tid, partial);
-      for (int tile = tid; tile < tp.tiles(); tile += team) {
-        sched::for_each_group_range(tp, tile, red_size,
-                                    [&](nnz_t t, nnz_t begin, nnz_t end) {
-                                      accumulate(t, begin, end, tmp, partial);
-                                    });
-      }
+      for (int tile = tid; tile < a.plan->tiles(); tile += team)
+        tile_fn(a, tile, tmp, partial);
 #pragma omp barrier
       parts.combine_into(n.values.data(), team,
                          chunk_range(out_elems, team, tid));
     }
   }
   n.valid = true;
-  return static_cast<std::uint64_t>(entries) * rank * (nd + 1);
+  return static_cast<std::uint64_t>(a.entries) * rank * (a.nd + 1);
 }
 
 }  // namespace

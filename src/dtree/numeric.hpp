@@ -19,6 +19,7 @@
 #include "dtree/dimension_tree.hpp"
 #include "la/matrix.hpp"
 #include "sched/schedule.hpp"
+#include "util/isa.hpp"
 #include "util/workspace.hpp"
 
 namespace mdcp {
@@ -29,6 +30,9 @@ namespace mdcp {
 struct TtmvSched {
   int threads = 1;
   ScheduleMode mode = ScheduleMode::kAuto;
+  /// Compiled kernel variant the launches run (util/isa.hpp). Engines keep
+  /// the load-time choice; tests set it to compare the variants.
+  isa::Isa variant = isa::dispatched();
   // Accumulated across launches (an engine compute() may evaluate a chain).
   std::uint64_t owner_launches = 0;
   std::uint64_t privatized_launches = 0;

@@ -5,6 +5,7 @@
 
 #include "util/error.hpp"
 #include "util/fpenv.hpp"
+#include "util/isa.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -18,8 +19,9 @@ namespace {
 // g(j,k), so the square is symmetric bit for bit. Rows with a zero entry
 // are not skipped: a product of 0 added to a partial that starts at +0, and
 // so is never −0, changes nothing for finite input.
-void gram_add4(real_t* g, const real_t* x0, const real_t* x1,
-               const real_t* x2, const real_t* x3, index_t r) {
+MDCP_ALWAYS_INLINE void gram_add4(real_t* g, const real_t* x0,
+                                  const real_t* x1, const real_t* x2,
+                                  const real_t* x3, index_t r) {
   for (index_t j = 0; j < r; ++j) {
     const real_t a0 = x0[j], a1 = x1[j], a2 = x2[j], a3 = x3[j];
     real_t* gj = g + static_cast<std::size_t>(j) * r;
@@ -35,7 +37,7 @@ void gram_add4(real_t* g, const real_t* x0, const real_t* x1,
   }
 }
 
-void gram_add1(real_t* g, const real_t* x0, index_t r) {
+MDCP_ALWAYS_INLINE void gram_add1(real_t* g, const real_t* x0, index_t r) {
   for (index_t j = 0; j < r; ++j) {
     const real_t a0 = x0[j];
     real_t* gj = g + static_cast<std::size_t>(j) * r;
@@ -44,16 +46,78 @@ void gram_add1(real_t* g, const real_t* x0, index_t r) {
   }
 }
 
+MDCP_ALWAYS_INLINE void divide_row(real_t* row, const real_t* d, index_t r) {
+#pragma omp simd
+  for (index_t j = 0; j < r; ++j) row[j] /= d[j];
+}
+
+// The rows block_gram hands to a block: a's rows as they are (gram), or
+// divided in place by the column divisors d first (normalize_gram).
+struct PlainRows {
+  const real_t* base = nullptr;
+  index_t cols = 0;
+
+  MDCP_ALWAYS_INLINE const real_t* operator()(index_t i) const {
+    return base + static_cast<std::size_t>(i) * cols;
+  }
+};
+
+struct DividedRows {
+  real_t* base = nullptr;
+  index_t cols = 0;
+  const real_t* d = nullptr;
+
+  MDCP_ALWAYS_INLINE const real_t* operator()(index_t i) const {
+    real_t* row = base + static_cast<std::size_t>(i) * cols;
+    divide_row(row, d, cols);
+    return row;
+  }
+};
+
+// Accumulates positions [first, last) of the row set into the zeroed Gram
+// partial g, four rows at a time and then one by one; each row is fetched
+// (and divided) once, in row order. The per-block body of block_gram,
+// compiled once per ISA variant below.
+template <class Rows>
+MDCP_ALWAYS_INLINE void gram_block(const Rows& row_at, RowSet rows,
+                                   index_t first, index_t last, real_t* g) {
+  const index_t r = row_at.cols;
+  index_t p = first;
+  for (; p + 4 <= last; p += 4) {
+    const real_t* x0 = row_at(rows[p]);
+    const real_t* x1 = row_at(rows[p + 1]);
+    const real_t* x2 = row_at(rows[p + 2]);
+    const real_t* x3 = row_at(rows[p + 3]);
+    gram_add4(g, x0, x1, x2, x3, r);
+  }
+  for (; p < last; ++p) gram_add1(g, row_at(rows[p]), r);
+}
+
+template <class Rows>
+void gram_block_baseline(const Rows& row_at, RowSet rows, index_t first,
+                         index_t last, real_t* g) {
+  gram_block(row_at, rows, first, last, g);
+}
+
+template <class Rows>
+MDCP_TARGET_AVX2 void gram_block_avx2(const Rows& row_at, RowSet rows,
+                                      index_t first, index_t last,
+                                      real_t* g) {
+  gram_block(row_at, rows, first, last, g);
+}
+
 // The Gram block loop behind gram and normalize_gram. Fixed kGramBlock-row
 // blocks (independent of the thread count) accumulate in parallel, each
 // walking only its listed rows, and are reduced in block order: bitwise
 // deterministic for any number of threads, atomics-free, one scan of the
-// tall matrix. row_at(i) returns row i ready to accumulate; it is called
-// once per listed row, in row order within a block, by the block's thread.
-template <class RowAt>
-void block_gram(index_t n, index_t r, RowSet rows, RowAt row_at,
+// tall matrix.
+template <class Rows>
+void block_gram(index_t n, const Rows& row_at, RowSet rows, isa::Isa variant,
                 Matrix& out) {
+  const index_t r = row_at.cols;
   out.resize(r, r, 0);
+  const auto block_fn = isa::pick(variant, &gram_block_baseline<Rows>,
+                                  &gram_block_avx2<Rows>);
   const index_t num_blocks = (n + kGramBlock - 1) / kGramBlock;
   const std::size_t rr = static_cast<std::size_t>(r) * r;
   aligned_real_vector partial(num_blocks * rr, 0);
@@ -62,19 +126,11 @@ void block_gram(index_t n, index_t r, RowSet rows, RowAt row_at,
     const FlushSubnormals fp;
 #pragma omp for schedule(static)
     for (std::int64_t b = 0; b < static_cast<std::int64_t>(num_blocks); ++b) {
-      real_t* g = partial.data() + static_cast<std::size_t>(b) * rr;
       const index_t begin = static_cast<index_t>(b) * kGramBlock;
       const auto [first, last] =
           rows.positions(begin, std::min<index_t>(begin + kGramBlock, n));
-      index_t p = first;
-      for (; p + 4 <= last; p += 4) {
-        const real_t* x0 = row_at(rows[p]);
-        const real_t* x1 = row_at(rows[p + 1]);
-        const real_t* x2 = row_at(rows[p + 2]);
-        const real_t* x3 = row_at(rows[p + 3]);
-        gram_add4(g, x0, x1, x2, x3, r);
-      }
-      for (; p < last; ++p) gram_add1(g, row_at(rows[p]), r);
+      block_fn(row_at, rows, first, last,
+               partial.data() + static_cast<std::size_t>(b) * rr);
     }
   }
   real_t* o = out.data();
@@ -93,11 +149,6 @@ std::vector<real_t> divisors(const std::vector<real_t>& norms) {
   return d;
 }
 
-void divide_row(real_t* row, const real_t* d, index_t r) {
-#pragma omp simd
-  for (index_t j = 0; j < r; ++j) row[j] /= d[j];
-}
-
 }  // namespace
 
 void gram(const Matrix& a, Matrix& out) {
@@ -105,10 +156,15 @@ void gram(const Matrix& a, Matrix& out) {
 }
 
 void gram(const Matrix& a, RowSet rows, Matrix& out) {
+  detail::gram(a, rows, out, isa::dispatched());
+}
+
+void detail::gram(const Matrix& a, RowSet rows, Matrix& out,
+                  isa::Isa variant) {
   const FlushSubnormals fp;
   MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
-  block_gram(a.rows(), a.cols(), rows,
-             [&](index_t i) { return a.row(i).data(); }, out);
+  block_gram(a.rows(), PlainRows{.base = a.data(), .cols = a.cols()}, rows,
+             variant, out);
 }
 
 Matrix gram(const Matrix& a) {
@@ -180,18 +236,19 @@ std::vector<real_t> column_norms(const Matrix& a, RowSet rows) {
 
 void normalize_gram(Matrix& a, RowSet rows, const std::vector<real_t>& norms,
                     Matrix& out) {
+  detail::normalize_gram(a, rows, norms, out, isa::dispatched());
+}
+
+void detail::normalize_gram(Matrix& a, RowSet rows,
+                            const std::vector<real_t>& norms, Matrix& out,
+                            isa::Isa variant) {
   const FlushSubnormals fp;
   MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
   MDCP_CHECK(norms.size() == a.cols());
   const std::vector<real_t> d = divisors(norms);
-  const index_t r = a.cols();
-  block_gram(a.rows(), r, rows,
-             [&](index_t i) {
-               real_t* row = a.row(i).data();
-               divide_row(row, d.data(), r);
-               return static_cast<const real_t*>(row);
-             },
-             out);
+  block_gram(a.rows(),
+             DividedRows{.base = a.data(), .cols = a.cols(), .d = d.data()},
+             rows, variant, out);
 }
 
 real_t dot(const Matrix& a, const Matrix& b) {

@@ -1,11 +1,14 @@
 // Hand-rolled dense kernels sized for CP-ALS: tall-skinny Gram products,
 // tiny R×R algebra, Hadamard products, and column normalization. Every
-// entry point runs under FlushSubnormals (util/fpenv.hpp).
+// entry point runs under FlushSubnormals (util/fpenv.hpp). The Gram block
+// body is compiled for the baseline ISA and for AVX2, picked once at load
+// (util/isa.hpp); both give the same bits.
 #pragma once
 
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace mdcp {
@@ -57,5 +60,16 @@ void normalize_gram(Matrix& a, RowSet rows, const std::vector<real_t>& norms,
 
 /// <a, b> = sum_ij a_ij b_ij.
 real_t dot(const Matrix& a, const Matrix& b);
+
+namespace detail {
+
+/// gram(a, rows, out) and normalize_gram(a, rows, norms, out) run on the
+/// named compiled kernel variant (util/isa.hpp). The public functions run
+/// isa::dispatched(); these exist so tests can compare the variants.
+void gram(const Matrix& a, RowSet rows, Matrix& out, isa::Isa variant);
+void normalize_gram(Matrix& a, RowSet rows, const std::vector<real_t>& norms,
+                    Matrix& out, isa::Isa variant);
+
+}  // namespace detail
 
 }  // namespace mdcp

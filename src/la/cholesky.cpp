@@ -8,6 +8,7 @@
 #include "la/eigen.hpp"
 #include "util/error.hpp"
 #include "util/fpenv.hpp"
+#include "util/isa.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -38,82 +39,110 @@ bool cholesky_factor(Matrix& a) {
 
 namespace {
 
-// Solves L·Lᵀ·x = b for every listed row b of `b` into the same row of `x`
-// (same shape; may be `b` itself, since a tile is fully loaded before it is
-// written back). A tile gathers kLanes consecutive entries of the row set.
-// Returns true when every value written is finite.
-bool solve_rows_into(const Matrix& l, const Matrix& b, RowSet rows,
-                     Matrix& x) {
+// Solves tiles [tiles.begin, tiles.end) of solve_rows_into in the R×kLanes
+// scratch tile t. Returns true when every value written is finite. The
+// per-thread body, compiled once per ISA variant below.
+MDCP_ALWAYS_INLINE bool solve_tiles(const Matrix& l, const Matrix& b,
+                                    RowSet rows, Matrix& x, Range tiles,
+                                    real_t* t) {
   constexpr index_t kLanes = kCholeskyLanes;
   const index_t n = l.rows();
+  bool finite = true;
+  for (nnz_t ti = tiles.begin; ti < tiles.end; ++ti) {
+    const index_t p0 = static_cast<index_t>(ti) * kLanes;
+    const index_t count = std::min(kLanes, rows.count - p0);
+    for (index_t lane = 0; lane < count; ++lane) {
+      const auto row = b.row(rows[p0 + lane]);
+      for (index_t c = 0; c < n; ++c) t[c * kLanes + lane] = row[c];
+    }
+    for (index_t lane = count; lane < kLanes; ++lane)
+      for (index_t c = 0; c < n; ++c) t[c * kLanes + lane] = 0;
+
+    // Forward substitution: L y = b.
+    for (index_t i = 0; i < n; ++i) {
+      real_t* xi = t + i * kLanes;
+      for (index_t k = 0; k < i; ++k) {
+        const real_t lik = l(i, k);
+        const real_t* xk = t + k * kLanes;
+#pragma omp simd
+        for (index_t lane = 0; lane < kLanes; ++lane)
+          xi[lane] -= lik * xk[lane];
+      }
+      const real_t d = l(i, i);
+#pragma omp simd
+      for (index_t lane = 0; lane < kLanes; ++lane) xi[lane] = xi[lane] / d;
+    }
+    // Backward substitution: Lᵀ x = y.
+    for (index_t ii = n; ii-- > 0;) {
+      real_t* xi = t + ii * kLanes;
+      for (index_t k = ii + 1; k < n; ++k) {
+        const real_t lki = l(k, ii);
+        const real_t* xk = t + k * kLanes;
+#pragma omp simd
+        for (index_t lane = 0; lane < kLanes; ++lane)
+          xi[lane] -= lki * xk[lane];
+      }
+      const real_t d = l(ii, ii);
+#pragma omp simd
+      for (index_t lane = 0; lane < kLanes; ++lane) xi[lane] = xi[lane] / d;
+    }
+
+    for (index_t lane = 0; lane < count; ++lane) {
+      auto row = x.row(rows[p0 + lane]);
+      for (index_t c = 0; c < n; ++c) {
+        const real_t v = t[c * kLanes + lane];
+        row[c] = v;
+        finite &= std::isfinite(v);
+      }
+    }
+  }
+  return finite;
+}
+
+using SolveTilesFn = bool (*)(const Matrix&, const Matrix&, RowSet, Matrix&,
+                              Range, real_t*);
+
+bool solve_tiles_baseline(const Matrix& l, const Matrix& b, RowSet rows,
+                          Matrix& x, Range tiles, real_t* t) {
+  return solve_tiles(l, b, rows, x, tiles, t);
+}
+
+MDCP_TARGET_AVX2 bool solve_tiles_avx2(const Matrix& l, const Matrix& b,
+                                       RowSet rows, Matrix& x, Range tiles,
+                                       real_t* t) {
+  return solve_tiles(l, b, rows, x, tiles, t);
+}
+
+}  // namespace
+
+// Solves L·Lᵀ·x = b for every listed row b of `b` into the same row of `x`
+// (same shape; may be `b` itself, since a tile is fully loaded before it is
+// written back). A tile gathers kCholeskyLanes consecutive entries of the
+// row set. Returns true when every value written is finite.
+bool detail::solve_rows_into(const Matrix& l, const Matrix& b, RowSet rows,
+                             Matrix& x, isa::Isa variant) {
+  constexpr index_t kLanes = kCholeskyLanes;
+  const index_t n = l.rows();
+  const SolveTilesFn solve_fn =
+      isa::pick(variant, &solve_tiles_baseline, &solve_tiles_avx2);
   const nnz_t num_tiles =
       (static_cast<nnz_t>(rows.count) + kLanes - 1) / kLanes;
   std::atomic<bool> every_finite{true};
   parallel_for_chunked(num_tiles, [&](int, Range tiles) {
     // t[c·kLanes + lane] holds column c of row rows[p0 + lane].
     aligned_real_vector tile(static_cast<std::size_t>(n) * kLanes);
-    real_t* t = tile.data();
-    bool finite = true;
-    for (nnz_t ti = tiles.begin; ti < tiles.end; ++ti) {
-      const index_t p0 = static_cast<index_t>(ti) * kLanes;
-      const index_t count = std::min(kLanes, rows.count - p0);
-      for (index_t lane = 0; lane < count; ++lane) {
-        const auto row = b.row(rows[p0 + lane]);
-        for (index_t c = 0; c < n; ++c) t[c * kLanes + lane] = row[c];
-      }
-      for (index_t lane = count; lane < kLanes; ++lane)
-        for (index_t c = 0; c < n; ++c) t[c * kLanes + lane] = 0;
-
-      // Forward substitution: L y = b.
-      for (index_t i = 0; i < n; ++i) {
-        real_t* xi = t + i * kLanes;
-        for (index_t k = 0; k < i; ++k) {
-          const real_t lik = l(i, k);
-          const real_t* xk = t + k * kLanes;
-#pragma omp simd
-          for (index_t lane = 0; lane < kLanes; ++lane)
-            xi[lane] -= lik * xk[lane];
-        }
-        const real_t d = l(i, i);
-#pragma omp simd
-        for (index_t lane = 0; lane < kLanes; ++lane) xi[lane] = xi[lane] / d;
-      }
-      // Backward substitution: Lᵀ x = y.
-      for (index_t ii = n; ii-- > 0;) {
-        real_t* xi = t + ii * kLanes;
-        for (index_t k = ii + 1; k < n; ++k) {
-          const real_t lki = l(k, ii);
-          const real_t* xk = t + k * kLanes;
-#pragma omp simd
-          for (index_t lane = 0; lane < kLanes; ++lane)
-            xi[lane] -= lki * xk[lane];
-        }
-        const real_t d = l(ii, ii);
-#pragma omp simd
-        for (index_t lane = 0; lane < kLanes; ++lane) xi[lane] = xi[lane] / d;
-      }
-
-      for (index_t lane = 0; lane < count; ++lane) {
-        auto row = x.row(rows[p0 + lane]);
-        for (index_t c = 0; c < n; ++c) {
-          const real_t v = t[c * kLanes + lane];
-          row[c] = v;
-          finite &= std::isfinite(v);
-        }
-      }
-    }
-    if (!finite) every_finite.store(false);
+    if (!solve_fn(l, b, rows, x, tiles, tile.data()))
+      every_finite.store(false);
   });
   return every_finite.load();
 }
-
-}  // namespace
 
 bool cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows) {
   const FlushSubnormals fp;
   MDCP_CHECK(l.rows() == l.cols());
   MDCP_CHECK(rhs_rows.cols() == l.rows());
-  return solve_rows_into(l, rhs_rows, RowSet::all(rhs_rows.rows()), rhs_rows);
+  return detail::solve_rows_into(l, rhs_rows, RowSet::all(rhs_rows.rows()),
+                                 rhs_rows, isa::dispatched());
 }
 
 void solve_normal_equations(const Matrix& h, const Matrix& m, Matrix& x,
@@ -139,7 +168,7 @@ void solve_normal_equations(const Matrix& h, const Matrix& m, RowSet rows,
   Matrix l = h;
   si.cholesky = cholesky_factor_status(l);
   if (si.cholesky == CholeskyStatus::kOk) {
-    si.finite = solve_rows_into(l, m, rows, x);
+    si.finite = detail::solve_rows_into(l, m, rows, x, isa::dispatched());
     return;
   }
   if (si.cholesky == CholeskyStatus::kNanInput)
@@ -162,7 +191,8 @@ void solve_normal_equations(const Matrix& h, const Matrix& m, RowSet rows,
       si.ridge_retries = retry;
       if (cholesky_factor_status(lr) == CholeskyStatus::kOk) {
         si.ridge_lambda = lambda;
-        si.finite = solve_rows_into(lr, m, rows, x);
+        si.finite =
+            detail::solve_rows_into(lr, m, rows, x, isa::dispatched());
         return;
       }
     }

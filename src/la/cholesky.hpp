@@ -21,12 +21,15 @@
 // ascending set of rows (RowSet): CP-ALS solves only the rows of nonempty
 // slices. The result is therefore
 // bitwise identical to the per-row loop for any tile width and any thread
-// count. la/cholesky.cpp is compiled with -ffp-contract=off so that holds on
-// FMA targets too (src/CMakeLists.txt). The factorization, the substitution
-// and the solves run under FlushSubnormals (util/fpenv.hpp).
+// count. The substitution is compiled for the baseline ISA and for AVX2,
+// picked once at load (util/isa.hpp). la/cholesky.cpp is compiled with
+// -ffp-contract=off so both, and any FMA target, round alike
+// (src/CMakeLists.txt). The factorization, the substitution and the solves
+// run under FlushSubnormals (util/fpenv.hpp).
 #pragma once
 
 #include "la/matrix.hpp"
+#include "util/isa.hpp"
 
 namespace mdcp {
 
@@ -91,5 +94,17 @@ void solve_normal_equations(const Matrix& h, const Matrix& m, RowSet rows,
 /// Returning form of the above: X = M · H⁺ as a new matrix.
 Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
                               SolveInfo* info = nullptr);
+
+namespace detail {
+
+/// The row-tiled substitution behind the solves, on the named compiled
+/// kernel variant (util/isa.hpp): solves L·Lᵀ·x = b for every listed row of
+/// `b` (I×R, R = l.rows()) into the same row of `x` (same shape; may be
+/// `b`). Returns true when every value written is finite. The public solves
+/// run isa::dispatched(); this exists so tests can compare the variants.
+bool solve_rows_into(const Matrix& l, const Matrix& b, RowSet rows, Matrix& x,
+                     isa::Isa variant);
+
+}  // namespace detail
 
 }  // namespace mdcp

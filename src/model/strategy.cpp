@@ -100,8 +100,8 @@ std::vector<Strategy> enumerate_strategies(const CooTensor& tensor,
 
   for (std::size_t oi = 0; oi < orders.size(); ++oi) {
     const auto& mo = orders[oi];
-    const std::string tag =
-        oi < 3 ? order_tag[oi] : ("o" + std::to_string(oi));
+    std::string tag = oi < 3 ? order_tag[oi] : "o";
+    if (oi >= 3) tag += std::to_string(oi);
     add(TreeSpec::flat(mo), "flat/" + tag);
     if (order >= 3) {
       for (mode_t s = 1; s < order; ++s) {

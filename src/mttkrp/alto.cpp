@@ -19,9 +19,8 @@ index_t AltoCodec::bits_for_dim(index_t dim) {
   return static_cast<index_t>(std::bit_width(dim - 1));
 }
 
-AltoCodec::AltoCodec(const shape_t& shape) : shape_(shape) {
-  bits_.resize(shape.size());
-  shift_.resize(shape.size());
+AltoCodec::AltoCodec(const shape_t& shape)
+    : shape_(shape), bits_(shape.size(), 0), shift_(shape.size(), 0) {
   index_t total = 0;
   for (std::size_t m = 0; m < shape.size(); ++m) {
     bits_[m] = bits_for_dim(shape[m]);

@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace mdcp::mk {
@@ -109,15 +110,16 @@ inline const real_t* assume_aligned(const real_t* p) noexcept {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define MDCP_MK_RESTRICT __restrict__
-// The primitives run per nonzero inside recursive traversals; left to its
-// own heuristics the compiler keeps the multi-loop dispatch bodies
-// out-of-line there, paying a call per vector op. Force them inline so the
-// tile switch hoists out of the per-nonzero loops (tile_ is loop-invariant).
-#define MDCP_MK_INLINE inline __attribute__((always_inline))
 #else
 #define MDCP_MK_RESTRICT
-#define MDCP_MK_INLINE inline
 #endif
+// The primitives run per nonzero inside recursive traversals; left to its
+// own heuristics the compiler keeps the multi-loop dispatch bodies
+// out-of-line there, paying a call per vector op. They are forced inline
+// (MDCP_ALWAYS_INLINE) so the tile switch hoists out of the per-nonzero
+// loops (tile_ is loop-invariant), and so they compile as AVX2 code inside
+// the AVX2 kernel variants of util/isa.hpp.
+#define MDCP_MK_INLINE MDCP_ALWAYS_INLINE
 
 namespace detail {
 

@@ -10,6 +10,7 @@
 
 #include "obs/json.hpp"
 #include "obs/trace.hpp"  // MDCP_ENABLE_TRACING
+#include "util/isa.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -38,6 +39,7 @@ const BuildInfo& BuildInfo::current() {
     b.openmp_version = _OPENMP;
 #endif
     b.tracing = MDCP_ENABLE_TRACING != 0;
+    b.kernel_isa = isa::name(isa::dispatched());
     b.hardware_threads = std::thread::hardware_concurrency();
     b.host = "unknown-host";
 #if defined(__unix__) || defined(__APPLE__)
@@ -117,6 +119,7 @@ void RunReporter::write_header(const CooTensor& tensor,
       .kv("openmp", b.openmp)
       .kv("openmp_version", b.openmp_version)
       .kv("tracing_compiled", b.tracing)
+      .kv("kernel_isa", b.kernel_isa)
       .kv("hardware_threads", b.hardware_threads)
       .kv("kernel_threads", kernel_threads)
       .kv("order", static_cast<std::uint64_t>(tensor.order()));

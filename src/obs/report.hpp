@@ -40,6 +40,8 @@ struct BuildInfo {
   bool openmp = false;
   int openmp_version = 0;  ///< _OPENMP date macro, 0 without OpenMP
   bool tracing = false;    ///< MDCP_ENABLE_TRACING compiled in
+  std::string kernel_isa;  ///< kernel variant picked at load: "baseline" or
+                           ///< "avx2" (util/isa.hpp)
   unsigned hardware_threads = 0;
   std::string host;        ///< gethostname() ("unknown-host" if unavailable)
 

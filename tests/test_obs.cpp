@@ -26,6 +26,7 @@
 #include "obs/roofline.hpp"
 #include "obs/trace.hpp"
 #include "tensor/generator.hpp"
+#include "util/isa.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp {
@@ -825,9 +826,14 @@ TEST(Report, RunReportMatchesGoldenSchema) {
     EXPECT_TRUE(has_keys(lines[0],
                          {"type", "command", "compiler", "build_type", "order",
                           "shape", "nnz", "fingerprint", "kernel_threads",
-                          "report_version", "host"}))
+                          "report_version", "host", "kernel_isa"}))
         << lines[0];
     EXPECT_NE(lines[0].find("\"type\":\"header\""), std::string::npos);
+    // The header names the kernel variant this process runs.
+    EXPECT_NE(lines[0].find(std::string("\"kernel_isa\":\"") +
+                            isa::name(isa::dispatched()) + "\""),
+              std::string::npos)
+        << lines[0];
     for (int it = 1; it <= 3; ++it) {
       const std::string& line = lines[static_cast<std::size_t>(it)];
       EXPECT_TRUE(has_keys(

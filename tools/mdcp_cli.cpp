@@ -166,6 +166,7 @@ int cmd_info(const Args& args) {
         .kv("openmp", b.openmp)
         .kv("openmp_version", b.openmp_version)
         .kv("tracing_compiled", b.tracing)
+        .kv("kernel_isa", b.kernel_isa)
         .kv("hardware_threads", b.hardware_threads)
         .kv("kernel_threads", num_threads());
     w.key("engines").begin_array();
@@ -184,6 +185,7 @@ int cmd_info(const Args& args) {
               b.openmp_version);
   std::printf("tracing:          %s\n",
               b.tracing ? "compiled in (enable with --trace)" : "compiled out");
+  std::printf("kernel isa:       %s\n", b.kernel_isa.c_str());
   std::printf("hardware threads: %u\n", b.hardware_threads);
   std::printf("kernel threads:   %d\n", num_threads());
   std::printf("engines:\n");
