@@ -37,6 +37,27 @@ MDCP_ALWAYS_INLINE void gram_add4(real_t* g, const real_t* x0,
   }
 }
 
+// column_norms walks the rows in blocks of this many; every column tile of
+// a block then reads rows still in L1.
+constexpr index_t kNormBlockRows = 64;
+
+// sums[k] += a(i, j0 + k)² for the listed rows at positions [p0, p1), in
+// row order, as a one-column loop adds them. The W running sums sit in a
+// local array that no row aliases, so they stay in registers across the
+// rows and the compiler vectorizes across the columns.
+template <index_t W>
+MDCP_ALWAYS_INLINE void add_squares(const Matrix& a, RowSet rows, index_t p0,
+                                    index_t p1, index_t j0, real_t* sums) {
+  real_t acc[W];
+  for (index_t k = 0; k < W; ++k) acc[k] = sums[k];
+  for (index_t p = p0; p < p1; ++p) {
+    const real_t* x = a.row(rows[p]).data() + j0;
+#pragma omp simd
+    for (index_t k = 0; k < W; ++k) acc[k] += x[k] * x[k];
+  }
+  for (index_t k = 0; k < W; ++k) sums[k] = acc[k];
+}
+
 MDCP_ALWAYS_INLINE void gram_add1(real_t* g, const real_t* x0, index_t r) {
   for (index_t j = 0; j < r; ++j) {
     const real_t a0 = x0[j];
@@ -226,9 +247,16 @@ std::vector<real_t> column_norms(const Matrix& a, RowSet rows) {
   MDCP_CHECK_MSG(rows.within(a.rows()), "row set reaches past the matrix");
   const index_t r = a.cols();
   std::vector<real_t> norms(r, 0);
-  for (index_t p = 0; p < rows.count; ++p) {
-    const auto row = a.row(rows[p]);
-    for (index_t j = 0; j < r; ++j) norms[j] += row[j] * row[j];
+  real_t* const sums = norms.data();
+  // Each block of rows passes once per column tile of 16, 8, 4, 2 and 1.
+  for (index_t p0 = 0; p0 < rows.count; p0 += kNormBlockRows) {
+    const index_t p1 = std::min(rows.count, p0 + kNormBlockRows);
+    index_t j = 0;
+    for (; r - j >= 16; j += 16) add_squares<16>(a, rows, p0, p1, j, sums + j);
+    for (; r - j >= 8; j += 8) add_squares<8>(a, rows, p0, p1, j, sums + j);
+    for (; r - j >= 4; j += 4) add_squares<4>(a, rows, p0, p1, j, sums + j);
+    for (; r - j >= 2; j += 2) add_squares<2>(a, rows, p0, p1, j, sums + j);
+    for (; r - j >= 1; j += 1) add_squares<1>(a, rows, p0, p1, j, sums + j);
   }
   for (auto& x : norms) x = std::sqrt(x);
   return norms;

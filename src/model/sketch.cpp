@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <numeric>
 #include <set>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mdcp {
@@ -19,6 +21,50 @@ namespace {
 constexpr int kBucketEntriesLog2 = 10;
 // KMV hashes nonzeros in blocks of this many, so it needs no O(nnz) buffer.
 constexpr std::size_t kKmvBlock = 4096;
+// projection_hashes walks each chunk in blocks of this many nonzeros, so a
+// block's hashes stay in L1 while every member mode updates them.
+constexpr std::size_t kHashBlock = 2048;
+
+// projection_hashes over one range, serially.
+void hash_range(const CooTensor& t, mode_set_t modes, nnz_t first,
+                std::span<std::uint64_t> out, std::uint64_t seed) {
+  std::fill(out.begin(), out.end(), seed);
+  for (mode_t m = 0; m < t.order(); ++m) {
+    if (!mode_in(modes, m)) continue;
+    const auto idx = t.mode_indices(m).subspan(first, out.size());
+    const std::uint64_t tag = static_cast<std::uint64_t>(m) << 40;
+    for (std::size_t j = 0; j < out.size(); ++j)
+      out[j] = splitmix64(out[j] ^ (static_cast<std::uint64_t>(idx[j]) | tag));
+  }
+}
+
+// Number of distinct indices of mode m: each chunk of nonzeros marks the
+// slices it occupies in its own bitmap, then each chunk of words ORs the
+// bitmaps and counts the bits.
+nnz_t occupied_slices(const CooTensor& t, mode_t m, int parts,
+                      std::vector<std::uint64_t>& bitmaps) {
+  const std::size_t words = (std::size_t{t.dim(m)} + 63) / 64;
+  bitmaps.assign(parts * words, 0);
+  const auto idx = t.mode_indices(m);
+  parallel_chunks(parts, [&](int c) {
+    std::uint64_t* const own = bitmaps.data() + c * words;
+    const Range r = chunk_range(t.nnz(), parts, c);
+    for (nnz_t i = r.begin; i < r.end; ++i)
+      own[idx[i] >> 6] |= std::uint64_t{1} << (idx[i] & 63);
+  });
+  std::vector<nnz_t> counts(parts, 0);
+  parallel_chunks(parts, [&](int c) {
+    const Range r = chunk_range(words, parts, c);
+    nnz_t k = 0;
+    for (nnz_t w = r.begin; w < r.end; ++w) {
+      std::uint64_t any = 0;
+      for (int q = 0; q < parts; ++q) any |= bitmaps[q * words + w];
+      k += static_cast<nnz_t>(std::popcount(any));
+    }
+    counts[c] = k;
+  });
+  return std::accumulate(counts.begin(), counts.end(), nnz_t{0});
+}
 
 }  // namespace
 
@@ -36,14 +82,14 @@ std::uint64_t projection_hash(const CooTensor& t, nnz_t i, mode_set_t modes,
 void projection_hashes(const CooTensor& t, mode_set_t modes, nnz_t first,
                        std::span<std::uint64_t> out, std::uint64_t seed) {
   MDCP_CHECK(first + out.size() <= t.nnz());
-  std::fill(out.begin(), out.end(), seed);
-  for (mode_t m = 0; m < t.order(); ++m) {
-    if (!mode_in(modes, m)) continue;
-    const auto idx = t.mode_indices(m).subspan(first, out.size());
-    const std::uint64_t tag = static_cast<std::uint64_t>(m) << 40;
-    for (std::size_t j = 0; j < out.size(); ++j)
-      out[j] = splitmix64(out[j] ^ (static_cast<std::uint64_t>(idx[j]) | tag));
-  }
+  const int parts = num_threads();
+  parallel_chunks(parts, [&](int c) {
+    const Range r = chunk_range(out.size(), parts, c);
+    for (nnz_t b = r.begin; b < r.end; b += kHashBlock) {
+      const nnz_t e = std::min<nnz_t>(r.end, b + kHashBlock);
+      hash_range(t, modes, first + b, out.subspan(b, e - b), seed);
+    }
+  });
 }
 
 nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes) {
@@ -59,55 +105,109 @@ nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes,
   // Counting-sort partition by the top `bits` bits. Equal values share a
   // bucket, so the per-bucket distinct counts sum to the exact total.
   // (h >> 1) >> (63 - bits) is h >> (64 - bits) without a shift by 64.
+  // Each chunk of the hashes counts its buckets; the scatter offsets run
+  // bucket-major, chunk-minor, so `parted` comes out the same for any chunk
+  // count.
   const int bits = static_cast<int>(std::bit_width(n >> kBucketEntriesLog2));
   const auto bucket_of = [bits](std::uint64_t h) {
     return static_cast<std::size_t>((h >> 1) >> (63 - bits));
   };
+  const std::size_t buckets = std::size_t{1} << bits;
+  const int parts = num_threads();
+  // A cache line of padding between the chunks' counters.
+  const std::size_t stride = (buckets + 15) / 8 * 8;
+  std::vector<std::size_t>& cursor = scratch.cursor;
+  cursor.assign(parts * stride, 0);
+  parallel_chunks(parts, [&](int c) {
+    std::size_t* const count = cursor.data() + c * stride;
+    const Range r = chunk_range(n, parts, c);
+    for (nnz_t i = r.begin; i < r.end; ++i) ++count[bucket_of(hashes[i])];
+  });
   std::vector<std::size_t>& start = scratch.start;
-  start.assign((std::size_t{1} << bits) + 1, 0);
-  for (const std::uint64_t h : hashes) ++start[bucket_of(h) + 1];
-  const std::size_t largest = *std::max_element(start.begin(), start.end());
-  for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+  start.resize(buckets + 1);
+  std::size_t sum = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    start[b] = sum;
+    for (int c = 0; c < parts; ++c) {
+      std::size_t& slot = cursor[c * stride + b];
+      const std::size_t count = slot;
+      slot = sum;
+      sum += count;
+    }
+  }
+  start[buckets] = n;
   std::vector<std::uint64_t>& parted = scratch.parted;
   parted.resize(n);
-  {
-    std::vector<std::size_t> next(start.begin(), start.end() - 1);
-    for (const std::uint64_t h : hashes) parted[next[bucket_of(h)]++] = h;
-  }
-
-  // One linear-probing table (load ≤ 1/2) reused by every bucket; 0 marks an
-  // empty slot, so a real hash of 0 is counted on the side. Each bucket
-  // clears exactly the slots it filled: clearing only the home slots would
-  // leave entries that spilled past them to pile up across buckets. So the
-  // table is all 0 again on return, and a later call may use the first
-  // `slots` entries of a larger one as they are.
-  const std::size_t slots = std::bit_ceil(2 * largest);
-  std::vector<std::uint64_t>& table = scratch.table;
-  if (table.size() < slots) table.assign(slots, 0);
-  std::vector<std::size_t>& filled = scratch.filled;
-  filled.resize(largest);
-  const std::size_t mask = slots - 1;
-  nnz_t distinct = 0;
-  bool saw_zero = false;
-  for (std::size_t b = 0; b + 1 < start.size(); ++b) {
-    std::size_t used = 0;
-    for (std::size_t i = start[b]; i < start[b + 1]; ++i) {
-      const std::uint64_t h = parted[i];
-      if (h == 0) {
-        saw_zero = true;
-        continue;
-      }
-      std::size_t s = h & mask;
-      while (table[s] != 0 && table[s] != h) s = (s + 1) & mask;
-      if (table[s] == 0) {
-        table[s] = h;
-        filled[used++] = s;
-      }
+  parallel_chunks(parts, [&](int c) {
+    std::size_t* const next = cursor.data() + c * stride;
+    const Range r = chunk_range(n, parts, c);
+    for (nnz_t i = r.begin; i < r.end; ++i) {
+      const std::uint64_t h = hashes[i];
+      parted[next[bucket_of(h)]++] = h;
     }
-    for (std::size_t i = 0; i < used; ++i) table[filled[i]] = 0;
-    distinct += used;
+  });
+
+  // Each chunk counts a contiguous run of buckets holding about n / parts
+  // hashes, with its own linear-probing table (load <= 1/2) sized by its
+  // largest bucket and reused by each of its buckets. 0 marks an empty slot,
+  // so a real hash of 0 is counted on the side. Each bucket clears exactly
+  // the slots it filled: clearing only the home slots would leave entries
+  // that spilled past them to pile up across buckets. So the tables are all
+  // 0 again on return, and a later call may lay out its own in the same
+  // array as it is. Every table is cut from one array allocated here.
+  std::vector<std::size_t> first(parts + 1, buckets);  // per chunk: buckets
+  std::vector<std::size_t> slot_at(parts + 1, 0);      // ... table slices
+  std::vector<std::size_t> filled_at(parts + 1, 0);    // ... `filled` slices
+  for (int c = 0; c < parts; ++c) {
+    first[c] = static_cast<std::size_t>(
+        std::lower_bound(start.begin(), start.end() - 1,
+                         chunk_range(n, parts, c).begin) -
+        start.begin());
   }
-  return distinct + (saw_zero ? 1 : 0);
+  for (int c = 0; c < parts; ++c) {
+    std::size_t largest = 0;
+    for (std::size_t b = first[c]; b < first[c + 1]; ++b)
+      largest = std::max(largest, start[b + 1] - start[b]);
+    slot_at[c + 1] = slot_at[c] + std::bit_ceil(2 * largest);
+    filled_at[c + 1] = filled_at[c] + largest;
+  }
+  std::vector<std::uint64_t>& table = scratch.table;
+  if (table.size() < slot_at[parts]) table.assign(slot_at[parts], 0);
+  std::vector<std::size_t>& filled = scratch.filled;
+  filled.resize(filled_at[parts]);
+  std::vector<nnz_t> distinct(parts, 0);
+  std::vector<std::uint8_t> saw_zero(parts, 0);
+  parallel_chunks(parts, [&](int c) {
+    std::uint64_t* const own = table.data() + slot_at[c];
+    std::size_t* const used_slots = filled.data() + filled_at[c];
+    const std::size_t mask = slot_at[c + 1] - slot_at[c] - 1;
+    nnz_t found = 0;
+    bool zero = false;
+    for (std::size_t b = first[c]; b < first[c + 1]; ++b) {
+      std::size_t used = 0;
+      for (std::size_t i = start[b]; i < start[b + 1]; ++i) {
+        const std::uint64_t h = parted[i];
+        if (h == 0) {
+          zero = true;
+          continue;
+        }
+        std::size_t s = h & mask;
+        while (own[s] != 0 && own[s] != h) s = (s + 1) & mask;
+        if (own[s] == 0) {
+          own[s] = h;
+          used_slots[used++] = s;
+        }
+      }
+      for (std::size_t i = 0; i < used; ++i) own[used_slots[i]] = 0;
+      found += used;
+    }
+    distinct[c] = found;
+    saw_zero[c] = zero;
+  });
+  const bool any_zero =
+      std::find(saw_zero.begin(), saw_zero.end(), 1) != saw_zero.end();
+  return std::accumulate(distinct.begin(), distinct.end(), nnz_t{0}) +
+         (any_zero ? 1 : 0);
 }
 
 nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes) {
@@ -118,8 +218,19 @@ nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes) {
 nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes,
                                  DistinctCountScratch& scratch) {
   if (t.nnz() == 0) return 0;
-  if ((modes & all_modes(t.order())) == 0) return 1;  // scalar projection
-  scratch.hashes.assign(t.nnz(), 0);
+  modes &= all_modes(t.order());
+  if (modes == 0) return 1;  // scalar projection
+  const int parts = num_threads();
+  if (std::has_single_bit(modes)) {
+    // Distinct hashes of one mode are distinct indices (splitmix64 is a
+    // bijection), so the occupied slices give the same count.
+    const auto m = static_cast<mode_t>(std::countr_zero(modes));
+    const std::size_t bitmap_bits =
+        parts * ((std::size_t{t.dim(m)} + 63) / 64 * 64);
+    if (bitmap_bits <= kOccupancyBitsPerNonzero * t.nnz())
+      return occupied_slices(t, m, parts, scratch.bitmaps);
+  }
+  scratch.hashes.resize(t.nnz());  // projection_hashes writes every entry
   projection_hashes(t, modes, 0, scratch.hashes);
   return count_distinct_hashes(scratch.hashes, scratch);
 }
@@ -138,7 +249,7 @@ nnz_t kmv_distinct_projections(const CooTensor& t, mode_set_t modes,
   for (nnz_t first = 0; first < t.nnz(); first += kKmvBlock) {
     const std::span<std::uint64_t> hashes(
         block.data(), std::min<nnz_t>(kKmvBlock, t.nnz() - first));
-    projection_hashes(t, modes, first, hashes, seed);
+    hash_range(t, modes, first, hashes, seed);
     for (const std::uint64_t h : hashes) {
       if (mins.size() < k) {
         mins.insert(h);

@@ -10,7 +10,10 @@
 // partition of the hashes by their top bits, then one small hash table per
 // bucket) or use a k-minimum-values (KMV) sketch (large tensors) — O(nnz)
 // per subset, with results cached per subset across all candidate
-// strategies.
+// strategies. The exact count of a single mode reads a slice-occupancy
+// bitmap instead of hashing. The exact passes split the nonzeros into
+// num_threads() contiguous chunks and combine them in chunk order, so every
+// count is the same at any thread count.
 #pragma once
 
 #include <span>
@@ -26,6 +29,10 @@ namespace mdcp {
 inline constexpr nnz_t kExactProjectionThreshold = nnz_t{1} << 21;
 /// ProjectionCounter's KMV sketch size (relative error ~1/√k ≈ 3%).
 inline constexpr unsigned kKmvK = 1024;
+/// The exact count of a single mode m uses one occupancy bitmap of dim(m)
+/// bits per thread while the bitmaps hold at most this many bits per
+/// nonzero, that is no more memory than one hash array; it hashes above.
+inline constexpr std::size_t kOccupancyBitsPerNonzero = 64;
 /// Default seed of the projection hashes.
 inline constexpr std::uint64_t kProjectionSeed = 0x9e3779b9ULL;
 
@@ -35,25 +42,30 @@ std::uint64_t projection_hash(const CooTensor& t, nnz_t i, mode_set_t modes,
                               std::uint64_t seed = kProjectionSeed);
 
 /// out[j] = projection_hash(t, first + j, modes, seed) for every j, computed
-/// mode by mode over the member modes' contiguous index arrays.
+/// mode by mode over the member modes' contiguous index arrays, one chunk
+/// of `out` per thread.
 void projection_hashes(const CooTensor& t, mode_set_t modes, nnz_t first,
                        std::span<std::uint64_t> out,
                        std::uint64_t seed = kProjectionSeed);
 
 /// Buffers of the exact distinct count. A caller that counts many subsets
 /// of one tensor keeps one of these, so each pass reuses the two nnz-long
-/// hash arrays and the probe table instead of faulting in fresh pages.
+/// hash arrays and the probe tables instead of faulting in fresh pages.
+/// Every buffer, the per-thread ones included, is allocated by the calling
+/// thread.
 struct DistinctCountScratch {
-  std::vector<std::uint64_t> hashes;  ///< projection hashes (exact pass)
-  std::vector<std::uint64_t> parted;  ///< hashes partitioned by bucket
-  std::vector<std::uint64_t> table;   ///< probe table; all 0 between calls
-  std::vector<std::size_t> start;     ///< bucket offsets into `parted`
-  std::vector<std::size_t> filled;    ///< table slots one bucket filled
+  std::vector<std::uint64_t> hashes;   ///< projection hashes (exact pass)
+  std::vector<std::uint64_t> parted;   ///< hashes partitioned by bucket
+  std::vector<std::uint64_t> table;    ///< probe tables; all 0 between calls
+  std::vector<std::size_t> start;      ///< bucket offsets into `parted`
+  std::vector<std::size_t> cursor;     ///< per chunk: bucket counts, cursors
+  std::vector<std::size_t> filled;     ///< table slots one bucket filled
+  std::vector<std::uint64_t> bitmaps;  ///< per chunk: occupied slices
 };
 
 /// Exact number of distinct values in `hashes`, in O(n): a counting-sort
-/// partition by the top bits into buckets of about 1k entries, then one
-/// reused open-addressing table counts each bucket.
+/// partition by the top bits into buckets of about 1k entries, then each
+/// thread counts a run of buckets with its own reused open-addressing table.
 nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes);
 
 /// The same count in the caller's buffers; `hashes` may be scratch.hashes.
@@ -62,7 +74,10 @@ nnz_t count_distinct_hashes(std::span<const std::uint64_t> hashes,
 
 /// Exact distinct-projection count: count_distinct_hashes over every
 /// nonzero's projection_hash. (Collisions would undercount with probability
-/// ~nnz²/2⁶⁴ — negligible at any realistic size.)
+/// ~nnz²/2⁶⁴ — negligible at any realistic size.) A single mode's count is
+/// its number of occupied slices, read from bitmaps (see
+/// kOccupancyBitsPerNonzero); it equals the hash count, since one mode's
+/// distinct indices hash to distinct values.
 nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes);
 
 /// The same count in the caller's buffers.

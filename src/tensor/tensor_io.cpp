@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -16,6 +17,8 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/isa.hpp"
+#include "util/parallel.hpp"
 
 namespace mdcp {
 
@@ -115,8 +118,16 @@ const char* parse_record(const char* p, Record& rec) {
   }
 }
 
-// Accepts lines one at a time and appends the records straight into the
-// per-mode index arrays.
+// A line parse_record has parsed, kept until the sink takes it.
+struct StagedLine {
+  Record rec;
+  const char* err = nullptr;    ///< parse_record's error text, or nullptr
+  const char* begin = nullptr;  ///< the line [begin, end), for messages
+  const char* end = nullptr;
+};
+
+// Accepts lines one at a time, in line order, and appends the records
+// straight into the per-mode index arrays.
 class RecordSink {
  public:
   RecordSink(const shape_t& shape_hint, const TnsReadOptions& opts,
@@ -126,48 +137,11 @@ class RecordSink {
   // Line [b, e) with *e == '\0'. Returns false when the fault-injection
   // short read ends the stream here.
   bool line(const char* b, const char* e) {
-    ++line_no_;
-    st_.lines_read = line_no_;
-    // Fault-injection site: simulate a short read (io.lines=N) by ending the
-    // stream after N lines; downstream sees an ordinary shorter tensor.
-    if (fault::should_inject(fault::Site::kIo, line_no_)) {
-      st_.truncated = true;
-      return false;
-    }
-    if (const char* err = parse_record(b, rec_)) {
-      if (opts_.strict) fail_line(line_no_, err, {b, e});
-      ++st_.skipped_malformed;
-      return true;
-    }
-    if (rec_.order == 0) return true;
-    if (idx_.empty()) {
-      idx_.resize(rec_.order);
-      shape_.assign(rec_.order, 0);
-    } else if (rec_.order != idx_.size()) {
-      if (opts_.strict) {
-        std::ostringstream os;
-        os << ".tns line " << line_no_ << ": record has " << rec_.order
-           << " indices, expected " << idx_.size();
-        throw parse_error(os.str(), line_no_);
-      }
-      ++st_.skipped_malformed;
-      return true;
-    }
-    if (!hint_.empty()) {
-      if (hint_.size() != rec_.order)
-        fail_line(line_no_, "record arity does not match the shape hint",
-                  {b, e});
-      for (std::size_t m = 0; m < rec_.order; ++m)
-        if (rec_.coords[m] >= hint_[m])
-          fail_line(line_no_, "index exceeds the shape hint", {b, e});
-    }
-    for (std::size_t m = 0; m < rec_.order; ++m) {
-      idx_[m].push_back(rec_.coords[m]);
-      shape_[m] = std::max(shape_[m], rec_.coords[m] + 1);
-    }
-    vals_.push_back(rec_.value);
-    return true;
+    return take(b, e, parse_record(b, rec_), rec_);
   }
+
+  // The same for a line parsed ahead.
+  bool line(const StagedLine& l) { return take(l.begin, l.end, l.err, l.rec); }
 
   CooTensor finish() {
     if (idx_.empty()) throw parse_error(".tns stream contains no nonzeros");
@@ -177,6 +151,53 @@ class RecordSink {
   }
 
  private:
+  // Inlined into both callers: the serial read loses about 5% when the
+  // per-line call stays out of line.
+  MDCP_ALWAYS_INLINE bool take(const char* b, const char* e, const char* err,
+                               const Record& rec) {
+    ++line_no_;
+    st_.lines_read = line_no_;
+    // Fault-injection site: simulate a short read (io.lines=N) by ending the
+    // stream after N lines; downstream sees an ordinary shorter tensor.
+    if (fault::should_inject(fault::Site::kIo, line_no_)) {
+      st_.truncated = true;
+      return false;
+    }
+    if (err != nullptr) {
+      if (opts_.strict) fail_line(line_no_, err, {b, e});
+      ++st_.skipped_malformed;
+      return true;
+    }
+    if (rec.order == 0) return true;
+    if (idx_.empty()) {
+      idx_.resize(rec.order);
+      shape_.assign(rec.order, 0);
+    } else if (rec.order != idx_.size()) {
+      if (opts_.strict) {
+        std::ostringstream os;
+        os << ".tns line " << line_no_ << ": record has " << rec.order
+           << " indices, expected " << idx_.size();
+        throw parse_error(os.str(), line_no_);
+      }
+      ++st_.skipped_malformed;
+      return true;
+    }
+    if (!hint_.empty()) {
+      if (hint_.size() != rec.order)
+        fail_line(line_no_, "record arity does not match the shape hint",
+                  {b, e});
+      for (std::size_t m = 0; m < rec.order; ++m)
+        if (rec.coords[m] >= hint_[m])
+          fail_line(line_no_, "index exceeds the shape hint", {b, e});
+    }
+    for (std::size_t m = 0; m < rec.order; ++m) {
+      idx_[m].push_back(rec.coords[m]);
+      shape_[m] = std::max(shape_[m], rec.coords[m] + 1);
+    }
+    vals_.push_back(rec.value);
+    return true;
+  }
+
   const shape_t& hint_;
   const TnsReadOptions& opts_;
   TnsReadStats& st_;
@@ -200,6 +221,15 @@ CooTensor read_tns(std::istream& in, const shape_t& shape_hint,
   // Lines are split as std::getline splits them: at '\n', with a final
   // unterminated line counted when it is not empty. The partial last line
   // of each block moves to the front and the next read completes it.
+  // Each block's complete lines are cut into `parts` runs of whole lines.
+  // The calling thread hands the first run to the sink line by line, as one
+  // thread reads; meanwhile the other runs are parsed into `staged`, which
+  // the sink then takes in line order. So line numbers, the first error and
+  // the counts are those of a serial read.
+  const int parts = num_threads();
+  std::vector<char*> cut(parts + 1);             // per run: first byte
+  std::vector<std::size_t> first(parts + 1, 0);  // per run: first staged
+  std::vector<StagedLine> staged;
   std::size_t cap = kBlockBytes;
   std::vector<char> buf(cap + 1);  // +1: room for the final line's NUL
   std::size_t have = 0;
@@ -210,23 +240,70 @@ CooTensor read_tns(std::istream& in, const shape_t& shape_hint,
     const auto got = static_cast<std::size_t>(in.gcount());
     at_eof = have + got < cap;
     have += got;
-    char* p = buf.data();
-    char* const end = p + have;
-    while (p < end) {
-      auto* nl = static_cast<char*>(std::memchr(p, '\n', end - p));
-      if (nl == nullptr) {
-        if (!at_eof) break;
-        nl = end;
-      }
-      *nl = '\0';  // tokens end here, or at an earlier embedded NUL
-      if (!sink.line(p, nl)) {
-        at_eof = true;
-        break;
-      }
-      p = nl + 1;
+    char* const begin = buf.data();
+    char* const end = begin + have;
+    // The block's lines end after its last '\n', or at `end` once the
+    // stream has ended.
+    char* lines_end = end;
+    if (!at_eof) {
+      auto* last = static_cast<char*>(memrchr(begin, '\n', have));
+      lines_end = last == nullptr ? begin : last + 1;
     }
-    have = p < end ? static_cast<std::size_t>(end - p) : 0;
-    std::memmove(buf.data(), p, have);
+    cut[0] = begin;
+    cut[parts] = lines_end;
+    for (int c = 1; c < parts; ++c) {
+      char* p = std::max(
+          cut[c - 1],
+          begin + chunk_range(lines_end - begin, parts, c).begin);
+      if (p > begin && p < lines_end && p[-1] != '\n') {
+        auto* nl = static_cast<char*>(std::memchr(p, '\n', lines_end - p));
+        p = nl == nullptr ? lines_end : nl + 1;
+      }
+      cut[c] = p;
+    }
+    // Only the stream's last run can end without a '\n'.
+    for (int c = 1; c < parts; ++c)
+      first[c + 1] = static_cast<std::size_t>(
+          std::count(cut[c], cut[c + 1], '\n') +
+          (cut[c + 1] > cut[c] && cut[c + 1][-1] != '\n'));
+    for (int c = 1; c < parts; ++c) first[c + 1] += first[c];
+    staged.resize(first[parts]);
+    bool stopped = false;  // the fault-injection short read ended the stream
+    std::exception_ptr failed;
+    parallel_chunks(parts, [&](int c) {
+      char* p = cut[c];
+      char* const run_end = cut[c + 1];
+      StagedLine* out = staged.data() + first[c];
+      while (p < run_end) {
+        auto* nl = static_cast<char*>(std::memchr(p, '\n', run_end - p));
+        if (nl == nullptr) nl = run_end;
+        *nl = '\0';  // tokens end here, or at an earlier embedded NUL
+        if (c == 0) {
+          // A strict parse error throws here; it must not leave the team.
+          try {
+            if (!sink.line(p, nl)) {
+              stopped = true;
+              return;
+            }
+          } catch (...) {
+            failed = std::current_exception();
+            return;
+          }
+        } else {
+          out->err = parse_record(p, out->rec);
+          out->begin = p;
+          out->end = nl;
+          ++out;
+        }
+        p = nl + 1;
+      }
+    });
+    if (failed) std::rethrow_exception(failed);
+    for (std::size_t i = 0; i < staged.size() && !stopped; ++i)
+      stopped = !sink.line(staged[i]);
+    at_eof = at_eof || stopped;
+    have = static_cast<std::size_t>(end - lines_end);
+    std::memmove(begin, lines_end, have);
   }
 
   CooTensor t = sink.finish();

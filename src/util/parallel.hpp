@@ -96,6 +96,30 @@ void parallel_for_dynamic(nnz_t n, Fn&& fn, nnz_t grain = 64) {
   }
 }
 
+/// Runs fn(c) for every chunk c in [0, parts), spread over a team of up to
+/// `parts` threads; with parts <= 1 it calls fn(0) on the calling thread. A
+/// caller that splits its work by chunk_range(n, parts, c) and combines the
+/// chunks' results in chunk order gets results that depend on `parts` only,
+/// not on how many threads the team actually has. The setup passes (sort,
+/// projection hashing, .tns parsing) use it; their bodies do integer work
+/// and parsing, so unlike the kernel helpers this sets no FP environment.
+/// fn must not throw: set a flag and throw after the call.
+template <typename Fn>
+void parallel_chunks(int parts, Fn&& fn) {
+  if (parts <= 1) {
+    fn(0);
+    return;
+  }
+#pragma omp parallel num_threads(parts)
+  {
+    const int team = team_size();
+    for (int c = thread_id(); c < parts; c += team) {
+      obs::fr_beat(obs::FrPhase::kParallelFor, c);
+      fn(c);
+    }
+  }
+}
+
 /// Runs fn(tid, range) once per team member with a contiguous static
 /// partition of [0, n): thread `tid` owns `range` exclusively. This is the
 /// shape kernels use to pair a per-thread Workspace slab with a fixed slice

@@ -558,6 +558,42 @@ TEST(Blas, RowSetKernelsMatchAllRowsBitwise) {
   set_num_threads(saved_threads);
 }
 
+// column_norms before its columns were tiled in registers: one running sum
+// per column in the result vector, rows added in order. Kept as the bitwise
+// reference.
+std::vector<real_t> reference_column_norms(const Matrix& a, RowSet rows) {
+  const index_t r = a.cols();
+  std::vector<real_t> norms(r, 0);
+  for (index_t p = 0; p < rows.count; ++p) {
+    const auto row = a.row(rows[p]);
+    for (index_t j = 0; j < r; ++j) norms[j] += row[j] * row[j];
+  }
+  for (auto& x : norms) x = std::sqrt(x);
+  return norms;
+}
+
+TEST(Blas, ColumnNormsMatchRowLoopBitwise) {
+  const index_t row_counts[] = {1, 63, 64, 65, kGramBlock + 3,
+                                4 * kGramBlock + 100};
+  for (const index_t r : {1u, 2u, 3u, 7u, 10u, 16u, 17u, 31u, 32u, 64u}) {
+    Rng rng(4000 + r);
+    for (const index_t n : row_counts) {
+      const auto lists = row_lists(n, rng);
+      for (std::size_t li = 0; li < lists.size(); ++li) {
+        const RowSet rows = RowSet::list(lists[li]);
+        const Matrix a = Matrix::random_normal(n, r, rng);
+        const auto got = column_norms(a, rows);
+        const auto want = reference_column_norms(a, rows);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(real_t)),
+                  0)
+            << "R=" << r << " n=" << n << " list=" << li;
+      }
+    }
+  }
+}
+
 TEST(Cholesky, RowSetSolveMatchesAllRowsOnFallbackPaths) {
   // The ridge (rank-one H) and pseudo-inverse (indefinite H) paths write
   // the listed rows exactly as the all-rows solve does, and nothing else.

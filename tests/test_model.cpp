@@ -14,6 +14,8 @@
 #include "tensor/generator.hpp"
 #include "tensor/stats.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace mdcp {
 namespace {
@@ -154,6 +156,83 @@ TEST(Sketch, ProjectionCounterCachesPasses) {
   EXPECT_EQ(counter.passes(), 1u);
   counter.count(0b110);
   EXPECT_EQ(counter.passes(), 2u);
+}
+
+// The exact passes split their work into one chunk per thread; every count
+// must be the serial one at any thread count.
+constexpr int kThreadCounts[] = {1, 3, 4};
+
+TEST(Sketch, CountDistinctHashesAtEveryThreadCount) {
+  Rng rng(21);
+  std::vector<std::vector<std::uint64_t>> arrays;
+  // Many duplicates, mostly distinct, and few values (a few huge buckets).
+  for (const std::uint64_t universe : {std::uint64_t{5000}, ~std::uint64_t{0},
+                                       std::uint64_t{3}}) {
+    std::vector<std::uint64_t> h(60000);
+    for (auto& x : h) x = splitmix64(rng.next_u64() % universe);
+    arrays.push_back(std::move(h));
+  }
+  arrays.back()[123] = 0;  // a real 0 hash, counted on the side
+  // Values crowded into the top bucket: one chunk takes almost everything.
+  std::vector<std::uint64_t> top(50000);
+  for (std::size_t i = 0; i < top.size(); ++i)
+    top[i] = i % 7 == 0 ? i : ~std::uint64_t{0} - i % 20000;
+  arrays.push_back(std::move(top));
+  for (const auto& h : arrays) {
+    std::vector<std::uint64_t> sorted = h;
+    std::sort(sorted.begin(), sorted.end());
+    const auto want = static_cast<nnz_t>(
+        std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+    DistinctCountScratch shared;
+    for (const int threads : kThreadCounts) {
+      const ThreadScope scope(threads);
+      EXPECT_EQ(count_distinct_hashes(h), want) << threads << " threads";
+      EXPECT_EQ(count_distinct_hashes(h, shared), want)
+          << threads << " threads (shared scratch)";
+    }
+  }
+}
+
+TEST(Sketch, ProjectionCounterAtEveryThreadCount) {
+  const std::vector<CooTensor> tensors{
+      generate_zipf(shape_t{8, 4000, 20000, 6000}, 60000, 1.1, 3),
+      generate_clustered(shape_t{200, 150, 100, 50, 20}, 50000,
+                         {.clusters = 32, .spread = 6.0}, 5),
+      random_coords(shape_t{3, 7, 2000}, 40000, 17),
+  };
+  for (const CooTensor& t : tensors) {
+    std::vector<nnz_t> want;
+    for (mode_set_t s = 1; s <= all_modes(t.order()); ++s)
+      want.push_back(distinct_projection_count(t, s));
+    for (const int threads : kThreadCounts) {
+      const ThreadScope scope(threads);
+      ProjectionCounter counter(t);
+      for (mode_set_t s = 1; s <= all_modes(t.order()); ++s)
+        EXPECT_EQ(counter.count(s), want[s - 1])
+            << t.summary() << " subset " << s << ", " << threads
+            << " threads";
+      EXPECT_EQ(counter.passes(), want.size());
+    }
+  }
+}
+
+TEST(Sketch, SingleModeCountOnBothSidesOfTheBitmapLimit) {
+  // Mode 1's bitmaps hold round_up(dim, 64) bits per thread: 64000 bits is
+  // at kOccupancyBitsPerNonzero per nonzero for 1000 nonzeros, 64064 past
+  // it, so at one thread the first counts slices and the second hashes.
+  constexpr nnz_t kNnz = 1000;
+  for (const index_t dim : {index_t{64000}, index_t{64001}, index_t{3000000}}) {
+    const CooTensor t = random_coords(shape_t{5, dim, 9}, kNnz, dim);
+    ASSERT_EQ(kOccupancyBitsPerNonzero * kNnz, 64000u);
+    for (const int threads : kThreadCounts) {
+      const ThreadScope scope(threads);
+      for (mode_set_t s : {0b001u, 0b010u, 0b100u, 0b011u})
+        EXPECT_EQ(exact_distinct_projections(t, s),
+                  distinct_projection_count(t, s))
+            << "dim " << dim << " subset " << s << ", " << threads
+            << " threads";
+    }
+  }
 }
 
 TEST(CostModel, BdtNeedsFewerFlopsThanFlatAtHighOrder) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "dtree/dimension_tree.hpp"
@@ -14,6 +15,7 @@
 #include "tensor/generator.hpp"
 #include "tensor/radix_sort.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mdcp {
@@ -131,6 +133,62 @@ TEST(RadixSort, CooSortedPermutationMatchesComparator) {
   }
 }
 
+// Each pass splits the ids into one chunk per thread; the permutation must
+// be the serial one at any thread count.
+constexpr int kThreadCounts[] = {1, 3, 4};
+
+TEST(RadixSort, MatchesStableSortAtEveryThreadCount) {
+  Rng rng(9);
+  const std::vector<std::vector<index_t>> size_sets{
+      {7},                            // one pass, 7 buckets
+      {1, 2000, 5},                   // a size-1 key costs nothing
+      {(1u << 22) + 3, 300},          // a three-digit key
+      {kMaxSize, 8, kMaxSize},        // full-width keys
+  };
+  for (const nnz_t n : {nnz_t{5}, nnz_t{4097}, nnz_t{60000}})
+    for (const auto& sz : size_sets)
+      for (const index_t distinct : {index_t{3}, index_t{5000}, kMaxSize}) {
+        const auto values = random_keys(sz, n, distinct, rng);
+        const auto keys = as_sort_keys(values, sz);
+        const auto want = comparator_sort(keys, n);
+        for (const int threads : kThreadCounts) {
+          const ThreadScope scope(threads);
+          ASSERT_EQ(radix_sort_permutation(keys, n), want)
+              << "n=" << n << " keys=" << sz.size() << " distinct="
+              << distinct << " threads=" << threads;
+        }
+      }
+}
+
+TEST(RadixSort, KeySizeErrorIsTypedAtEveryThreadCount) {
+  // Two values past the size, in the last quarter of the ids: every thread
+  // count must throw mdcp::error naming the first of them, never terminate.
+  std::vector<index_t> one(20000), two(20000);
+  for (index_t i = 0; i < one.size(); ++i) {
+    one[i] = i % 500;
+    two[i] = (i * 7919) % (1u << 20);
+  }
+  one[17000] = 900;
+  one[19000] = 800;
+  two[9000] = (1u << 23) + 1;  // caught by the top digit of a 2-pass key
+  for (const int threads : kThreadCounts) {
+    const ThreadScope scope(threads);
+    try {
+      (void)radix_sort_permutation(std::vector<SortKey>{{one, 500}}, 20000);
+      ADD_FAILURE() << "no error at " << threads << " threads";
+    } catch (const error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "sort key value 900 exceeds the key size 500"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(radix_sort_permutation(
+                     std::vector<SortKey>{{two, 1u << 20}, {one, 500}}, 16000),
+                 error)
+        << threads << " threads";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // build_symbolic against a comparator-sort reference.
 // ---------------------------------------------------------------------------
@@ -242,6 +300,27 @@ TEST(RadixSort, SymbolicBuildMatchesComparatorReference) {
       expect_symbolic_matches(t, TreeSpec::three_level(order, split));
     ProjectionCounter counter(t);
     expect_symbolic_matches(t, greedy_tree(t, counter));
+  }
+}
+
+TEST(RadixSort, SymbolicBuildMatchesAtEveryThreadCount) {
+  ClusteredOptions clustered;
+  clustered.clusters = 24;
+  const std::vector<CooTensor> tensors{
+      generate_zipf({8, 3000, 20000, 6000}, 50000, 1.1, 12),
+      generate_clustered({60, 70, 80, 90, 100}, 40000, clustered, 13),
+      generate_uniform({3, 4, 5, 6, 7, 8}, 30000, 14),
+  };
+  for (const CooTensor& t : tensors) {
+    std::vector<mode_t> order(t.order());
+    std::iota(order.begin(), order.end(), mode_t{0});
+    for (const int threads : kThreadCounts) {
+      const ThreadScope scope(threads);
+      SCOPED_TRACE(t.summary() + ", " + std::to_string(threads) + " threads");
+      expect_symbolic_matches(t, TreeSpec::flat(order));
+      expect_symbolic_matches(t, TreeSpec::bdt(order));
+      expect_symbolic_matches(t, TreeSpec::three_level(order, 2));
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 // tns_oracle.hpp: the corrupt corpus, a table of edge tokens, inputs that
 // span several read blocks, and a seeded mutation loop. On every input the
 // two readers must give the same tensor bit for bit with the same
-// TnsReadStats, or the same error (type, message and line number).
+// TnsReadStats, or the same error (type, message and line number). read_tns
+// parses each block's lines in one run per thread, so every comparison runs
+// it at 1, 3 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +17,14 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor_io.hpp"
 #include "tns_oracle.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 #ifndef MDCP_TEST_DATA_DIR
@@ -105,27 +109,33 @@ std::string describe(const Outcome& o) {
   return os.str();
 }
 
-// read_tns and the oracle agree on `input` in strict and non-strict mode.
+// read_tns at 1, 3 and 4 threads and the oracle agree on `input` in strict
+// and non-strict mode.
 ::testing::AssertionResult agree(const std::string& input,
                                  const shape_t& hint = {}) {
   for (bool strict : {true, false}) {
-    const Outcome got = run(
-        [](std::istream& in, const shape_t& h, const TnsReadOptions& o,
-           TnsReadStats* s) { return read_tns(in, h, o, s); },
-        input, hint, strict);
     const Outcome want = run(
         [](std::istream& in, const shape_t& h, const TnsReadOptions& o,
            TnsReadStats* s) { return oracle::read_tns(in, h, o, s); },
         input, hint, strict);
-    const bool same =
-        got.kind == want.kind && got.what == want.what &&
-        got.line == want.line && same_stats(got.stats, want.stats) &&
-        (got.kind != Outcome::kTensor || same_bits(got.tensor, want.tensor));
-    if (!same)
-      return ::testing::AssertionFailure()
-             << (strict ? "strict" : "non-strict") << " read of \""
-             << escaped(input) << "\"\n  read_tns: " << describe(got)
-             << "\n  oracle:   " << describe(want);
+    for (const int threads : {1, 3, 4}) {
+      const ThreadScope scope(threads);
+      const Outcome got = run(
+          [](std::istream& in, const shape_t& h, const TnsReadOptions& o,
+             TnsReadStats* s) { return read_tns(in, h, o, s); },
+          input, hint, strict);
+      const bool same =
+          got.kind == want.kind && got.what == want.what &&
+          got.line == want.line && same_stats(got.stats, want.stats) &&
+          (got.kind != Outcome::kTensor ||
+           same_bits(got.tensor, want.tensor));
+      if (!same)
+        return ::testing::AssertionFailure()
+               << (strict ? "strict" : "non-strict") << " read at "
+               << threads << " threads of \"" << escaped(input)
+               << "\"\n  read_tns: " << describe(got)
+               << "\n  oracle:   " << describe(want);
+    }
   }
   return ::testing::AssertionSuccess();
 }
@@ -310,6 +320,24 @@ TEST(TnsReaderDiff, LinesLongerThanABlock) {
   EXPECT_TRUE(agree(std::string(3 * kBlock, '7')));  // one token, no newline
 }
 
+TEST(TnsReaderDiff, ErrorsInEveryRunOfABlock) {
+  // Malformed records at twelfths of the first block, so that at 3 and at 4
+  // threads each run holds some, plus subnormal and boundary values. Strict
+  // reads must name the first; non-strict reads must skip them all.
+  const std::string big = big_input(23, 2 * kBlock);
+  for (const std::size_t k : {1, 2, 3, 5, 6, 8, 9, 11}) {
+    std::string one = big;
+    const std::size_t at = one.find('\n', k * kBlock / 12) + 1;
+    one.insert(at, "1 2 3 4e-310\n5 6 7 x 1.0\n");
+    EXPECT_TRUE(agree(one)) << "twelfth " << k;
+  }
+  std::string many = big;
+  for (std::size_t k = 11; k >= 1; --k)
+    many.insert(many.find('\n', k * kBlock / 12) + 1, "1 2 3\n");
+  EXPECT_TRUE(agree(many));
+  EXPECT_TRUE(agree(many, shape_t{50000, 50000, 50000, 50000}));
+}
+
 // ---------------------------------------------------------------------------
 // Seeded mutation loop: byte flips, insertions, truncations and splices of
 // the corpus and the edge inputs. The budget is fixed; every failure names
@@ -381,12 +409,17 @@ TEST(TnsReaderDiff, SeededMutations) {
 
 TEST(TnsReaderDiff, ShortReadFaultAgrees) {
   if (!fault::enabled()) GTEST_SKIP() << "fault injection compiled out";
-  const std::string input = big_input(5, 4096);
-  for (std::uint64_t lines : {1, 2, 7, 100}) {
+  // The short read lands in the first run of a block (read line by line)
+  // and in later runs (parsed ahead), in the first block and in the second.
+  const std::string small = big_input(5, 4096);
+  const std::string big = big_input(6, 2 * kBlock);
+  for (const auto& [input, lines] :
+       {std::pair{&small, 1}, {&small, 2}, {&small, 7}, {&small, 100},
+        {&big, 20000}, {&big, 40000}}) {
     fault::SiteConfig cfg;
-    cfg.threshold = lines;
+    cfg.threshold = static_cast<std::uint64_t>(lines);
     fault::FaultPlan::instance().arm(fault::Site::kIo, cfg);
-    EXPECT_TRUE(agree(input)) << "io.lines=" << lines;
+    EXPECT_TRUE(agree(*input)) << "io.lines=" << lines;
     fault::FaultPlan::instance().reset();
   }
 }

@@ -260,8 +260,10 @@ int cmd_tune(const Args& args) {
                 rs.fits_budget ? "yes" : "no",
                 i == report.chosen ? "   <== chosen" : "");
   }
-  std::printf("selection: %.4g s, %llu sketch passes\n", select_seconds,
-              static_cast<unsigned long long>(passes.value() - passes_before));
+  std::printf("selection: %.4g s, %llu sketch passes, %d threads\n",
+              select_seconds,
+              static_cast<unsigned long long>(passes.value() - passes_before),
+              num_threads());
   return 0;
 }
 
