@@ -151,7 +151,6 @@ CpAlsResult run_sweeps(const CooTensor& tensor, MttkrpEngine& engine,
 
   Sweep s(tensor, rank, options.seed);
   CpAlsResult& result = s.result;
-  result.engine_name = engine.name();
   result.mttkrp_mode_seconds.assign(order, 0.0);
 
   // --- Liveness + crash forensics for this run. ---------------------------
@@ -168,7 +167,7 @@ CpAlsResult run_sweeps(const CooTensor& tensor, MttkrpEngine& engine,
     w.begin_object()
         .kv("type", "summary")
         .kv("schema", obs::kReportSchema)
-        .kv("engine", result.engine_name)
+        .kv("engine", engine.name())
         .kv("rank", static_cast<std::uint64_t>(rank))
         .kv("plan_source",
             (plan_src != nullptr && plan_src[0] != '\0') ? plan_src : "fixed")
@@ -437,6 +436,8 @@ CpAlsResult run_sweeps(const CooTensor& tensor, MttkrpEngine& engine,
   // predate this run (it is a process-lifetime bound, not a per-run one).
   result.kernel_stats = engine.stats().since(stats_before);
   result.engine_peak_memory_bytes = engine.peak_memory_bytes();
+  // Read at the end: a compute-time degradation changes the engine's name.
+  result.engine_name = engine.name();
   // Fixed engines never set KernelStats::plan_source — there was no plan to
   // choose. Spell that "fixed" so report consumers can tell it apart from a
   // model-driven run that predates the field.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "model/sketch.hpp"
 #include "mttkrp/microkernel.hpp"
 #include "sched/reduce.hpp"
 #include "util/error.hpp"
@@ -253,33 +252,6 @@ std::size_t CsfMttkrpEngine::memory_bytes() const {
   std::size_t b = 0;
   for (const auto& c : csfs_) b += c->memory_bytes();
   return b;
-}
-
-std::size_t csf_footprint_bytes(const CooTensor& tensor, index_t rank,
-                                ProjectionCounter* counter, int threads) {
-  // One trie per root mode: values, per-level fiber ids, per-non-leaf fptr.
-  // Level l's fiber count is the distinct count of the mode-order prefix
-  // (the nnz upper bound without a counter).
-  const mode_t order = tensor.order();
-  const nnz_t nnz = tensor.nnz();
-  std::size_t b = 0;
-  for (mode_t root = 0; root < order; ++root) {
-    const std::vector<mode_t> mode_order =
-        CsfTensor::default_order(tensor, root);
-    b += static_cast<std::size_t>(nnz) * sizeof(real_t);
-    mode_set_t prefix = 0;
-    for (mode_t l = 0; l < order; ++l) {
-      prefix |= mode_set_t{1} << mode_order[l];
-      const nnz_t fibers =
-          (l + 1 == order) ? nnz
-          : counter != nullptr ? std::min(counter->count(prefix), nnz)
-                               : nnz;
-      b += static_cast<std::size_t>(fibers) * sizeof(index_t);
-      if (l + 1 < order)
-        b += static_cast<std::size_t>(fibers + 1) * sizeof(nnz_t);
-    }
-  }
-  return b + static_cast<std::size_t>(threads) * order * rank * sizeof(real_t);
 }
 
 }  // namespace mdcp

@@ -30,8 +30,6 @@
 
 namespace mdcp {
 
-class ProjectionCounter;
-
 /// out = MTTKRP in mode csf.mode_order()[0]. out is resized to
 /// (dim(root mode) × R). Parallel over root fibers; deterministic. Scratch
 /// comes from `ws` (null = the default workspace).
@@ -68,11 +66,5 @@ class CsfMttkrpEngine final : public MttkrpEngine {
   std::vector<SchedInfo> sched_;  // one per mode
   mk::Kernel mk_;                 // rank-blocked dispatcher, set per prepare()
 };
-
-/// The engine's registered footprint predictor (see FootprintFn in
-/// mttkrp/registry.hpp): one CSF trie per mode plus one order×R traversal
-/// accumulator per thread.
-std::size_t csf_footprint_bytes(const CooTensor& tensor, index_t rank,
-                                ProjectionCounter* counter, int threads);
 
 }  // namespace mdcp

@@ -28,7 +28,6 @@
 #include "model/sketch.hpp"
 #include "model/strategy.hpp"
 #include "model/tuner.hpp"
-#include "mttkrp/blocked_coo.hpp"
 #include "mttkrp/coo_mttkrp.hpp"
 #include "mttkrp/engine.hpp"
 #include "mttkrp/registry.hpp"

@@ -258,15 +258,12 @@ void AutoEngine::do_prepare(index_t rank) {
     }
   }
 
-  // Start at the first level the model predicts in budget, recording every
-  // skip. If no level fits, run the last (cheapest) one anyway — the arena
-  // budget still backstops it at run time.
-  while (chain_pos_ + 1 < chain_.size() && !chain_[chain_pos_].fits_budget) {
-    note_degradation(chain_pos_, chain_pos_ + 1, "predicted-over-budget",
-                     /*at_prepare=*/true);
-    ++chain_pos_;
-  }
-  build_inner(rank);
+  // Start at the first level the model predicts in budget. If no level
+  // fits, run the last (cheapest) one anyway — the arena budget still
+  // backstops it at run time.
+  if (!chain_[0].fits_budget && chain_.size() > 1)
+    advance("predicted-over-budget", /*at_prepare=*/true);
+  run_on_chain(/*build=*/true, [] {});
 }
 
 ScheduleMode AutoEngine::effective_inner_sched() const noexcept {
@@ -277,38 +274,50 @@ ScheduleMode AutoEngine::effective_inner_sched() const noexcept {
              : chain_[chain_pos_].forced_sched;
 }
 
-void AutoEngine::build_inner(index_t rank) {
+void AutoEngine::build_inner() {
+  const ChainEntry& entry = chain_[chain_pos_];
+  KernelContext ctx = context();
+  ctx.sched = effective_inner_sched();
+  if (entry.engine.empty()) {
+    const auto& win = report_.winner();
+    inner_ = std::make_unique<DTreeMttkrpEngine>(win.strategy.spec,
+                                                 entry.label, ctx);
+  } else {
+    inner_ = make_engine(entry.engine, ctx);
+  }
+  prepare_unprobed(*inner_, tensor(), rank_hint());
+}
+
+void AutoEngine::advance(const char* reason, bool at_prepare) {
+  do {
+    note_degradation(chain_pos_, chain_pos_ + 1, reason, at_prepare);
+    ++chain_pos_;
+    reason = "predicted-over-budget";
+  } while (chain_pos_ + 1 < chain_.size() && !chain_[chain_pos_].fits_budget);
+}
+
+template <typename Step>
+void AutoEngine::run_on_chain(bool build, Step&& step) {
   for (;;) {
-    const ChainEntry& entry = chain_[chain_pos_];
-    KernelContext ctx = context();
-    ctx.sched = effective_inner_sched();
+    const bool last = chain_pos_ + 1 >= chain_.size();
     try {
-      if (entry.engine.empty()) {
-        const auto& win = report_.winner();
-        inner_ = std::make_unique<DTreeMttkrpEngine>(win.strategy.spec,
-                                                     entry.label, ctx);
-      } else {
-        inner_ = make_engine(entry.engine, ctx);
-      }
-      prepare_unprobed(*inner_, tensor(), rank);
+      if (build) build_inner();
+      step();
       return;
     } catch (const budget_error&) {
-      if (chain_pos_ + 1 >= chain_.size()) throw;
-      note_degradation(chain_pos_, chain_pos_ + 1, "budget-exceeded",
-                       /*at_prepare=*/false);
-      ++chain_pos_;
+      if (last) throw;
+      advance("budget-exceeded", /*at_prepare=*/false);
     } catch (const std::bad_alloc&) {
-      if (chain_pos_ + 1 >= chain_.size()) {
+      if (last) {
         std::ostringstream os;
-        os << "allocation failed preparing engine '" << entry.label
+        os << "allocation failed in engine '" << chain_[chain_pos_].label
            << "' and the degradation chain is exhausted";
-        throw budget_error(os.str(), entry.predicted_bytes,
+        throw budget_error(os.str(), chain_[chain_pos_].predicted_bytes,
                            context().mem_budget);
       }
-      note_degradation(chain_pos_, chain_pos_ + 1, "alloc-failure",
-                       /*at_prepare=*/false);
-      ++chain_pos_;
+      advance("alloc-failure", /*at_prepare=*/false);
     }
+    build = true;
   }
 }
 
@@ -332,35 +341,13 @@ void AutoEngine::note_degradation(std::size_t from, std::size_t to,
 
 void AutoEngine::do_compute(mode_t mode, const std::vector<Matrix>& factors,
                             Matrix& out) {
-  for (;;) {
-    const KernelStats before = inner_->stats();
+  KernelStats before;
+  run_on_chain(/*build=*/false, [&] {
+    before = inner_->stats();
     inner_->context().sched = effective_inner_sched();  // forward overrides
-    try {
-      compute_unprobed(*inner_, mode, factors, out);
-    } catch (const budget_error&) {
-      if (chain_pos_ + 1 >= chain_.size()) throw;
-      note_degradation(chain_pos_, chain_pos_ + 1, "budget-exceeded",
-                       /*at_prepare=*/false);
-      ++chain_pos_;
-      build_inner(rank_hint());
-      continue;
-    } catch (const std::bad_alloc&) {
-      if (chain_pos_ + 1 >= chain_.size()) {
-        std::ostringstream os;
-        os << "allocation failed in engine '" << chain_[chain_pos_].label
-           << "' and the degradation chain is exhausted";
-        throw budget_error(os.str(), chain_[chain_pos_].predicted_bytes,
-                           context().mem_budget);
-      }
-      note_degradation(chain_pos_, chain_pos_ + 1, "alloc-failure",
-                       /*at_prepare=*/false);
-      ++chain_pos_;
-      build_inner(rank_hint());
-      continue;
-    }
-    fold_stats(inner_->stats().since(before));
-    return;
-  }
+    compute_unprobed(*inner_, mode, factors, out);
+  });
+  fold_stats(inner_->stats().since(before));
 }
 
 void AutoEngine::factor_updated(mode_t mode) {

@@ -281,7 +281,11 @@ class AltoMttkrpEngine final : public MttkrpEngine {
 
 /// The engine's registered footprint predictor (see FootprintFn in
 /// mttkrp/registry.hpp): the linearized key/value stream, the mode-0 row
-/// grouping, and the partition accumulator windows.
+/// grouping, the partition directory and the largest owner-path window
+/// layout. The windows span each partition's [lo, hi] range, not its
+/// distinct rows, so the predictor linearizes, sorts and partitions the
+/// tensor as prepare() does (O(nnz log nnz)) and bounds what the engine
+/// holds plus its arena peak. `counter` is unused.
 std::size_t alto_footprint_bytes(const CooTensor& tensor, index_t rank,
                                  ProjectionCounter* counter, int threads);
 

@@ -188,8 +188,11 @@ std::size_t coo_footprint_bytes(const CooTensor& tensor, index_t rank,
     b += nnz * sizeof(nnz_t) + rows * sizeof(index_t) +
          (rows + 1) * sizeof(nnz_t);
   }
-  // Owner-computes tile accumulator: one R-row per thread.
-  return b + static_cast<std::size_t>(threads) * rank * sizeof(real_t);
+  // Owner-computes tile accumulator: one padded R-row per thread, plus the
+  // slab's round-up to the arena alignment.
+  return b + static_cast<std::size_t>(threads) *
+                 (mk::padded_rank(rank) * sizeof(real_t) +
+                  Workspace::kAlignment);
 }
 
 }  // namespace mdcp

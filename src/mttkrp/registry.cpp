@@ -7,7 +7,6 @@
 #include "dtree/dtree_engine.hpp"
 #include "model/tuner.hpp"
 #include "mttkrp/alto.hpp"
-#include "mttkrp/blocked_coo.hpp"
 #include "mttkrp/coo_mttkrp.hpp"
 #include "util/error.hpp"
 
@@ -21,19 +20,14 @@ EngineRegistry::EngineRegistry() {
                     return std::make_unique<AltoMttkrpEngine>(ctx);
                   },
                   &alto_footprint_bytes);
-  register_engine("csf", "SPLATT root-mode kernel, one CSF per mode",
-                  [](KernelContext ctx) {
-                    return std::make_unique<CsfMttkrpEngine>(ctx);
-                  },
-                  &csf_footprint_bytes);
   register_engine("coo", "element-wise COO with per-mode scatter plans",
                   [](KernelContext ctx) {
                     return std::make_unique<CooMttkrpEngine>(ctx);
                   },
                   &coo_footprint_bytes);
-  register_engine("bcoo", "HiCOO-style blocked COO (128^N blocks)",
+  register_engine("csf", "SPLATT root-mode kernel, one CSF per mode",
                   [](KernelContext ctx) {
-                    return std::make_unique<BlockedCooEngine>(7u, ctx);
+                    return std::make_unique<CsfMttkrpEngine>(ctx);
                   });
   register_engine("dtree-flat", "dimension tree, flat (one level)",
                   [](KernelContext ctx) {

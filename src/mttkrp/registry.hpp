@@ -10,7 +10,10 @@
 //
 // Builtin names (registration order): the budget fallbacks first, in the
 // order the AutoEngine's degradation chain tries them, then the rest:
-//   alto, csf, coo, bcoo, dtree-flat, dtree-3lvl, dtree-bdt, auto, auto+probe
+//   alto, coo, csf, dtree-flat, dtree-3lvl, dtree-bdt, auto, auto+probe
+// `csf` has no predictor: its tries are several times coo's footprint and
+// its sweep is slower than alto's (EXPERIMENTS.md P2), so it is never the
+// fastest engine that fits a budget. It stays as the SPLATT-style baseline.
 #pragma once
 
 #include <functional>

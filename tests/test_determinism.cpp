@@ -33,8 +33,8 @@ class ThreadRestore {
 TEST(Determinism, RegistryListsBitwiseCriticalEngines) {
   const auto names = EngineRegistry::instance().names();
   for (const char* expected :
-       {"alto", "csf", "coo", "bcoo", "dtree-flat", "dtree-3lvl", "dtree-bdt",
-        "auto", "auto+probe"}) {
+       {"alto", "coo", "csf", "dtree-flat", "dtree-3lvl", "dtree-bdt", "auto",
+        "auto+probe"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "engine \"" << expected
         << "\" missing from the registry-driven determinism matrix";

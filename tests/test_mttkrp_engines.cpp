@@ -198,8 +198,7 @@ TEST(EngineEdgeCases, AutoEngineIsExact) {
 // four of them is below DBL_MIN, so without flush-to-zero every MTTKRP entry
 // would be a sum of subnormals. Under the kernels' FTZ|DAZ it is exactly 0.
 // The workers' bits are cleared first, so each parallel body must set them
-// itself; both schedules run, so both kinds of parallel body do. Two modes
-// span several 256-index blocks so that bcoo has more than one tile.
+// itself; both schedules run, so both kinds of parallel body do.
 TEST(FpEnv, EveryEngineFlushesSubnormalsWhateverTheCaller) {
 #if !defined(__SSE2__)
   GTEST_SKIP() << "no MXCSR on this target";

@@ -21,8 +21,8 @@ using mdcp::testing::random_factors;
 
 TEST(Registry, BuiltinNamesInCanonicalOrder) {
   const std::vector<std::string> expect{
-      "alto",       "csf",       "coo",  "bcoo",      "dtree-flat",
-      "dtree-3lvl", "dtree-bdt", "auto", "auto+probe"};
+      "alto",      "coo",       "csf",  "dtree-flat", "dtree-3lvl",
+      "dtree-bdt", "auto",      "auto+probe"};
   EXPECT_EQ(EngineRegistry::instance().names(), expect);
   for (const auto& name : expect)
     EXPECT_TRUE(EngineRegistry::instance().contains(name)) << name;
