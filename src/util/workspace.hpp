@@ -213,8 +213,7 @@ struct KernelContext {
   /// installs it as the workspace arena budget (over-budget scratch growth
   /// throws mdcp::budget_error), the cost model skips strategies predicted
   /// to exceed it, and the AutoEngine walks its degradation chain
-  /// (dtree → alto → csf → coo) on a predicted or actual
-  /// violation.
+  /// (dtree → alto → coo) on a predicted or actual violation.
   std::size_t mem_budget = 0;
   /// Cooperative cancellation flag (null = never cancelled). Checked by the
   /// CP-ALS driver between modes and iterations; set by the watchdog's
