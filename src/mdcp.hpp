@@ -36,7 +36,6 @@
 #include "obs/history.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
 #include "obs/report.hpp"
 #include "obs/roofline.hpp"
 #include "obs/trace.hpp"

@@ -36,18 +36,19 @@ StrategyPrediction predict_strategy(const CooTensor& tensor,
 
   const mode_set_t root_set = spec_mode_set(spec);
 
-  // Per-leaf path costs, used for the peak-value-memory bound.
-  std::vector<std::size_t> path_value_bytes;
+  // Value bytes of every non-root node, and the nodes on each mode's
+  // root-to-leaf path, for the peak-value-memory bound.
+  std::vector<std::size_t> value_bytes;
+  std::vector<std::vector<std::size_t>> leaf_path(tensor.order());
+  std::vector<std::size_t> path;
 
-  const std::function<void(const TreeSpec&, mode_set_t, nnz_t, std::size_t)>
-      visit = [&](const TreeSpec& node, mode_set_t parent_set,
-                  nnz_t parent_tuples, std::size_t path_bytes_above) {
+  const std::function<void(const TreeSpec&, mode_set_t, nnz_t)> visit =
+      [&](const TreeSpec& node, mode_set_t parent_set, nnz_t parent_tuples) {
         const mode_set_t ms = spec_mode_set(node);
         const bool is_root = parent_set == 0;
         nnz_t tuples = is_root ? tensor.nnz() : counter.count(ms);
         if (!is_root) tuples = std::min(tuples, parent_tuples);
 
-        std::size_t my_value_bytes = 0;
         if (!is_root) {
           NodeCostEstimate nc;
           nc.mode_set = ms;
@@ -97,24 +98,35 @@ StrategyPrediction predict_strategy(const CooTensor& tensor,
                   sizeof(index_t) +
               static_cast<std::size_t>(parent_tuples) * entry_bytes +
               (static_cast<std::size_t>(tuples) + 1) * sizeof(nnz_t);
-          my_value_bytes =
-              static_cast<std::size_t>(tuples) * rank * sizeof(real_t);
+          path.push_back(value_bytes.size());
+          value_bytes.push_back(static_cast<std::size_t>(tuples) * rank *
+                                sizeof(real_t));
         }
 
-        const std::size_t path_bytes = path_bytes_above + my_value_bytes;
         if (node.is_leaf()) {
-          path_value_bytes.push_back(path_bytes);
-          return;
+          leaf_path[node.modes[0]] = path;
+        } else {
+          for (const auto& c : node.children) visit(c, ms, tuples);
         }
-        for (const auto& c : node.children)
-          visit(c, ms, tuples, path_bytes);
+        if (!is_root) path.pop_back();
       };
-  visit(spec, 0, 0, 0);
+  visit(spec, 0, 0);
 
-  pred.peak_value_bytes =
-      path_value_bytes.empty()
-          ? 0
-          : *std::max_element(path_value_bytes.begin(), path_value_bytes.end());
+  // A node's values stay cached until a factor outside its mode set is
+  // updated, and the nodes containing mode m are exactly m's leaf path. So
+  // while the sweep computes mode m+1, mode m's path is still resident: the
+  // peak is the largest union of two consecutive paths, the last mode's
+  // path meeting the first's at the start of the next iteration.
+  const std::size_t order = leaf_path.size();
+  for (std::size_t m = 0; m < order; ++m) {
+    std::vector<bool> live(value_bytes.size(), false);
+    for (const std::size_t id : leaf_path[m]) live[id] = true;
+    for (const std::size_t id : leaf_path[(m + 1) % order]) live[id] = true;
+    std::size_t bytes = 0;
+    for (std::size_t id = 0; id < live.size(); ++id)
+      if (live[id]) bytes += value_bytes[id];
+    pred.peak_value_bytes = std::max(pred.peak_value_bytes, bytes);
+  }
   pred.seconds_per_iteration =
       params.seconds_per_flop * pred.flops_per_iteration +
       params.seconds_per_byte * pred.bytes_per_iteration;

@@ -303,6 +303,17 @@ void AutoEngine::run_on_chain(bool build, Step&& step) {
     try {
       if (build) build_inner();
       step();
+      // A level that ends a step holding more than the budget (the model
+      // under-counted it) hands over like one the arena stopped; the last
+      // level runs over the budget anyway.
+      const std::size_t budget = context().mem_budget;
+      const std::size_t held = inner_->peak_memory_bytes();
+      if (!last && budget != 0 && held > budget) {
+        std::ostringstream os;
+        os << "engine '" << chain_[chain_pos_].label << "' holds " << held
+           << " B, over the memory budget";
+        throw budget_error(os.str(), held, budget);
+      }
       return;
     } catch (const budget_error&) {
       if (last) throw;

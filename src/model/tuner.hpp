@@ -99,9 +99,10 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
 /// with its predicted footprint. One rule moves along the chain, at prepare
 /// and at compute time alike: the engine goes to the next level the model
 /// predicts in budget, or to the last level when none is. It moves when the
-/// active level is predicted over budget ("predicted-over-budget") or when a
+/// active level is predicted over budget ("predicted-over-budget"), when a
 /// budget_error or bad_alloc escapes it ("budget-exceeded" /
-/// "alloc-failure"), and then retries. Every level passed is recorded as a
+/// "alloc-failure"), or when a level other than the last ends a step
+/// holding more than the budget ("budget-exceeded"), and then retries. Every level passed is recorded as a
 /// DegradationEvent, mirrored into KernelStats.degradations, the
 /// "engine.degradations" metric, and a trace span. Only when the last level
 /// also fails does a typed mdcp::budget_error escape.
@@ -158,8 +159,9 @@ class AutoEngine final : public MttkrpEngine {
   /// skipped after it as "predicted-over-budget".
   void advance(const char* reason, bool at_prepare);
   /// Runs `step` on the active level (built first when `build` is set). A
-  /// budget_error or bad_alloc escaping it advances the chain and retries
-  /// on the new level, built afresh, until the last level fails.
+  /// budget_error or bad_alloc escaping it, or a peak over the budget on a
+  /// level other than the last, advances the chain and retries on the new
+  /// level, built afresh, until the last level fails.
   template <typename Step>
   void run_on_chain(bool build, Step&& step);
   void note_degradation(std::size_t from, std::size_t to, const char* reason,

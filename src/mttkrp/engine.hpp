@@ -16,8 +16,8 @@
 //                                          //   scratch from the workspace
 //
 // The base class wraps both phases (non-virtual interface): each runs inside
-// one obs::Phase probe, which times it into KernelStats and feeds the trace,
-// the flight-recorder heartbeat and the perf counters; the wrapper applies
+// one obs::Phase probe, which times it into KernelStats and feeds the trace
+// and the flight-recorder heartbeat; the wrapper applies
 // the context's thread override and tracks the workspace scratch high-water
 // mark, so every engine reports uniform KernelStats without touching a timer
 // itself. Subclasses implement do_prepare()/do_compute(). An engine that
@@ -131,8 +131,8 @@ class MttkrpEngine {
 
   /// Records the microkernel R-tile width selected for this compute() (see
   /// mttkrp/microkernel.hpp) into stats() and a trace span, so bench
-  /// meta and `mdcp_cli profile` can attribute roofline deltas to the tile
-  /// actually run. `tile` ∈ {32, 16, 8, 0}.
+  /// meta and the `mdcp_cli profile` rows name the tile actually run.
+  /// `tile` ∈ {32, 16, 8, 0}.
   void record_tile(index_t tile) noexcept;
 
   /// Schedule override from the context (kAuto = per-mode heuristic).

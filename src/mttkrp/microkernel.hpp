@@ -23,8 +23,8 @@
 //
 // The dispatcher is selected once per prepare(): mk::Kernel(r) snapshots the
 // largest tile ≤ R; engines record kernel.tile() into KernelStats so bench
-// tables, trace spans, and `mdcp_cli profile` can attribute roofline deltas
-// to the tile actually run. The cost model charges flops at the padded rank
+// tables, trace spans, and `mdcp_cli profile` rows name the tile actually
+// run. The cost model charges flops at the padded rank
 // (tile_efficiency), so engine ranking stays honest at awkward ranks like
 // R = 17 where a quarter of every vector is wasted lanes.
 //

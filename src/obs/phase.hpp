@@ -7,10 +7,7 @@
 //   * the span tracer, when enabled (compiled out with
 //     MDCP_ENABLE_TRACING=0);
 //   * the calling thread's flight-recorder heartbeat, stamped with the entry
-//     and the exit reading;
-//   * with Perf::enabled(), hardware-counter deltas on the span and in the
-//     perf.* metrics. Only the outermost counting Phase of a thread adds to
-//     perf.*, so nested phases are not counted twice.
+//     and the exit reading.
 //
 // The integer argument is both the span argument and the heartbeat detail;
 // its span name follows from the FrPhase ("rank" for prepare, "mode" for
@@ -25,7 +22,6 @@
 #include <cstdint>
 
 #include "obs/flightrec.hpp"
-#include "obs/perf.hpp"
 #include "obs/trace.hpp"
 
 namespace mdcp::obs {
@@ -42,8 +38,6 @@ class Phase {
 
  private:
   double& seconds_;
-  const PerfEventSet* perf_set_;  // non-null only while counting
-  PerfValues perf_begin_;
   std::uint64_t begin_ns_;
   std::int64_t arg_;
   FrPhase phase_;

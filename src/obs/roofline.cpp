@@ -115,14 +115,6 @@ RooflineAttribution attribute_roofline(const RooflineSample& sample,
   if (sample.seconds > 0) a.gflops = sample.flops / sample.seconds * 1e-9;
   if (ceilings.fma_gflops > 0)
     a.pct_compute = 100.0 * a.gflops / ceilings.fma_gflops;
-  if (sample.bytes >= 0) {
-    a.has_bytes = true;
-    if (sample.seconds > 0) a.gbps = sample.bytes / sample.seconds * 1e-9;
-    if (ceilings.triad_gbps > 0)
-      a.pct_bandwidth = 100.0 * a.gbps / ceilings.triad_gbps;
-    a.intensity = sample.bytes > 0 ? sample.flops / sample.bytes : 0;
-    a.memory_bound = a.intensity < ceilings.ridge_intensity();
-  }
   return a;
 }
 

@@ -6,20 +6,15 @@
 // with the library's own flags, so the ceilings are the honest upper bounds
 // for mdcp kernels (not the datasheet peak of the chip).
 //
-// Attribution combines a kernel's measured seconds, its model/metric flop
-// count, and perf-counter-derived bytes (LLC misses x cache line) into
-// achieved GFLOP/s, arithmetic intensity, and %-of-ceiling — the roofline
-// coordinates that say *why* an engine is slow (memory-bound vs
-// compute-bound). Bytes are optional: without LLC counters the bandwidth
-// side is reported as unknown rather than guessed.
+// Attribution combines a kernel's measured seconds and its model/metric
+// flop count into achieved GFLOP/s and %-of-compute-ceiling. The bandwidth
+// ceiling and the ridge point describe the machine only: no portable source
+// reports the bytes a kernel moved.
 #pragma once
 
 #include <cstdint>
 
 namespace mdcp::obs {
-
-/// Bytes moved per LLC miss (one cache line on every supported target).
-inline constexpr double kCacheLineBytes = 64.0;
 
 /// Machine ceilings measured by calibrate_roofline().
 struct RooflineCeilings {
@@ -44,18 +39,12 @@ RooflineCeilings calibrate_roofline(double seconds_budget = 0.3);
 struct RooflineSample {
   double seconds = 0;
   double flops = 0;
-  double bytes = -1;  ///< < 0 = unknown (LLC counters unavailable)
 };
 
-/// Roofline coordinates for one sample against the machine ceilings.
+/// Compute-side roofline coordinates for one sample.
 struct RooflineAttribution {
-  double gflops = 0;          ///< achieved compute rate
-  double pct_compute = 0;     ///< gflops / ceiling, in percent
-  bool has_bytes = false;     ///< bandwidth-side fields below are valid
-  double gbps = 0;            ///< achieved memory traffic rate
-  double pct_bandwidth = 0;   ///< gbps / ceiling, in percent
-  double intensity = 0;       ///< flops / byte
-  bool memory_bound = false;  ///< intensity below the ridge point
+  double gflops = 0;       ///< achieved compute rate
+  double pct_compute = 0;  ///< gflops / ceiling, in percent
 };
 
 RooflineAttribution attribute_roofline(const RooflineSample& sample,

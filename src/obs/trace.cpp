@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/json.hpp"
-#include "obs/perf.hpp"
 #include "util/parallel.hpp"
 
 namespace mdcp::obs {
@@ -63,10 +62,6 @@ void Tracer::record(const char* name, std::uint64_t ts_ns,
   ev.dur_ns = dur_ns;
   ev.arg_name = arg_name;
   ev.arg_value = arg_value;
-  record_event(ev);
-}
-
-void Tracer::record_event(TraceEvent& ev) noexcept {
   TraceRing& ring = local_ring_();
   ev.tid = ring.tid();
   ring.push(ev);
@@ -176,15 +171,8 @@ std::string Tracer::to_chrome_json() const {
         .kv("dur", static_cast<double>(ev.dur_ns) * 1e-3)
         .kv("pid", 1)
         .kv("tid", static_cast<std::uint64_t>(ev.tid));
-    if (ev.arg_name != nullptr || ev.perf_mask != 0) {
-      w.key("args").begin_object();
-      if (ev.arg_name != nullptr) w.kv(ev.arg_name, ev.arg_value);
-      for (std::size_t i = 0; i < TraceEvent::kPerfSlots; ++i) {
-        if ((ev.perf_mask >> i) & 1u)
-          w.kv(perf_counter_name(static_cast<PerfCounterId>(i)), ev.perf[i]);
-      }
-      w.end_object();
-    }
+    if (ev.arg_name != nullptr)
+      w.key("args").begin_object().kv(ev.arg_name, ev.arg_value).end_object();
     w.end_object();
   }
   w.end_array();

@@ -40,15 +40,8 @@
 namespace mdcp::obs {
 
 /// One completed span. POD so ring storage is a flat array.
-///
-/// Spans recorded by an obs::Phase additionally carry hardware-counter
-/// deltas: `perf[i]` is valid iff bit i of `perf_mask` is set (slot order is
-/// obs::PerfCounterId). They are exported into the Chrome trace "args"
-/// object, so Perfetto shows cycles/misses per span.
 struct TraceEvent {
   static constexpr std::size_t kNameCapacity = 48;
-  /// Must cover obs::kPerfCounterCount (static_assert in perf.hpp).
-  static constexpr std::size_t kPerfSlots = 8;
 
   char name[kNameCapacity];     ///< NUL-terminated, truncated if longer
   std::uint64_t ts_ns;          ///< begin timestamp (obs::clock_ns)
@@ -56,8 +49,6 @@ struct TraceEvent {
   std::uint32_t tid;            ///< tracer-assigned thread index
   const char* arg_name;         ///< static-storage literal or nullptr
   std::int64_t arg_value;
-  std::uint64_t perf[kPerfSlots];  ///< counter deltas (see perf_mask)
-  std::uint16_t perf_mask;         ///< bit i set = perf[i] is valid
 };
 
 /// Fixed-capacity single-writer ring of TraceEvents. Overflow overwrites the
@@ -135,10 +126,6 @@ class Tracer {
   /// Records one completed span into the calling thread's ring.
   void record(const char* name, std::uint64_t ts_ns, std::uint64_t dur_ns,
               const char* arg_name, std::int64_t arg_value) noexcept;
-
-  /// Records a fully-populated event (perf payload included) into the
-  /// calling thread's ring; `ev.tid` is overwritten with the ring's id.
-  void record_event(TraceEvent& ev) noexcept;
 
   /// Names the process track in the Chrome export (default "mdcp"). Call
   /// from application startup, outside traced parallel regions.

@@ -456,23 +456,82 @@ TEST(DegradationChain, ResultNamesTheEngineThatRan) {
   EXPECT_EQ(result.engine_name, "coo");
 }
 
-// A 2 MiB budget on the wide-window tensor: the dtree strategies and alto
-// are all predicted over it, so the run is coo's from the start, inside the
-// budget, with the unbudgeted run's fit.
-TEST(DegradationChain, TightBudgetRunsCooWithinIt) {
-  const CooTensor t = wide_window_tensor();
+// Five fixed rank-16 iterations on the wide-window tensor, and the
+// unbudgeted auto run every budgeted run of them must match.
+CpAlsOptions wide_window_options() {
   CpAlsOptions opt;
   opt.rank = 16;
   opt.max_iterations = 5;
   opt.tolerance = 0;
   opt.seed = 42;
   opt.engine = "auto";
-  const CpAlsResult base = cp_als(t, opt);
+  return opt;
+}
+
+const CpAlsResult& wide_window_unbudgeted() {
+  static const CpAlsResult base =
+      cp_als(wide_window_tensor(), wide_window_options());
+  return base;
+}
+
+// A 2 MiB budget on the wide-window tensor: the dtree strategies and alto
+// are all predicted over it, so the run is coo's from the start, inside the
+// budget, with the unbudgeted run's fit.
+TEST(DegradationChain, TightBudgetRunsCooWithinIt) {
+  const CooTensor t = wide_window_tensor();
+  CpAlsOptions opt = wide_window_options();
+  const CpAlsResult& base = wide_window_unbudgeted();
   opt.memory_budget_bytes = std::size_t{2} << 20;
   const CpAlsResult budgeted = cp_als(t, opt);
   EXPECT_EQ(budgeted.engine_name, "coo");
   EXPECT_LE(budgeted.engine_peak_memory_bytes, opt.memory_budget_bytes);
   EXPECT_NEAR(static_cast<double>(budgeted.final_fit()),
+              static_cast<double>(base.final_fit()), 1e-10);
+}
+
+// A 6 MiB budget on the wide-window tensor at rank 16: the fastest dtree
+// strategy holds 6.8 MiB of symbolic structure and cached values, so the run
+// must take a cheaper level and stay inside the budget, with the unbudgeted
+// run's fit.
+TEST(DegradationChain, BudgetBelowTheWinnersPeakIsKept) {
+  const CooTensor t = wide_window_tensor();
+  CpAlsOptions opt = wide_window_options();
+  const CpAlsResult& base = wide_window_unbudgeted();
+  opt.memory_budget_bytes = std::size_t{6} << 20;
+  ASSERT_GT(base.engine_peak_memory_bytes, opt.memory_budget_bytes)
+      << "the unbudgeted winner fits the budget; retune the test";
+  const CpAlsResult budgeted = cp_als(t, opt);
+  EXPECT_LE(budgeted.engine_peak_memory_bytes, opt.memory_budget_bytes)
+      << budgeted.engine_name << " ran over the budget";
+  EXPECT_NEAR(static_cast<double>(budgeted.final_fit()),
+              static_cast<double>(base.final_fit()), 1e-10);
+}
+
+// A level that outgrows the budget at run time hands over to the next one
+// ("budget-exceeded") instead of running on over it. Here the chain was
+// planned at a rank hint of 8, so every level holds more at rank 16 than
+// the model predicted for it.
+TEST(DegradationChain, LevelOverBudgetAtRunTimeHandsOver) {
+  const CooTensor t = wide_window_tensor();
+  CpAlsOptions opt = wide_window_options();
+  const CpAlsResult& base = wide_window_unbudgeted();
+
+  KernelContext ctx;
+  ctx.threads = 1;
+  ctx.mem_budget = std::size_t{6} << 20;
+  AutoEngine engine(/*probed=*/false, ctx);
+  engine.prepare(t, 8);
+  ASSERT_EQ(engine.chain_position(), 0u)
+      << "the budget no longer admits the rank-8 winner; retune the test";
+  const CpAlsResult result = cp_als(t, engine, opt);
+  const auto& events = engine.degradation_events();
+  ASSERT_FALSE(events.empty()) << "the winner ran over the budget silently";
+  EXPECT_STREQ(events[0].reason, "budget-exceeded");
+  EXPECT_FALSE(events[0].at_prepare);
+  EXPECT_EQ(events[0].budget_bytes, ctx.mem_budget);
+  if (engine.chain_position() + 1 < engine.chain().size())
+    EXPECT_LE(engine.memory_bytes(), ctx.mem_budget);
+  EXPECT_NEAR(static_cast<double>(result.final_fit()),
               static_cast<double>(base.final_fit()), 1e-10);
 }
 

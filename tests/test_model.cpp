@@ -306,18 +306,19 @@ TEST(CostModel, PeakValueMemoryTracksMeasuredPeak) {
   const auto factors = random_factors(t, rank, 3);
   Matrix out;
   std::size_t measured_peak_values = 0;
-  for (mode_t m = 0; m < 4; ++m) {
-    engine.compute(m, factors, out);
-    std::size_t live = 0;
-    for (int i = 0; i < engine.tree().size(); ++i)
-      live += engine.tree().node(i).values.size() * sizeof(real_t);
-    measured_peak_values = std::max(measured_peak_values, live);
-    engine.factor_updated(m);
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (mode_t m = 0; m < 4; ++m) {
+      engine.compute(m, factors, out);
+      std::size_t live = 0;
+      for (int i = 0; i < engine.tree().size(); ++i)
+        live += engine.tree().node(i).values.size() * sizeof(real_t);
+      measured_peak_values = std::max(measured_peak_values, live);
+      engine.factor_updated(m);
+    }
   }
-  // The model's path bound is an upper estimate of the post-update live set;
-  // transient mid-compute peaks can exceed it, but never by more than the
-  // whole-tree total.
-  EXPECT_GE(pred.peak_value_bytes, measured_peak_values / 4);
+  // The cached values of one mode's path stay live while the next mode's
+  // path is computed; the model counts exactly that union.
+  EXPECT_EQ(pred.peak_value_bytes, measured_peak_values);
   EXPECT_GT(pred.peak_value_bytes, 0u);
 }
 

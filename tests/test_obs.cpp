@@ -20,7 +20,6 @@
 #include "obs/flightrec.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
 #include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "obs/roofline.hpp"
@@ -519,76 +518,6 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_FALSE(obs::json_parse(deep, v));
 }
 
-// --- perf counters: the fallback path must be exercised everywhere ---
-//
-// These tests cannot assume a PMU (CI containers typically have
-// perf_event_paranoid >= 2 and no hardware events); they assert the
-// *contract*: regions always complete, masks stay consistent, and
-// unavailable counters are absent rather than zero/garbage.
-
-TEST(Perf, DisabledPhaseCountsNothing) {
-  obs::Perf::instance().set_enabled(false);
-  const std::uint64_t before =
-      obs::MetricsRegistry::instance().counter("perf.task_clock_ns").value();
-  double seconds = 0;
-  { obs::Phase phase(obs::FrPhase::kCompute, "test.disabled", 0, seconds); }
-  EXPECT_EQ(
-      obs::MetricsRegistry::instance().counter("perf.task_clock_ns").value(),
-      before);
-  EXPECT_GE(seconds, 0.0);
-}
-
-TEST(Perf, AvailabilityMaskIsConsistent) {
-  auto& perf = obs::Perf::instance();
-  perf.set_enabled(false);
-  EXPECT_EQ(perf.available_mask(), 0u);  // disabled => nothing available
-  perf.set_enabled(true);
-  const std::uint16_t mask = perf.available_mask();
-  if (!obs::Perf::counters_supported()) {
-    EXPECT_EQ(mask, 0u);
-    EXPECT_EQ(perf.process_set(), nullptr);
-  } else {
-    EXPECT_NE(mask, 0u);
-    ASSERT_NE(perf.process_set(), nullptr);
-    // Every read slot must be a subset of the open slots.
-    const obs::PerfValues v = perf.process_set()->read_values();
-    EXPECT_EQ(v.valid_mask & ~mask, 0u);
-  }
-  perf.set_enabled(false);
-}
-
-TEST(Perf, PhaseCompletesWhetherOrNotCountersExist) {
-  auto& perf = obs::Perf::instance();
-  perf.set_enabled(true);
-  double seconds = 0;
-  {
-    obs::Phase phase(obs::FrPhase::kCompute, "test.enabled", 1, seconds);
-    volatile double sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<double>(i);
-  }
-  perf.set_enabled(false);
-  // If any counter exists, the phase must have added to its perf.* metric;
-  // if none exists, it must have added nothing (and not crashed).
-  EXPECT_GT(seconds, 0.0);
-}
-
-TEST(Perf, ValuesSinceClampsAndMasks) {
-  obs::PerfValues a, b;
-  a.valid_mask = 0b011;
-  a.value[0] = 100;
-  a.value[1] = 50;
-  b.valid_mask = 0b110;
-  b.value[1] = 70;
-  b.value[2] = 9;
-  const obs::PerfValues d = b.since(a);
-  EXPECT_EQ(d.valid_mask, 0b010);  // intersection of the masks
-  EXPECT_EQ(d.get(obs::PerfCounterId::kInstructions), 20u);
-  EXPECT_EQ(d.get(obs::PerfCounterId::kCycles, 777), 777u);  // invalid slot
-  // A smaller later reading (multiplex rescaling jitter) clamps to zero.
-  const obs::PerfValues r = a.since(b);
-  EXPECT_EQ(r.get(obs::PerfCounterId::kInstructions, 777), 0u);
-}
-
 TEST(Roofline, AttributionMath) {
   obs::RooflineCeilings c;
   c.fma_gflops = 10.0;
@@ -599,20 +528,9 @@ TEST(Roofline, AttributionMath) {
   obs::RooflineSample s;
   s.seconds = 1.0;
   s.flops = 2e9;       // 2 GFLOP/s achieved
-  s.bytes = 8e9;       // 8 GB/s achieved
   const auto a = obs::attribute_roofline(s, c);
-  EXPECT_TRUE(a.has_bytes);
   EXPECT_DOUBLE_EQ(a.gflops, 2.0);
   EXPECT_DOUBLE_EQ(a.pct_compute, 20.0);
-  EXPECT_DOUBLE_EQ(a.gbps, 8.0);
-  EXPECT_DOUBLE_EQ(a.pct_bandwidth, 40.0);
-  EXPECT_DOUBLE_EQ(a.intensity, 0.25);
-  EXPECT_TRUE(a.memory_bound);  // 0.25 < ridge 0.5
-
-  s.bytes = -1;  // LLC counters unavailable
-  const auto b = obs::attribute_roofline(s, c);
-  EXPECT_FALSE(b.has_bytes);
-  EXPECT_DOUBLE_EQ(b.gflops, 2.0);
 }
 
 TEST(Roofline, CalibrationProducesPositiveCeilings) {
@@ -641,30 +559,22 @@ TEST_F(TracerTest, ExportCarriesProcessAndThreadNames) {
   tracer.set_process_name("mdcp");
 }
 
-TEST_F(TracerTest, PhaseSpansCarryCounterArgsWhenAvailable) {
+TEST_F(TracerTest, PhaseSpanCarriesItsArgAndDuration) {
   auto& tracer = obs::Tracer::instance();
-  auto& perf = obs::Perf::instance();
   tracer.set_enabled(true);
-  perf.set_enabled(true);
   double seconds = 0;
-  { obs::Phase phase(obs::FrPhase::kCompute, "perf.span", 2, seconds); }
-  perf.set_enabled(false);
+  { obs::Phase phase(obs::FrPhase::kCompute, "phase.span", 2, seconds); }
   tracer.set_enabled(false);
   const auto events = tracer.snapshot();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(std::string(events[0].name), "perf.span");
+  EXPECT_EQ(std::string(events[0].name), "phase.span");
   EXPECT_EQ(std::string(events[0].arg_name), "mode");
   EXPECT_EQ(events[0].arg_value, 2);
   // The span and the accumulator got the same duration.
   EXPECT_EQ(seconds, static_cast<double>(events[0].dur_ns) * 1e-9);
   const std::string json = tracer.to_chrome_json();
   EXPECT_TRUE(JsonChecker::valid(json)) << json.substr(0, 400);
-  if (obs::Perf::counters_supported()) {
-    // At least one counter delta must appear as a span arg.
-    EXPECT_NE(events[0].perf_mask, 0u);
-  } else {
-    EXPECT_EQ(events[0].perf_mask, 0u);
-  }
+  EXPECT_NE(json.find("\"args\":{\"mode\":2}"), std::string::npos) << json;
 }
 
 // Every dense step and fit of a CP-ALS run is one Phase, so the trace and

@@ -5,25 +5,20 @@
 //                [--sha REV] [--only b1,b2,...] [--calib-seconds S]
 //
 // The output carries a provenance header (build info, bench scale, machine
-// roofline ceilings, perf-counter availability) plus, per bench, the wall
-// time, a child-rusage summary (user/sys time, max RSS, page faults — the
-// counters that exist even on PMU-less VMs), and the tables verbatim. The
+// roofline ceilings) plus, per bench, the wall time, a child-rusage summary
+// (user/sys time, max RSS, page faults), and the tables verbatim. The
 // file is the input format of bench_diff; CI commits one as the regression
 // baseline.
 //
 // Exit status: 0 when every bench ran and parsed, 1 on usage errors, 2 when
 // any bench failed or emitted unparseable output.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "mdcp.hpp"
+#include "rusage_util.hpp"
 
 namespace {
 
@@ -45,44 +40,11 @@ const char* const kBenches[] = {
   std::exit(1);
 }
 
-struct RusageDelta {
-  double user_seconds = 0;
-  double system_seconds = 0;
-  long max_rss_kib = 0;
-  long page_faults = 0;
-  bool valid = false;
-};
-
-#if defined(__unix__) || defined(__APPLE__)
-rusage children_rusage() {
-  rusage ru;
-  std::memset(&ru, 0, sizeof(ru));
-  ::getrusage(RUSAGE_CHILDREN, &ru);
-  return ru;
-}
-
-double tv_seconds(const timeval& tv) {
-  return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
-}
-
-RusageDelta rusage_since(const rusage& begin) {
-  const rusage now = children_rusage();
-  RusageDelta d;
-  d.user_seconds = tv_seconds(now.ru_utime) - tv_seconds(begin.ru_utime);
-  d.system_seconds = tv_seconds(now.ru_stime) - tv_seconds(begin.ru_stime);
-  d.max_rss_kib = now.ru_maxrss;  // high-water mark, not a delta
-  d.page_faults =
-      (now.ru_minflt + now.ru_majflt) - (begin.ru_minflt + begin.ru_majflt);
-  d.valid = true;
-  return d;
-}
-#endif
-
 struct BenchResult {
   std::string name;
   double seconds = 0;
   int exit_code = -1;
-  RusageDelta rusage;
+  tools::RusageDelta rusage;
   std::vector<obs::JsonValue> tables;
   std::vector<std::string> parse_errors;
 };
@@ -94,7 +56,7 @@ bool run_bench(const std::string& dir, const std::string& name,
   out.name = name;
   const std::string cmd = dir + "/" + name + " --json 2>/dev/null";
 #if defined(__unix__) || defined(__APPLE__)
-  const rusage ru_begin = children_rusage();
+  const rusage ru_begin = tools::rusage_now(RUSAGE_CHILDREN);
 #endif
   WallTimer timer;
   std::FILE* pipe = ::popen(cmd.c_str(), "r");
@@ -120,7 +82,7 @@ bool run_bench(const std::string& dir, const std::string& name,
   const int status = ::pclose(pipe);
   out.seconds = timer.seconds();
 #if defined(__unix__) || defined(__APPLE__)
-  out.rusage = rusage_since(ru_begin);
+  out.rusage = tools::rusage_since(RUSAGE_CHILDREN, ru_begin);
   out.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 #else
   out.exit_code = status;
@@ -164,10 +126,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Machine context: counter availability + roofline ceilings, so a BENCH
-  // file says what the hardware could do, not just what the benches did.
-  obs::Perf::instance().set_enabled(true);
-  const std::uint16_t avail = obs::Perf::instance().available_mask();
+  // Machine context: roofline ceilings, so a BENCH file says what the
+  // hardware could do, not just what the benches did.
   const obs::RooflineCeilings ceilings = obs::calibrate_roofline(calib_seconds);
 
   bool failed = false;
@@ -213,12 +173,8 @@ int main(int argc, char** argv) {
       .kv("triad_gbps", ceilings.triad_gbps)
       .kv("ridge_intensity", ceilings.ridge_intensity())
       .kv("threads", ceilings.threads)
+      .end_object()
       .end_object();
-  w.key("perf_counters").begin_array();
-  for (std::size_t i = 0; i < obs::kPerfCounterCount; ++i)
-    if ((avail >> i) & 1u)
-      w.value(obs::perf_counter_name(static_cast<obs::PerfCounterId>(i)));
-  w.end_array().end_object();
   w.key("benches").begin_array();
   for (const auto& r : results) {
     w.begin_object()

@@ -1,10 +1,11 @@
 // mdcp command-line tool.
 //
 //   mdcp_cli info [--json]
-//   mdcp_cli stats <tensor.tns>
+//   mdcp_cli stats <tensor.tns> [--no-strict]
 //   mdcp_cli generate --kind uniform|zipf|clustered --shape I1xI2x... \
 //                     --nnz N [--seed S] [--zipf-exp E] [--clusters C] --out F
 //   mdcp_cli tune <tensor.tns> [--rank R] [--budget-mb M] [--probe]
+//                 [--no-strict]
 //   mdcp_cli decompose <tensor.tns> [--rank R] [--engine NAME] [--iters K]
 //                      [--tol T] [--seed S] [--restarts N] [--nonnegative]
 //                      [--threads T] [--mem-budget MB] [--no-strict]
@@ -15,12 +16,14 @@
 //                      [--timeout-s N] [--crash-dir D]
 //   mdcp_cli profile [tensor.tns] [--rank R] [--engines a,b,...] [--reps N]
 //                    [--threads T] [--calib-seconds S] [--json] [--out F]
+//                    [--nnz N] [--seed S] [--no-strict]
 //   mdcp_cli history <dir> [--json]
 //   mdcp_cli compare <base.jsonl> <new.jsonl> [--threshold T] [--json]
 //   mdcp_cli drift <report.jsonl> --history-dir D [--sigma S]
 //                  [--rel-floor F] [--json]
 //   mdcp_cli postmortem <crash-dump.json> [--events N] [--json]
 //
+// A flag the subcommand does not read is a usage error.
 // Exit status: 0 on success, 1 on usage errors (compare/drift: 1 also means
 // a regression was found), 2 on runtime/structural errors.
 #include <algorithm>
@@ -29,6 +32,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,6 +44,7 @@
 
 #include "compare_util.hpp"
 #include "mdcp.hpp"
+#include "rusage_util.hpp"
 
 namespace {
 
@@ -50,13 +55,13 @@ using namespace mdcp;
   std::fprintf(stderr,
                "usage:\n"
                "  mdcp_cli info [--json]\n"
-               "  mdcp_cli stats <tensor.tns>\n"
+               "  mdcp_cli stats <tensor.tns> [--no-strict]\n"
                "  mdcp_cli generate --kind uniform|zipf|clustered "
                "--shape I1xI2x... --nnz N\n"
                "                    [--seed S] [--zipf-exp E] [--clusters C] "
                "--out FILE\n"
                "  mdcp_cli tune <tensor.tns> [--rank R] [--budget-mb M] "
-               "[--probe]\n"
+               "[--probe] [--no-strict]\n"
                "  mdcp_cli decompose <tensor.tns> [--rank R] [--engine E] "
                "[--iters K] [--tol T]\n"
                "                     [--seed S] [--restarts N] [--algorithm als|mu] "
@@ -73,6 +78,7 @@ using namespace mdcp;
                "[--reps N]\n"
                "                   [--threads T] [--calib-seconds S] [--json] "
                "[--out FILE]\n"
+               "                   [--nnz N] [--seed S] [--no-strict]\n"
                "  mdcp_cli history <dir> [--json]\n"
                "  mdcp_cli compare <base.jsonl> <new.jsonl> [--threshold T] "
                "[--json]\n"
@@ -116,6 +122,14 @@ class Args {
     return it == kv_.end() ? def : std::atof(it->second.c_str());
   }
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// The first flag given that `known` does not list ("" if none).
+  std::string unknown_flag(std::initializer_list<const char*> known) const {
+    for (const auto& [key, value] : kv_)
+      if (std::find(known.begin(), known.end(), key) == known.end())
+        return key;
+    return "";
+  }
 
  private:
   std::map<std::string, std::string> kv_;
@@ -537,30 +551,15 @@ struct ProfileRow {
   mdcp::mode_t mode = 0;
   double seconds = 0;
   double flops = 0;
-  std::uint32_t tile = 0;    // microkernel tile width (0 = scalar)
-  obs::PerfValues counters;  // deltas over the timed reps
-  obs::RooflineSample sample;
+  std::uint32_t tile = 0;     // microkernel tile width (0 = scalar)
+  tools::RusageDelta rusage;  // this process over the timed reps
   obs::RooflineAttribution attr;
 };
 
 int cmd_profile(const Args& args) {
-  // Enable counters before any OpenMP region runs, so the inherited process
-  // set covers the worker threads the pool is about to spawn.
-  obs::Perf::instance().set_enabled(true);
   if (args.has("threads"))
     set_num_threads(static_cast<int>(args.get_num("threads", 1)));
   const bool json = args.has("json");
-  const std::uint16_t avail = obs::Perf::instance().available_mask();
-
-  if (!json) {
-    std::printf("perf counters: %s (mask 0x%02x:", avail ? "on" : "unavailable",
-                avail);
-    for (std::size_t i = 0; i < obs::kPerfCounterCount; ++i)
-      if ((avail >> i) & 1u)
-        std::printf(" %s",
-                    obs::perf_counter_name(static_cast<obs::PerfCounterId>(i)));
-    std::printf(")\n");
-  }
 
   const double calib_budget = args.get_num("calib-seconds", 0.3);
   const obs::RooflineCeilings ceilings = obs::calibrate_roofline(calib_budget);
@@ -616,7 +615,6 @@ int cmd_profile(const Args& args) {
     if (engines.empty()) usage("--engines lists no engine");
   }
 
-  obs::PerfEventSet* set = obs::Perf::instance().process_set();
   std::vector<ProfileRow> rows;
   for (const auto& name : engines) {
     auto engine = make_engine(name, t, rank);
@@ -630,31 +628,23 @@ int cmd_profile(const Args& args) {
       ProfileRow row;
       row.engine = name;
       row.mode = m;
-      // Counters are read directly from the process set: each
-      // engine.compute() is an obs::Phase that already adds its own deltas
-      // to the perf.* metrics.
       const KernelStats before_stats = engine->stats();
-      const obs::PerfValues before =
-          set != nullptr ? set->read_values() : obs::PerfValues{};
+#if defined(__unix__) || defined(__APPLE__)
+      const rusage ru_before = tools::rusage_now(RUSAGE_SELF);
+#endif
       WallTimer timer;
       for (int rep = 0; rep < reps; ++rep) {
         Matrix out;
         engine->compute(m, factors, out);
       }
       row.seconds = timer.seconds();
-      if (set != nullptr) row.counters = set->read_values().since(before);
+#if defined(__unix__) || defined(__APPLE__)
+      row.rusage = tools::rusage_since(RUSAGE_SELF, ru_before);
+#endif
       const KernelStats delta = engine->stats().since(before_stats);
       row.flops = static_cast<double>(delta.flops);
       row.tile = delta.last_tile;
-
-      row.sample.seconds = row.seconds;
-      row.sample.flops = row.flops;
-      if (row.counters.valid(obs::PerfCounterId::kLlcMisses))
-        row.sample.bytes =
-            static_cast<double>(
-                row.counters.get(obs::PerfCounterId::kLlcMisses)) *
-            obs::kCacheLineBytes;
-      row.attr = attribute_roofline(row.sample, ceilings);
+      row.attr = attribute_roofline({row.seconds, row.flops}, ceilings);
       rows.push_back(std::move(row));
       // A fresh compute of the same mode must not reuse the previous rep's
       // memoized state for the *next* mode's timing to be comparable.
@@ -664,20 +654,13 @@ int cmd_profile(const Args& args) {
 
   if (json || args.has("out")) {
     obs::JsonWriter w;
-    w.begin_object().kv("schema", "mdcp-roofline/1");
+    w.begin_object().kv("schema", "mdcp-roofline/2");
     const auto& b = obs::BuildInfo::current();
     w.key("build").begin_object()
         .kv("compiler", b.compiler)
         .kv("build_type", b.build_type)
         .kv("openmp", b.openmp)
         .end_object();
-    w.key("counters").begin_object()
-        .kv("supported", obs::Perf::counters_supported())
-        .key("available").begin_array();
-    for (std::size_t i = 0; i < obs::kPerfCounterCount; ++i)
-      if ((avail >> i) & 1u)
-        w.value(obs::perf_counter_name(static_cast<obs::PerfCounterId>(i)));
-    w.end_array().end_object();
     w.key("ceilings").begin_object()
         .kv("fma_gflops", ceilings.fma_gflops)
         .kv("triad_gbps", ceilings.triad_gbps)
@@ -709,26 +692,15 @@ int cmd_profile(const Args& args) {
           .kv("tile", static_cast<std::uint64_t>(row.tile))
           .kv("gflops", row.attr.gflops)
           .kv("pct_compute", row.attr.pct_compute);
-      if (row.attr.has_bytes) {
-        w.kv("bytes", row.sample.bytes)
-            .kv("gbps", row.attr.gbps)
-            .kv("pct_bandwidth", row.attr.pct_bandwidth)
-            .kv("intensity", row.attr.intensity)
-            .kv("memory_bound", row.attr.memory_bound);
-      } else {
-        w.key("bytes").null().key("gbps").null().key("pct_bandwidth").null()
-            .key("intensity").null().key("memory_bound").null();
+      if (row.rusage.valid) {
+        w.key("rusage").begin_object()
+            .kv("user_seconds", row.rusage.user_seconds)
+            .kv("system_seconds", row.rusage.system_seconds)
+            .kv("page_faults",
+                static_cast<std::int64_t>(row.rusage.page_faults))
+            .end_object();
       }
-      w.key("perf").begin_object();
-      for (std::size_t c = 0; c < obs::kPerfCounterCount; ++c) {
-        const auto id = static_cast<obs::PerfCounterId>(c);
-        w.key(obs::perf_counter_name(id));
-        if (row.counters.valid(id))
-          w.value(row.counters.get(id));
-        else
-          w.null();
-      }
-      w.end_object().end_object();
+      w.end_object();
     }
     if (!current.empty()) w.end_array().end_object();
     w.end_array().end_object();
@@ -748,24 +720,18 @@ int cmd_profile(const Args& args) {
   }
 
   if (!json) {
-    std::printf("\n%-12s %-5s %-5s %-10s %-9s %-7s %-10s %-7s %-6s\n",
-                "engine", "mode", "tile", "time", "gflops", "%fma", "flop/B",
-                "%bw", "bound");
+    std::printf("\n%-12s %-5s %-5s %-10s %-9s %-7s %-10s %-10s %s\n",
+                "engine", "mode", "tile", "time", "gflops", "%fma", "user",
+                "sys", "faults");
     for (const ProfileRow& row : rows) {
-      std::printf("%-12s %-5u %-5u %-10s %-9.3f %-7.2f", row.engine.c_str(),
-                  row.mode, row.tile, fmt_secs(row.seconds).c_str(),
-                  row.attr.gflops, row.attr.pct_compute);
-      if (row.attr.has_bytes) {
-        std::printf(" %-10.3f %-7.2f %-6s\n", row.attr.intensity,
-                    row.attr.pct_bandwidth,
-                    row.attr.memory_bound ? "mem" : "comp");
-      } else {
-        std::printf(" %-10s %-7s %-6s\n", "n/a", "n/a", "n/a");
-      }
+      std::printf("%-12s %-5u %-5u %-10s %-9.3f %-7.2f %-10s %-10s %ld\n",
+                  row.engine.c_str(), row.mode, row.tile,
+                  fmt_secs(row.seconds).c_str(), row.attr.gflops,
+                  row.attr.pct_compute,
+                  fmt_secs(row.rusage.user_seconds).c_str(),
+                  fmt_secs(row.rusage.system_seconds).c_str(),
+                  row.rusage.page_faults);
     }
-    if (!avail)
-      std::printf("\n(no perf counters on this system: bandwidth-side "
-                  "columns are n/a)\n");
   }
   return 0;
 }
@@ -1140,6 +1106,35 @@ int cmd_drift(const Args& args) {
   return dr.regressed ? 1 : 0;
 }
 
+// Each subcommand and every flag it reads (read_input's --no-strict
+// included); any other flag is a usage error.
+struct Subcommand {
+  const char* name;
+  int (*run)(const Args&);
+  std::initializer_list<const char*> flags;
+};
+
+const Subcommand kSubcommands[] = {
+    {"info", cmd_info, {"json"}},
+    {"stats", cmd_stats, {"no-strict"}},
+    {"generate", cmd_generate,
+     {"kind", "shape", "nnz", "seed", "zipf-exp", "clusters", "out"}},
+    {"tune", cmd_tune, {"rank", "budget-mb", "probe", "no-strict"}},
+    {"decompose", cmd_decompose,
+     {"rank", "engine", "iters", "tol", "seed", "restarts", "algorithm",
+      "nonnegative", "threads", "mem-budget", "budget-mb", "no-strict",
+      "verbose", "out-prefix", "trace", "metrics", "report", "history-dir",
+      "no-history", "history-min-obs", "watchdog-s", "watchdog-policy",
+      "timeout-s", "crash-dir"}},
+    {"profile", cmd_profile,
+     {"rank", "engines", "reps", "threads", "calib-seconds", "nnz", "seed",
+      "json", "out", "no-strict"}},
+    {"history", cmd_history, {"json"}},
+    {"compare", cmd_compare, {"threshold", "json"}},
+    {"drift", cmd_drift, {"history-dir", "sigma", "rel-floor", "json"}},
+    {"postmortem", cmd_postmortem, {"events", "json"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1147,16 +1142,13 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const Args args(argc, argv, 2);
   try {
-    if (cmd == "info") return cmd_info(args);
-    if (cmd == "stats") return cmd_stats(args);
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "tune") return cmd_tune(args);
-    if (cmd == "decompose") return cmd_decompose(args);
-    if (cmd == "profile") return cmd_profile(args);
-    if (cmd == "history") return cmd_history(args);
-    if (cmd == "compare") return cmd_compare(args);
-    if (cmd == "drift") return cmd_drift(args);
-    if (cmd == "postmortem") return cmd_postmortem(args);
+    for (const Subcommand& sub : kSubcommands) {
+      if (cmd != sub.name) continue;
+      const std::string flag = args.unknown_flag(sub.flags);
+      if (!flag.empty())
+        usage(("unknown flag --" + flag + " for " + cmd).c_str());
+      return sub.run(args);
+    }
     usage(("unknown command: " + cmd).c_str());
   } catch (const mdcp::error& e) {
     std::fprintf(stderr, "mdcp error: %s\n", e.what());
