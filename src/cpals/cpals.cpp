@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "cpals/cp_mu.hpp"
@@ -218,6 +219,9 @@ CpAlsResult run_sweeps(const CooTensor& tensor, MttkrpEngine& engine,
   // MTTKRP seconds are the engine probe's own, read as the delta of
   // KernelStats::numeric_seconds around each compute().
   std::vector<double> iter_mode_seconds(order, 0.0);
+  // Each mode's fastest completed iteration, for the history observation.
+  std::vector<double> fastest_mode_seconds(
+      order, std::numeric_limits<double>::infinity());
   double iteration_seconds = 0;  // feeds only the cpals.iteration span
 
   // Initialize the factors and precompute their Gram matrices.
@@ -380,6 +384,9 @@ CpAlsResult run_sweeps(const CooTensor& tensor, MttkrpEngine& engine,
 
     result.fits.push_back(fit);
     result.iterations = it + 1;
+    for (mode_t n = 0; n < order; ++n)
+      fastest_mode_seconds[n] =
+          std::min(fastest_mode_seconds[n], iter_mode_seconds[n]);
     if (options.verbose) {
       std::printf("[%s %s] iter %3d fit %.6f\n", Step::kName,
                   engine.name().c_str(), it + 1, static_cast<double>(fit));
@@ -568,9 +575,7 @@ CpAlsResult run_sweeps(const CooTensor& tensor, MttkrpEngine& engine,
     o.iterations = result.iterations;
     const double iters = static_cast<double>(result.iterations);
     o.seconds_per_iteration = result.mttkrp_seconds / iters;
-    o.mode_seconds.reserve(order);
-    for (mode_t n = 0; n < order; ++n)
-      o.mode_seconds.push_back(result.mttkrp_mode_seconds[n] / iters);
+    o.mode_seconds = std::move(fastest_mode_seconds);
     if (o.seconds_per_iteration > 0)
       o.time_error_ratio =
           result.predicted_seconds_per_iteration / o.seconds_per_iteration;

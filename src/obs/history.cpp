@@ -6,7 +6,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <numeric>
 
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -14,6 +16,9 @@
 namespace mdcp::obs {
 
 namespace {
+
+// Kernels faster than this are not banded: such timings are all noise.
+constexpr double kMinKernelSeconds = 1e-6;
 
 std::uint64_t fnv1a(std::string_view s,
                     std::uint64_t h = 0xcbf29ce484222325ULL) noexcept {
@@ -44,6 +49,15 @@ double median_of(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t n = v.size();
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+// mode0…N−1, then "mttkrp": their sum, or the summary mean for a report
+// without per-mode times.
+std::vector<double> kernel_seconds(const RunObservation& o) {
+  std::vector<double> k = o.mode_seconds;
+  k.push_back(k.empty() ? o.seconds_per_iteration
+                        : std::accumulate(k.begin(), k.end(), 0.0));
+  return k;
 }
 
 }  // namespace
@@ -94,11 +108,22 @@ std::optional<RunObservation> HistoryStore::parse_report_file(
     }
     records.push_back(std::move(v));
   }
+  // Each mode's fastest iteration (see RunObservation::mode_seconds).
+  std::vector<double> fastest;
   for (const JsonValue& v : records) {
     const JsonValue* type = v.find("type", JsonValue::Kind::kString);
     if (type == nullptr) continue;
     if (type->as_string() == "header" && header == nullptr) header = &v;
     if (type->as_string() == "summary") summary = &v;  // last one wins
+    const JsonValue* modes =
+        v.find("mttkrp_mode_seconds", JsonValue::Kind::kArray);
+    if (type->as_string() != "iteration" || modes == nullptr) continue;
+    if (fastest.empty())
+      fastest.assign(modes->items().size(),
+                     std::numeric_limits<double>::infinity());
+    const std::size_t n = std::min(fastest.size(), modes->items().size());
+    for (std::size_t m = 0; m < n; ++m)
+      fastest[m] = std::min(fastest[m], modes->items()[m].as_number());
   }
   if (header == nullptr || summary == nullptr) {
     ++stats->files_incomplete;
@@ -166,8 +191,10 @@ std::optional<RunObservation> HistoryStore::parse_report_file(
   if (obs.iterations > 0) {
     const double iters = static_cast<double>(obs.iterations);
     obs.seconds_per_iteration = mttkrp_seconds / iters;
-    if (const JsonValue* v =
-            summary->find("mttkrp_mode_seconds", JsonValue::Kind::kArray)) {
+    if (!fastest.empty()) {
+      obs.mode_seconds = std::move(fastest);
+    } else if (const JsonValue* v = summary->find("mttkrp_mode_seconds",
+                                                  JsonValue::Kind::kArray)) {
       obs.mode_seconds.reserve(v->items().size());
       for (const JsonValue& item : v->items())
         obs.mode_seconds.push_back(item.as_number() / iters);
@@ -339,57 +366,63 @@ std::vector<HistoryStore::Group> HistoryStore::groups() const {
   return out;
 }
 
-DriftReport detect_drift(const HistoryStore& store, const RunObservation& run,
-                         const DriftOptions& options) {
+Finding band(std::vector<double> samples, double measured,
+             double threshold) {
+  Finding f;
+  f.measured = measured;
+  f.median = median_of(samples);
+  for (double& s : samples) s = std::abs(s - f.median);
+  const double mad = median_of(std::move(samples));
+  f.scale = std::max(
+      {1.4826 * mad, threshold / kBandSigma * f.median, 1e-12});
+  f.z = (measured - f.median) / f.scale;
+  // |z| > kBandSigma, decided as a ratio to the median so that one sample
+  // (MAD 0) is exactly `measured / base > 1 + threshold`: bench cells carry
+  // few digits, so a value right on the edge is common there.
+  const double width =
+      std::max(kBandSigma * 1.4826 * mad / f.median, threshold);
+  if (measured / f.median > 1 + width)
+    f.status = "regression";
+  else if (measured / f.median < 1 - width)
+    f.status = "improved";
+  return f;
+}
+
+DriftReport band_kernels(const std::vector<const RunObservation*>& history,
+                         const RunObservation& run, double threshold) {
   DriftReport report;
-  const auto history = store.query(run.fingerprint, run.rank, run.strategy);
   report.history_runs = history.size();
-  if (history.size() < 2) return report;  // no band without a distribution
+  std::vector<std::vector<double>> past;
+  past.reserve(history.size());
+  for (const RunObservation* obs : history)
+    past.push_back(kernel_seconds(*obs));
 
-  // One banded "kernel" per mode, plus the whole-sweep aggregate.
-  const std::size_t modes = run.mode_seconds.size();
-  const auto band = [&](const std::string& kernel, double measured,
-                        std::vector<double> samples) {
-    if (samples.size() < 2 || measured < options.min_seconds) return;
-    const double median = median_of(samples);
-    if (median < options.min_seconds) return;
-    std::vector<double> dev;
-    dev.reserve(samples.size());
-    for (const double s : samples) dev.push_back(std::abs(s - median));
-    const double mad = median_of(std::move(dev));
-    const double scale =
-        std::max({1.4826 * mad, options.rel_floor * median, 1e-12});
-    DriftFinding f;
-    f.kernel = kernel;
-    f.measured = measured;
-    f.median = median;
-    f.scale = scale;
-    f.z = (measured - median) / scale;
-    if (f.z > options.sigma) {
-      f.status = "regression";
-      report.regressed = true;
-      report.out_of_band = true;
-    } else if (f.z < -options.sigma) {
-      f.status = "improved";
-      report.out_of_band = true;
+  const std::vector<double> now = kernel_seconds(run);
+  const std::size_t modes = now.size() - 1;
+  for (std::size_t k = 0; k <= modes; ++k) {
+    std::vector<double> samples;
+    for (const std::vector<double>& p : past) {
+      // The total is the last entry; mode k only exists in runs that have it.
+      const double s = k == modes ? p.back() : k + 1 < p.size() ? p[k] : 0;
+      if (s > 0) samples.push_back(s);
     }
+    if (samples.empty() || now[k] < kMinKernelSeconds) continue;
+    Finding f = band(std::move(samples), now[k], threshold);
+    if (f.median < kMinKernelSeconds) continue;
+    f.kernel = k == modes ? "mttkrp" : "mode" + std::to_string(k);
+    if (std::strcmp(f.status, "regression") == 0) report.regressed = true;
+    if (std::strcmp(f.status, "ok") != 0) report.out_of_band = true;
     report.findings.push_back(std::move(f));
-  };
+  }
+  return report;
+}
 
-  for (std::size_t m = 0; m < modes; ++m) {
-    std::vector<double> samples;
-    for (const RunObservation* obs : history)
-      if (m < obs->mode_seconds.size())
-        samples.push_back(obs->mode_seconds[m]);
-    band("mode" + std::to_string(m), run.mode_seconds[m], std::move(samples));
-  }
-  {
-    std::vector<double> samples;
-    for (const RunObservation* obs : history)
-      if (obs->seconds_per_iteration > 0)
-        samples.push_back(obs->seconds_per_iteration);
-    band("mttkrp", run.seconds_per_iteration, std::move(samples));
-  }
+DriftReport detect_drift(const HistoryStore& store, const RunObservation& run,
+                         double threshold) {
+  const auto history = store.query(run.fingerprint, run.rank, run.strategy);
+  if (history.size() >= 2) return band_kernels(history, run, threshold);
+  DriftReport report;  // no band without a distribution
+  report.history_runs = history.size();
   return report;
 }
 

@@ -8,7 +8,8 @@
 //     consumed by select_strategy via TunerOptions)
 //   * drift analytics — "is this run's per-kernel timing inside the robust
 //     z-score band of the stored history?" (see detect_drift, consumed by
-//     `mdcp_cli drift`)
+//     `mdcp_cli drift`). Its band() is the only comparison rule: `mdcp_cli
+//     compare` and bench_diff call it too.
 //
 // The store's on-disk format IS the run-report directory: every
 // `mdcp_cli decompose --history-dir <d>` appends one `run-*.jsonl` report
@@ -44,8 +45,11 @@ struct RunObservation {
 
   int iterations = 0;
   double seconds_per_iteration = 0;  ///< MTTKRP seconds / iterations
-  /// Per-mode MTTKRP seconds per iteration (the "per-kernel timings" the
-  /// drift detector bands). Empty when the summary lacked the array.
+  /// Per-mode MTTKRP seconds of the run's fastest iteration, mode by mode
+  /// (the "per-kernel timings" the drift detector bands): a descheduling
+  /// only adds time, so one slow iteration does not move it. A report with
+  /// no iteration records gives the summary's per-iteration mean instead.
+  /// Empty when the report has neither.
   std::vector<double> mode_seconds;
   double time_error_ratio = 0;  ///< tuner predicted/measured (0 = unknown)
   double final_fit = 0;
@@ -87,34 +91,37 @@ struct TrustPolicy {
   double min_weight = 1.0;
 };
 
-/// Robust z-score banding for drift detection. The scale is
-/// max(1.4826·MAD, rel_floor·median): the MAD term adapts to genuinely
-/// noisy kernels, the relative floor keeps near-deterministic histories
-/// (MAD ≈ 0) from flagging ordinary scheduling jitter.
-struct DriftOptions {
-  double sigma = 3.5;       ///< |z| beyond this is out of band
-  double rel_floor = 0.12;  ///< minimum scale as a fraction of the median
-  /// Kernels faster than this are skipped entirely (sub-fixed-cost timings
-  /// are all noise).
-  double min_seconds = 1e-6;
-};
+/// band() flags a value whose robust z-score is beyond ±kBandSigma.
+inline constexpr double kBandSigma = 3.5;
+/// `mdcp_cli drift`'s default threshold: a floor of 12% of the median.
+inline constexpr double kDriftThreshold = 0.42;
 
-struct DriftFinding {
-  std::string kernel;   ///< "mode0", "mode1", ..., or "mttkrp"
-  double measured = 0;  ///< this run's seconds (per iteration)
-  double median = 0;    ///< history median
-  double scale = 0;     ///< robust scale the z-score used
-  double z = 0;         ///< signed robust z-score
+struct Finding {
+  /// What was measured: "mode0", ..., "mttkrp", or a bench_diff cell path.
+  std::string kernel;
+  double measured = 0;
+  double median = 0;  ///< of the samples (the base value when there is one)
+  double scale = 0;   ///< robust scale the z-score used
+  double z = 0;       ///< signed robust z-score
   /// "regression" (slow side, gates the exit status), "improved" (fast
-  /// side, informational), or "ok".
+  /// side, informational) or "ok"; the tools add "structural".
   const char* status = "ok";
 };
 
+/// The one comparison rule, of detect_drift, `mdcp_cli compare` and
+/// bench_diff. Bands `measured` against `samples` (not empty, positive;
+/// smaller is better): z = (measured − median) / scale, scale =
+/// max(1.4826·MAD, (threshold / kBandSigma)·median). The MAD term adapts to
+/// noisy kernels; the floor keeps near-deterministic samples (MAD ≈ 0) from
+/// flagging jitter. One sample has MAD 0: the band is measured >
+/// base·(1 + threshold).
+Finding band(std::vector<double> samples, double measured, double threshold);
+
 struct DriftReport {
-  std::vector<DriftFinding> findings;  ///< one per banded kernel
-  std::size_t history_runs = 0;        ///< comparable observations found
-  bool regressed = false;              ///< any slow-side finding
-  bool out_of_band = false;            ///< any finding on either side
+  std::vector<Finding> findings;  ///< one per banded kernel
+  std::size_t history_runs = 0;   ///< comparable observations found
+  bool regressed = false;         ///< any slow-side finding
+  bool out_of_band = false;       ///< any finding on either side
 };
 
 class HistoryStore {
@@ -198,11 +205,17 @@ class HistoryStore {
   std::vector<RunObservation> observations_;
 };
 
-/// Bands `run`'s per-kernel timings against the store's observations with
-/// the same (fingerprint, rank, strategy). With fewer than 2 comparable
-/// observations the report is empty (history_runs tells the caller why).
+/// Bands each kernel of `run` (mode0…N−1, then "mttkrp", their sum)
+/// against the same kernel over `history`. A kernel with no positive sample
+/// or under 1 µs is not banded.
+DriftReport band_kernels(const std::vector<const RunObservation*>& history,
+                         const RunObservation& run, double threshold);
+
+/// band_kernels() over the store's observations with the same
+/// (fingerprint, rank, strategy). With fewer than 2 comparable observations
+/// the report is empty (history_runs tells the caller why).
 DriftReport detect_drift(const HistoryStore& store, const RunObservation& run,
-                         const DriftOptions& options = {});
+                         double threshold = kDriftThreshold);
 
 /// Strips the "auto:" / "auto+probe:" prefix an AutoEngine bakes into its
 /// resolved name, yielding the strategy name history keys on.

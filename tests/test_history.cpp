@@ -6,7 +6,10 @@
 // provenance break), and robust-z drift banding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -190,8 +193,10 @@ TEST(HistoryRoundTrip, CpAlsReportMatchesInProcessObservation) {
     EXPECT_EQ(parsed->plan_source, "model");
     EXPECT_NEAR(parsed->seconds_per_iteration, rec.seconds_per_iteration,
                 1e-9);
-    EXPECT_EQ(parsed->mode_seconds.size(),
+    // Both take each mode's fastest iteration, from the same numbers.
+    ASSERT_EQ(parsed->mode_seconds.size(),
               static_cast<std::size_t>(tensor.order()));
+    EXPECT_EQ(parsed->mode_seconds, rec.mode_seconds);
     // The report was written by this build on this machine.
     EXPECT_EQ(parsed->build_id, obs::HistoryStore::current_build_id());
     EXPECT_EQ(parsed->machine_id, obs::HistoryStore::current_machine_id());
@@ -421,6 +426,82 @@ TEST_F(Drift, InsufficientHistoryReportsWhyAndStaysEmpty) {
       obs::detect_drift(store_, make_obs(0xd41f7ULL, "csf", 8, 0.3));
   EXPECT_EQ(other.history_runs, 0u);
   EXPECT_TRUE(other.findings.empty());
+}
+
+// obs::band replaced two rules; its verdicts must match them, inlined here
+// as the oracle: the tools' fixed band (one sample: new > base·(1 + T)) on
+// the regression side, and the drift detector's robust z-band (≥ 2 samples,
+// scale = max(1.4826·MAD, floor_fraction·median), |z| > sigma = 3.5, so
+// T = sigma·floor_fraction) on both sides. The measured values step through
+// ratios off the band edges; one sample also gets values on and one ulp
+// either side of its edge, since bench cells carry few digits and land
+// there.
+TEST(Band, VerdictsMatchTheRulesItReplaced) {
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  };
+  const double sigma = 3.5;
+  const auto old_drift = [&](const std::vector<double>& samples,
+                             double measured, double floor_fraction) {
+    const double m = median(samples);
+    std::vector<double> dev;
+    for (const double s : samples) dev.push_back(std::abs(s - m));
+    const double scale =
+        std::max({1.4826 * median(dev), floor_fraction * m, 1e-12});
+    const double z = (measured - m) / scale;
+    return z > sigma ? "regression" : z < -sigma ? "improved" : "ok";
+  };
+  const auto old_classify = [](double base, double next, double threshold) {
+    return next / base > 1.0 + threshold ? "regression" : "ok";
+  };
+
+  const std::vector<std::vector<double>> sample_sets = {
+      {1.0},
+      {0.004},
+      {3e-5},
+      {1.0, 1.0},
+      {1.0, 1.1},
+      {0.9, 1.0, 1.3},
+      {1.0, 1.02, 0.98, 1.01},
+      {2e-5, 2.2e-5, 2.1e-5, 5e-5},
+      {0.1, 0.1, 0.1, 0.4, 0.1},
+  };
+  int compared = 0, regressions = 0, improvements = 0;
+  for (const double floor_fraction : {0.02, 0.05, 0.12, 0.25, 0.5, 1.0, 3.0}) {
+    const double threshold = sigma * floor_fraction;
+    for (const std::vector<double>& samples : sample_sets) {
+      const double base = median(samples);
+      std::vector<double> values;
+      for (int k = 0; k <= 400; ++k)
+        values.push_back(base * (0.05 + 0.0131 * k));
+      if (samples.size() == 1) {
+        const double edge = base * (1 + threshold);
+        values.insert(values.end(), {edge, std::nextafter(edge, 0.0),
+                                     std::nextafter(edge, 2 * edge)});
+      }
+      for (const double measured : values) {
+        const obs::Finding f = obs::band(samples, measured, threshold);
+        std::string want;
+        if (samples.size() == 1) {
+          want = old_classify(samples[0], measured, threshold);
+          if (std::strcmp(f.status, "improved") == 0) continue;
+        } else {
+          want = old_drift(samples, measured, floor_fraction);
+        }
+        EXPECT_EQ(f.status, want) << "T " << threshold << " samples "
+                                  << samples.size() << " x " << measured;
+        ++compared;
+        regressions += want == "regression";
+        improvements += want == "improved";
+      }
+    }
+  }
+  // Every verdict occurs on the grid.
+  EXPECT_GT(regressions, 0);
+  EXPECT_GT(improvements, 0);
+  EXPECT_GT(compared - regressions - improvements, 0);
 }
 
 }  // namespace

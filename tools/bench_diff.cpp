@@ -3,21 +3,24 @@
 //
 //   bench_diff BASE.json NEW.json [--threshold 0.25] [--json]
 //
-// Cell parsing and the comparison policy are shared with `mdcp_cli compare`
-// — see tools/compare_util.hpp for the unit normalization and direction
-// rules. The threshold is the noise allowance, not a target: see
-// docs/benchmarking.md for the policy.
+// Each gated cell is banded by obs::band with the base cell as the only
+// sample, so it regresses when new > base·(1 + threshold) — the rule
+// `mdcp_cli compare` and `mdcp_cli drift` use. The threshold is the noise
+// allowance, not a target: see docs/benchmarking.md for the policy.
 //
 // Exit status: 0 all gated cells within threshold, 1 at least one
 // regression, 2 structural problems (unreadable file, bench/table/row
 // present in BASE but missing in NEW).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compare_util.hpp"
@@ -25,13 +28,28 @@
 
 namespace {
 
+using mdcp::obs::Finding;
 using mdcp::obs::JsonValue;
 using mdcp::obs::JsonWriter;
-using mdcp::tools::Cell;
-using mdcp::tools::Finding;
-using mdcp::tools::classify;
-using mdcp::tools::parse_cell;
-using mdcp::tools::structural_finding;
+using mdcp::tools::mismatch;
+
+/// The normalized value of a time or byte cell ("123us", "4.5ms", "2.3s" →
+/// seconds; "1.2KiB", "3MiB", "1GiB" → bytes): smaller-is-better, and it
+/// gates the exit status. Ratio ("3x") and bare-number cells give nullopt —
+/// a speedup column's direction depends on what the table divides, so
+/// gating on it would guess.
+std::optional<double> parse_cell(const std::string& cell) {
+  static const std::pair<const char*, double> kUnits[] = {
+      {"us", 1e-6},    {"ms", 1e-3},           {"s", 1.0},
+      {"KiB", 1024.0}, {"MiB", 1024.0 * 1024}, {"GiB", 1024.0 * 1024 * 1024}};
+  const char* p = cell.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(p, &end);
+  if (end == p || !std::isfinite(v)) return std::nullopt;
+  for (const auto& [unit, scale] : kUnits)
+    if (std::strcmp(end, unit) == 0) return v * scale;
+  return std::nullopt;
+}
 
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
@@ -137,12 +155,10 @@ int main(int argc, char** argv) {
   const auto new_tables = collect_tables(new_doc);
 
   std::vector<Finding> findings;
-  int regressions = 0, structural = 0, compared = 0;
   for (const auto& bt : base_tables) {
     const TableRef* nt = find_table(new_tables, bt);
     if (nt == nullptr || nt->rows == nullptr || bt.rows == nullptr) {
-      findings.push_back(structural_finding(bt.bench + "/" + bt.table));
-      ++structural;
+      findings.push_back(mismatch(bt.bench + "/" + bt.table));
       continue;
     }
     for (const JsonValue& brow : bt.rows->items()) {
@@ -150,68 +166,32 @@ int main(int argc, char** argv) {
       const std::string key = brow.items()[0].as_string();
       const JsonValue* nrow = find_row(*nt->rows, key);
       if (nrow == nullptr) {
-        findings.push_back(
-            structural_finding(bt.bench + "/" + bt.table + "/" + key));
-        ++structural;
+        findings.push_back(mismatch(bt.bench + "/" + bt.table + "/" + key));
         continue;
       }
       const std::size_t ncols =
           std::min(brow.items().size(), nrow->items().size());
       for (std::size_t c = 1; c < ncols; ++c) {
-        const Cell bc = parse_cell(brow.items()[c].as_string());
-        const Cell nc = parse_cell(nrow->items()[c].as_string());
-        if (!bc.numeric || !nc.numeric || !bc.gated || !nc.gated) continue;
-        if (bc.value <= 0) continue;
-        ++compared;
+        const auto bc = parse_cell(brow.items()[c].as_string());
+        const auto nc = parse_cell(nrow->items()[c].as_string());
+        if (!bc || !nc || *bc <= 0) continue;
         std::string col = "col" + std::to_string(c);
         if (bt.headers != nullptr && c < bt.headers->items().size())
           col = bt.headers->items()[c].as_string();
-        Finding f = classify(bt.bench + "/" + bt.table + "/" + key + "/" + col,
-                             bc.value, nc.value, threshold);
-        if (std::strcmp(f.status, "ok") != 0) {
-          if (std::strcmp(f.status, "regression") == 0) ++regressions;
-          findings.push_back(std::move(f));
-        }
+        Finding f = mdcp::obs::band({*bc}, *nc, threshold);
+        f.kernel = bt.bench + "/" + bt.table + "/" + key + "/" + col;
+        findings.push_back(std::move(f));
       }
     }
   }
 
-  if (json) {
-    JsonWriter w;
+  JsonWriter w;
+  if (json)
     w.begin_object()
-        .kv("schema", "mdcp-bench-diff/1")
+        .kv("schema", "mdcp-bench-diff/2")
         .kv("base", base_path)
-        .kv("new", new_path)
-        .kv("threshold", threshold)
-        .kv("cells_compared", compared)
-        .kv("regressions", regressions)
-        .kv("structural", structural);
-    w.key("findings").begin_array();
-    for (const auto& f : findings) {
-      w.begin_object().kv("where", f.where).kv("status", f.status);
-      if (std::strcmp(f.status, "structural") != 0)
-        w.kv("base", f.base).kv("new", f.next).kv("ratio", f.ratio);
-      w.end_object();
-    }
-    w.end_array().end_object();
-    std::printf("%s\n", w.str().c_str());
-  } else {
-    std::printf("bench_diff: %s vs %s (threshold %.0f%%)\n", base_path,
-                new_path, threshold * 100.0);
-    for (const auto& f : findings) {
-      if (std::strcmp(f.status, "structural") == 0) {
-        std::printf("  MISSING     %s\n", f.where.c_str());
-      } else {
-        std::printf("  %-11s %s  %.4g -> %.4g  (%.2fx)\n",
-                    std::strcmp(f.status, "regression") == 0 ? "REGRESSION"
-                                                             : "improved",
-                    f.where.c_str(), f.base, f.next, f.ratio);
-      }
-    }
-    std::printf("compared %d cell(s): %d regression(s), %d structural "
-                "problem(s)\n",
-                compared, regressions, structural);
-  }
-  if (structural > 0) return 2;
-  return regressions > 0 ? 1 : 0;
+        .kv("new", new_path);
+  return mdcp::tools::print_findings(
+      std::string("bench_diff: ") + base_path + " vs " + new_path, threshold,
+      findings, json ? &w : nullptr);
 }

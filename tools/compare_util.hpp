@@ -1,91 +1,81 @@
-// Shared unit-aware comparison core for the regression-checking tools.
-//
-// bench_diff (BENCH_*.json tables) and `mdcp_cli compare` (JSONL run
-// reports) gate on the same policy, so it lives here once: cells are parsed
-// by their leading number + unit suffix and normalized to a base unit
-// (us/ms/s → seconds; KiB/MiB/GiB → bytes). Time and byte cells are
-// smaller-is-better and gate the exit status; ratio ("x") and bare-number
-// cells are informational only — a speedup column's direction depends on
-// what the table divides, so gating on it would guess. A value regresses
-// when new > base * (1 + threshold).
+// Findings printer shared by bench_diff, `mdcp_cli compare` and
+// `mdcp_cli drift`. Every verdict comes from obs::band (obs/history.hpp);
+// this file only prints the findings and maps them to the exit status.
 #pragma once
 
-#include <cmath>
-#include <cstdlib>
+#include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
+
+#include "obs/history.hpp"
+#include "obs/json.hpp"
 
 namespace mdcp::tools {
 
-struct Cell {
-  double value = 0;    ///< normalized (seconds, bytes, or raw)
-  bool gated = false;  ///< time/byte cell: smaller-is-better, gates exit code
-  bool numeric = false;
-};
-
-/// Parses "123us", "4.5ms", "2.3s", "1.2KiB", "3x", "42" → normalized value.
-inline Cell parse_cell(const std::string& s) {
-  Cell c;
-  const char* p = s.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(p, &end);
-  if (end == p || !std::isfinite(v)) return c;  // non-numeric cell
-  c.numeric = true;
-  const std::string unit(end);
-  if (unit == "us") {
-    c.value = v * 1e-6;
-    c.gated = true;
-  } else if (unit == "ms") {
-    c.value = v * 1e-3;
-    c.gated = true;
-  } else if (unit == "s") {
-    c.value = v;
-    c.gated = true;
-  } else if (unit == "KiB") {
-    c.value = v * 1024.0;
-    c.gated = true;
-  } else if (unit == "MiB") {
-    c.value = v * 1024.0 * 1024.0;
-    c.gated = true;
-  } else if (unit == "GiB") {
-    c.value = v * 1024.0 * 1024.0 * 1024.0;
-    c.gated = true;
-  } else {
-    // "x" ratios and bare numbers: informational, direction unknown.
-    c.value = v;
-  }
-  return c;
-}
-
-/// One compared value. `where` is a slash path naming the cell
-/// ("bench/table/row/col" or "summary/mttkrp_seconds_per_iter").
-struct Finding {
-  std::string where;
-  double base = 0, next = 0, ratio = 0;
-  const char* status = "ok";  ///< ok | regression | improved | structural
-};
-
-/// Smaller-is-better comparison under the symmetric threshold band:
-/// "regression" when next > base·(1+T), "improved" when next < base/(1+T).
-/// base must be positive (callers skip zero/negative baselines).
-inline Finding classify(std::string where, double base, double next,
-                        double threshold) {
-  Finding f;
-  f.where = std::move(where);
-  f.base = base;
-  f.next = next;
-  f.ratio = next / base;
-  if (f.ratio > 1.0 + threshold)
-    f.status = "regression";
-  else if (f.ratio < 1.0 / (1.0 + threshold))
-    f.status = "improved";
-  return f;
-}
-
-inline Finding structural_finding(std::string where) {
-  Finding f;
-  f.where = std::move(where);
+/// A finding for something the two inputs cannot be compared on (a table,
+/// row or fingerprint present in one and not the other).
+inline obs::Finding mismatch(std::string what) {
+  obs::Finding f;
+  f.kernel = std::move(what);
   f.status = "structural";
   return f;
+}
+
+/// Prints `findings` and returns the exit status: 2 when one is
+/// structural, else 1 when one is a regression, else 0. Text lists, under
+/// `title`, the findings that are not "ok"; with `json` (an open object that
+/// already holds the command's own keys) every finding is listed and the
+/// object is closed and printed.
+inline int print_findings(const std::string& title, double threshold,
+                          const std::vector<obs::Finding>& findings,
+                          obs::JsonWriter* json) {
+  int compared = 0, regressions = 0, structural = 0;
+  for (const obs::Finding& f : findings) {
+    if (std::strcmp(f.status, "structural") == 0)
+      ++structural;
+    else
+      ++compared;
+    if (std::strcmp(f.status, "regression") == 0) ++regressions;
+  }
+
+  if (json != nullptr) {
+    obs::JsonWriter& w = *json;
+    w.kv("threshold", threshold)
+        .kv("compared", compared)
+        .kv("regressions", regressions)
+        .kv("structural", structural)
+        .kv("regressed", regressions > 0);
+    w.key("findings").begin_array();
+    for (const obs::Finding& f : findings) {
+      w.begin_object().kv("kernel", f.kernel).kv("status", f.status);
+      if (std::strcmp(f.status, "structural") != 0)
+        w.kv("measured", f.measured)
+            .kv("median", f.median)
+            .kv("scale", f.scale)
+            .kv("z", f.z);
+      w.end_object();
+    }
+    w.end_array().end_object();
+    std::printf("%s\n", w.str().c_str());
+  } else {
+    std::printf("%s (threshold %.0f%%)\n", title.c_str(), threshold * 100.0);
+    for (const obs::Finding& f : findings) {
+      if (std::strcmp(f.status, "structural") == 0)
+        std::printf("  MISMATCH    %s\n", f.kernel.c_str());
+      else if (std::strcmp(f.status, "ok") != 0)
+        std::printf("  %-11s %s  %.4g -> %.4g  (%.2fx, z %+.2f)\n",
+                    std::strcmp(f.status, "regression") == 0 ? "REGRESSION"
+                                                             : "improved",
+                    f.kernel.c_str(), f.median, f.measured,
+                    f.measured / f.median, f.z);
+    }
+    std::printf("compared %d value(s): %d regression(s), %d structural "
+                "problem(s)\n",
+                compared, regressions, structural);
+  }
+  if (structural > 0) return 2;
+  return regressions > 0 ? 1 : 0;
 }
 
 }  // namespace mdcp::tools

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Copy a JSONL run report with its summary timings multiplied by a factor,
-then exec an optional command (typically `mdcp_cli drift`) and exit with its
-status. Used by the history-smoke tests and CI to fabricate a regression the
-drift gate must catch:
+"""Copy a JSONL run report with every timing of its iteration and summary
+records (each `*_seconds` field and the `mttkrp_mode_seconds` array)
+multiplied by a factor, as a uniformly slower run would read, then exec an
+optional command (typically `mdcp_cli drift`) and exit with its status. Used
+by the history-smoke tests and CI to fabricate a regression the drift gate
+must catch:
 
     inject_slowdown.py <src.jsonl> <dst.jsonl> <factor> [-- cmd args...]
 """
@@ -25,10 +27,11 @@ def main(argv):
             if not line:
                 continue
             rec = json.loads(line)
-            if rec.get("type") == "summary":
-                for key in ("mttkrp_seconds", "total_seconds"):
-                    if key in rec:
-                        rec[key] *= factor
+            if rec.get("type") in ("iteration", "summary"):
+                for key, value in rec.items():
+                    if key.endswith("_seconds") and isinstance(
+                            value, (int, float)):
+                        rec[key] = value * factor
                 if "mttkrp_mode_seconds" in rec:
                     rec["mttkrp_mode_seconds"] = [
                         s * factor for s in rec["mttkrp_mode_seconds"]

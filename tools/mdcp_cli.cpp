@@ -19,16 +19,25 @@
 //                    [--nnz N] [--seed S] [--no-strict]
 //   mdcp_cli history <dir> [--json]
 //   mdcp_cli compare <base.jsonl> <new.jsonl> [--threshold T] [--json]
-//   mdcp_cli drift <report.jsonl> --history-dir D [--sigma S]
-//                  [--rel-floor F] [--json]
+//   mdcp_cli drift <report.jsonl> --history-dir D [--threshold T] [--json]
 //   mdcp_cli postmortem <crash-dump.json> [--events N] [--json]
 //
-// A flag the subcommand does not read is a usage error.
+// compare and drift band each kernel (every mode's fastest iteration, and
+// their sum) with obs::band: z = (new − median)/scale, scale =
+// max(1.4826·MAD, (T/3.5)·median), a regression when z > 3.5. compare's
+// median is the base report's value (T defaults to 0.25, so new >
+// base·1.25); drift's is over the stored comparable runs (T defaults to
+// 0.42, a 12% floor).
+//
+// A flag the subcommand does not read, a flag given without its value and a
+// value that is not a number where one is expected are usage errors.
 // Exit status: 0 on success, 1 on usage errors (compare/drift: 1 also means
 // a regression was found), 2 on runtime/structural errors.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -82,10 +91,14 @@ using namespace mdcp;
                "  mdcp_cli history <dir> [--json]\n"
                "  mdcp_cli compare <base.jsonl> <new.jsonl> [--threshold T] "
                "[--json]\n"
-               "  mdcp_cli drift <report.jsonl> --history-dir D [--sigma S]\n"
-               "                 [--rel-floor F] [--json]\n"
+               "  mdcp_cli drift <report.jsonl> --history-dir D "
+               "[--threshold T] [--json]\n"
                "  mdcp_cli postmortem <crash-dump.json> [--events N] "
                "[--json]\n"
+               "\ncompare and drift flag a kernel when "
+               "(new - median) / scale > 3.5,\n"
+               "scale = max(1.4826 * MAD, (T / 3.5) * median); T defaults to "
+               "0.25 (compare)\nand 0.42 (drift).\n"
                "\nengines:\n");
   for (const auto& e : EngineRegistry::instance().entries())
     std::fprintf(stderr, "  %-12s %s\n", e.name.c_str(),
@@ -93,21 +106,34 @@ using namespace mdcp;
   std::exit(1);
 }
 
-// Minimal --flag / --key value parser.
+// --flag value / --switch parser for one subcommand: `flags` take a value,
+// `switches` take none. Any other flag, and a flag without its value, is a
+// usage error.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, const std::string& cmd,
+       std::initializer_list<const char*> flags,
+       std::initializer_list<const char*> switches) {
+    const auto lists = [](std::initializer_list<const char*> names,
+                          const std::string& key) {
+      return std::find(names.begin(), names.end(), key) != names.end();
+    };
     for (int i = first; i < argc; ++i) {
       std::string a = argv[i];
-      if (a.rfind("--", 0) == 0) {
-        const std::string key = a.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          kv_[key] = argv[++i];
-        } else {
-          kv_[key] = "";  // boolean flag
-        }
-      } else {
+      if (a.rfind("--", 0) != 0) {
         positional_.push_back(std::move(a));
+        continue;
+      }
+      const std::string key = a.substr(2);
+      if (lists(switches, key)) {
+        kv_[key] = "";
+      } else if (!lists(flags, key)) {
+        usage(("unknown flag --" + key + " for " + cmd).c_str());
+      } else if (i + 1 < argc &&
+                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        kv_[key] = argv[++i];
+      } else {
+        usage(("missing value for --" + key).c_str());
       }
     }
   }
@@ -119,17 +145,15 @@ class Args {
   }
   double get_num(const std::string& k, double def) const {
     const auto it = kv_.find(k);
-    return it == kv_.end() ? def : std::atof(it->second.c_str());
+    if (it == kv_.end()) return def;
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v))
+      usage(("--" + k + " needs a number, got '" + it->second + "'").c_str());
+    return v;
   }
   const std::vector<std::string>& positional() const { return positional_; }
-
-  /// The first flag given that `known` does not list ("" if none).
-  std::string unknown_flag(std::initializer_list<const char*> known) const {
-    for (const auto& [key, value] : kv_)
-      if (std::find(known.begin(), known.end(), key) == known.end())
-        return key;
-    return "";
-  }
 
  private:
   std::map<std::string, std::string> kv_;
@@ -945,6 +969,9 @@ int cmd_postmortem(const Args& args) {
   return 0;
 }
 
+// Bands each kernel of NEW against BASE as a one-run history, with the
+// drift detector's rule (obs::band_kernels). Exit 2 when the two runs are not
+// comparable: another tensor, plan or mode count.
 int cmd_compare(const Args& args) {
   if (args.positional().size() < 2)
     usage("compare needs <base.jsonl> and <new.jsonl>");
@@ -961,82 +988,27 @@ int cmd_compare(const Args& args) {
     return 2;
   }
 
-  // All time cells are normalized per iteration before comparison — two
-  // runs that converged after a different number of sweeps are still
-  // comparable. The threshold policy is shared with bench_diff
-  // (tools/compare_util.hpp).
-  std::vector<tools::Finding> findings;
-  int regressions = 0, structural = 0, compared = 0;
-  const auto gate = [&](std::string where, double b, double n) {
-    if (!(b > 0)) return;  // no baseline signal to compare against
-    ++compared;
-    tools::Finding f = tools::classify(std::move(where), b, n, threshold);
-    if (std::strcmp(f.status, "ok") != 0) {
-      if (std::strcmp(f.status, "regression") == 0) ++regressions;
-      findings.push_back(std::move(f));
-    }
-  };
+  std::vector<obs::Finding> findings;
+  if (base->fingerprint != next->fingerprint)
+    findings.push_back(tools::mismatch("header/fingerprint"));
+  // Different plans are a provenance change, not a timing regression.
+  if (base->engine_label != next->engine_label)
+    findings.push_back(tools::mismatch("summary/engine"));
+  if (base->mode_seconds.size() != next->mode_seconds.size())
+    findings.push_back(tools::mismatch("summary/mttkrp_mode_seconds"));
+  for (obs::Finding& f :
+       obs::band_kernels({&*base}, *next, threshold).findings)
+    findings.push_back(std::move(f));
 
-  if (base->fingerprint != next->fingerprint) {
-    findings.push_back(tools::structural_finding("header/fingerprint"));
-    ++structural;
-  }
-  if (base->engine_label != next->engine_label) {
-    // Different plans are a provenance change, not a timing regression.
-    findings.push_back(tools::structural_finding("summary/engine"));
-    ++structural;
-  }
-  gate("summary/mttkrp_seconds_per_iter", base->seconds_per_iteration,
-       next->seconds_per_iteration);
-  const std::size_t modes =
-      std::min(base->mode_seconds.size(), next->mode_seconds.size());
-  for (std::size_t m = 0; m < modes; ++m)
-    gate("summary/mode" + std::to_string(m) + "_seconds_per_iter",
-         base->mode_seconds[m], next->mode_seconds[m]);
-  if (base->mode_seconds.size() != next->mode_seconds.size()) {
-    findings.push_back(tools::structural_finding("summary/mttkrp_mode_seconds"));
-    ++structural;
-  }
-
-  if (args.has("json")) {
-    obs::JsonWriter w;
+  obs::JsonWriter w;
+  if (args.has("json"))
     w.begin_object()
-        .kv("schema", "mdcp-report-diff/1")
+        .kv("schema", "mdcp-report-diff/2")
         .kv("base", base_path)
-        .kv("new", new_path)
-        .kv("threshold", threshold)
-        .kv("cells_compared", compared)
-        .kv("regressions", regressions)
-        .kv("structural", structural);
-    w.key("findings").begin_array();
-    for (const auto& f : findings) {
-      w.begin_object().kv("where", f.where).kv("status", f.status);
-      if (std::strcmp(f.status, "structural") != 0)
-        w.kv("base", f.base).kv("new", f.next).kv("ratio", f.ratio);
-      w.end_object();
-    }
-    w.end_array().end_object();
-    std::printf("%s\n", w.str().c_str());
-  } else {
-    std::printf("compare: %s vs %s (threshold %.0f%%)\n", base_path.c_str(),
-                new_path.c_str(), threshold * 100.0);
-    for (const auto& f : findings) {
-      if (std::strcmp(f.status, "structural") == 0) {
-        std::printf("  MISMATCH    %s\n", f.where.c_str());
-      } else {
-        std::printf("  %-11s %s  %s -> %s  (%.2fx)\n",
-                    std::strcmp(f.status, "regression") == 0 ? "REGRESSION"
-                                                             : "improved",
-                    f.where.c_str(), fmt_secs(f.base).c_str(),
-                    fmt_secs(f.next).c_str(), f.ratio);
-      }
-    }
-    std::printf("compared %d cell(s): %d regression(s), %d structural "
-                "problem(s)\n",
-                compared, regressions, structural);
-  }
-  if (structural > 0) return 2;
-  return regressions > 0 ? 1 : 0;
+        .kv("new", new_path);
+  return tools::print_findings("compare: " + base_path + " vs " + new_path,
+                               threshold, findings,
+                               args.has("json") ? &w : nullptr);
 }
 
 int cmd_drift(const Args& args) {
@@ -1044,6 +1016,8 @@ int cmd_drift(const Args& args) {
   const std::string report_path = args.positional()[0];
   const std::string dir = args.get("history-dir");
   if (dir.empty()) usage("drift needs --history-dir");
+  const double threshold = args.get_num("threshold", obs::kDriftThreshold);
+  if (threshold <= 0) usage("--threshold must be positive");
 
   const auto run = obs::HistoryStore::parse_report_file(report_path);
   if (!run) {
@@ -1053,86 +1027,55 @@ int cmd_drift(const Args& args) {
   obs::HistoryStore store;
   // The report under test must not band against itself.
   store.ingest_dir(dir, {report_path});
+  const obs::DriftReport dr = detect_drift(store, *run, threshold);
 
-  obs::DriftOptions dopt;
-  dopt.sigma = args.get_num("sigma", dopt.sigma);
-  dopt.rel_floor = args.get_num("rel-floor", dopt.rel_floor);
-  if (dopt.sigma <= 0) usage("--sigma must be positive");
-  const obs::DriftReport dr = detect_drift(store, *run, dopt);
-
+  obs::JsonWriter w;
   if (args.has("json")) {
-    obs::JsonWriter w;
     w.begin_object()
-        .kv("schema", "mdcp-drift/1")
+        .kv("schema", "mdcp-drift/2")
         .kv("report", report_path)
         .kv("history_dir", dir)
-        .kv("sigma", dopt.sigma)
-        .kv("rel_floor", dopt.rel_floor)
-        .kv("history_runs", static_cast<std::uint64_t>(dr.history_runs))
-        .kv("regressed", dr.regressed)
-        .kv("out_of_band", dr.out_of_band);
-    w.key("findings").begin_array();
-    for (const auto& f : dr.findings) {
-      w.begin_object()
-          .kv("kernel", f.kernel)
-          .kv("status", f.status)
-          .kv("measured", f.measured)
-          .kv("median", f.median)
-          .kv("scale", f.scale)
-          .kv("z", f.z)
-          .end_object();
-    }
-    w.end_array().end_object();
-    std::printf("%s\n", w.str().c_str());
-  } else {
-    std::printf("drift: %s (engine %s) vs %zu comparable run(s) in %s "
-                "(sigma %.2f, rel-floor %.2f)\n",
-                report_path.c_str(), run->engine_label.c_str(),
-                dr.history_runs, dir.c_str(), dopt.sigma, dopt.rel_floor);
-    if (dr.history_runs < 2) {
-      std::printf("insufficient history: need >= 2 comparable runs, "
-                  "nothing to band\n");
-      return 0;
-    }
-    for (const auto& f : dr.findings) {
-      std::printf("  %-10s %-8s measured %-10s median %-10s z %+.2f\n",
-                  f.status, f.kernel.c_str(), fmt_secs(f.measured).c_str(),
-                  fmt_secs(f.median).c_str(), f.z);
-    }
-    std::printf("%s\n", dr.regressed          ? "REGRESSION detected"
-                        : dr.out_of_band      ? "out-of-band (improvement)"
-                                              : "all kernels in band");
+        .kv("history_runs", static_cast<std::uint64_t>(dr.history_runs));
+  } else if (dr.history_runs < 2) {
+    std::printf("insufficient history: need >= 2 comparable runs in %s, "
+                "found %zu\n",
+                dir.c_str(), dr.history_runs);
   }
-  return dr.regressed ? 1 : 0;
+  return tools::print_findings(
+      "drift: " + report_path + " (engine " + run->engine_label + ") vs " +
+          std::to_string(dr.history_runs) + " comparable run(s) in " + dir,
+      threshold, dr.findings, args.has("json") ? &w : nullptr);
 }
 
 // Each subcommand and every flag it reads (read_input's --no-strict
-// included); any other flag is a usage error.
+// included), split into flags that take a value and switches that take none.
 struct Subcommand {
   const char* name;
   int (*run)(const Args&);
   std::initializer_list<const char*> flags;
+  std::initializer_list<const char*> switches;
 };
 
 const Subcommand kSubcommands[] = {
-    {"info", cmd_info, {"json"}},
-    {"stats", cmd_stats, {"no-strict"}},
+    {"info", cmd_info, {}, {"json"}},
+    {"stats", cmd_stats, {}, {"no-strict"}},
     {"generate", cmd_generate,
-     {"kind", "shape", "nnz", "seed", "zipf-exp", "clusters", "out"}},
-    {"tune", cmd_tune, {"rank", "budget-mb", "probe", "no-strict"}},
+     {"kind", "shape", "nnz", "seed", "zipf-exp", "clusters", "out"}, {}},
+    {"tune", cmd_tune, {"rank", "budget-mb"}, {"probe", "no-strict"}},
     {"decompose", cmd_decompose,
      {"rank", "engine", "iters", "tol", "seed", "restarts", "algorithm",
-      "nonnegative", "threads", "mem-budget", "budget-mb", "no-strict",
-      "verbose", "out-prefix", "trace", "metrics", "report", "history-dir",
-      "no-history", "history-min-obs", "watchdog-s", "watchdog-policy",
-      "timeout-s", "crash-dir"}},
+      "threads", "mem-budget", "budget-mb", "out-prefix", "trace", "metrics",
+      "report", "history-dir", "history-min-obs", "watchdog-s",
+      "watchdog-policy", "timeout-s", "crash-dir"},
+     {"nonnegative", "no-strict", "verbose", "no-history"}},
     {"profile", cmd_profile,
      {"rank", "engines", "reps", "threads", "calib-seconds", "nnz", "seed",
-      "json", "out", "no-strict"}},
-    {"history", cmd_history, {"json"}},
-    {"compare", cmd_compare, {"threshold", "json"}},
-    {"drift", cmd_drift, {"history-dir", "sigma", "rel-floor", "json"}},
-    {"postmortem", cmd_postmortem, {"events", "json"}},
+      "out"},
+     {"json", "no-strict"}},
+    {"history", cmd_history, {}, {"json"}},
+    {"compare", cmd_compare, {"threshold"}, {"json"}},
+    {"drift", cmd_drift, {"history-dir", "threshold"}, {"json"}},
+    {"postmortem", cmd_postmortem, {"events"}, {"json"}},
 };
 
 }  // namespace
@@ -1140,14 +1083,10 @@ const Subcommand kSubcommands[] = {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
-  const Args args(argc, argv, 2);
   try {
     for (const Subcommand& sub : kSubcommands) {
-      if (cmd != sub.name) continue;
-      const std::string flag = args.unknown_flag(sub.flags);
-      if (!flag.empty())
-        usage(("unknown flag --" + flag + " for " + cmd).c_str());
-      return sub.run(args);
+      if (cmd == sub.name)
+        return sub.run(Args(argc, argv, 2, cmd, sub.flags, sub.switches));
     }
     usage(("unknown command: " + cmd).c_str());
   } catch (const mdcp::error& e) {
