@@ -1,6 +1,7 @@
 #include "dtree/dtree_engine.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "dtree/numeric.hpp"
@@ -30,6 +31,16 @@ DTreeMttkrpEngine::DTreeMttkrpEngine(const CooTensor& tensor,
 void DTreeMttkrpEngine::do_prepare(index_t rank) {
   if (recipe_ != nullptr) spec_ = recipe_(tensor().order());
   tree_ = std::make_unique<DimensionTree>(tensor(), spec_);
+  // compute() writes each output row once, zeroing the rows between two
+  // leaf tuples as it copies them. That needs every leaf's index strictly
+  // ascending, as the symbolic build's stable sort and dedup leave it.
+  for (mode_t m = 0; m < tree_->order(); ++m) {
+    const auto rows = tree_->node_mode_index(tree_->leaf_for_mode(m), m);
+    MDCP_CHECK_MSG(std::adjacent_find(rows.begin(), rows.end(),
+                                      std::greater_equal<>()) == rows.end() &&
+                       (rows.empty() || rows.back() < tensor().dim(m)),
+                   "leaf index of mode " << m << " not strictly ascending");
+  }
   rank_ = 0;
   peak_bytes_ = memory_bytes();
   if (rank > 0)
@@ -58,16 +69,26 @@ void DTreeMttkrpEngine::do_compute(mode_t mode,
   count_flops(compute_node_values(tree, leaf, factors, r, workspace(), &ts));
   peak_bytes_ = std::max(peak_bytes_, memory_bytes());
 
-  // Scatter the leaf tuples into the dense output (rows of unused indices
-  // stay zero, matching the MTTKRP of empty slices). Pure copy with one
-  // writer per row — always owner-computes, not counted as a launch.
+  // Scatter the leaf tuples into the dense output, writing each row once:
+  // tuple t zeroes the rows of unused indices below its own (the MTTKRP of
+  // an empty slice is +0) and copies its row; the last tuple also zeroes
+  // the rows above it. Pure copy with one writer per row — always
+  // owner-computes, not counted as a launch.
   const auto& ln = tree.node(leaf);
-  out.resize(tree.tensor().dim(mode), r, 0);
+  const index_t dim = tree.tensor().dim(mode);
+  out.resize_for_overwrite(dim, r);
   const auto rows = tree.node_mode_index(leaf, mode);
+  real_t* const base = out.data();
+  const auto row_at = [&](index_t i) {
+    return base + static_cast<std::size_t>(i) * r;
+  };
+  if (ln.tuples == 0) out.zero();
   parallel_for(ln.tuples, [&](nnz_t t) {
+    const index_t i = rows[t];
+    std::fill(row_at(t == 0 ? 0 : rows[t - 1] + 1), row_at(i), real_t{0});
     const auto src = ln.values.row(static_cast<index_t>(t));
-    auto dst = out.row(rows[t]);
-    std::copy(src.begin(), src.end(), dst.begin());
+    std::copy(src.begin(), src.end(), row_at(i));
+    if (t + 1 == ln.tuples) std::fill(row_at(i + 1), row_at(dim), real_t{0});
   });
 
   if (ts.owner_launches + ts.privatized_launches > 0) {

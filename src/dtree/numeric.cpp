@@ -73,9 +73,14 @@ struct TtmvPass {
 };
 
 // Accumulates reduction entries [red_ptr[t]+begin, red_ptr[t]+end) of
-// tuple t into `dst` row t. The fused microkernel paths cover the common
-// small contraction sets; wider δ falls back to the Hadamard accumulator
-// `tmp` (slab-origin, 64-byte aligned).
+// tuple t into `dst` row t. The range that starts the tuple (begin == 0)
+// first sets the row to +0: an owner tile holds whole tuples, so this is
+// the row's only write before its sum, made while the row is in L1. A
+// privatized slab is zeroed already, and the thread that holds a split
+// tuple's first range runs it before its later ones (tiles run in
+// ascending order), so the zero there changes nothing. The fused
+// microkernel paths cover the common small contraction sets; wider δ falls
+// back to the Hadamard accumulator `tmp` (slab-origin, 64-byte aligned).
 MDCP_ALWAYS_INLINE void accumulate(const TtmvPass& a, nnz_t t, nnz_t begin,
                                    nnz_t end, real_t* tmp, real_t* dst) {
   const auto& n = *a.n;
@@ -83,6 +88,7 @@ MDCP_ALWAYS_INLINE void accumulate(const TtmvPass& a, nnz_t t, nnz_t begin,
   const std::size_t nd = a.nd;
   tmp = mk::assume_aligned(tmp);
   real_t* out = dst + t * a.rank;
+  if (begin == 0) mk.fill(out, 0);
   for (nnz_t jp = n.red_ptr[t] + begin; jp < n.red_ptr[t] + end; ++jp) {
     if (!a.parent_is_root && jp + kAhead < a.entries)
       prefetch_row(a.parent_values
@@ -156,7 +162,10 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
   auto& n = tree.node(which);
   const auto& p = tree.node(n.parent);
 
-  n.values.resize(static_cast<index_t>(n.tuples), rank, 0);
+  // Every row is written below before it is read: the owner schedule sets
+  // each row to +0 as it starts the tuple, the privatized one zeroes each
+  // thread's chunk before its combine.
+  n.values.resize_for_overwrite(static_cast<index_t>(n.tuples), rank);
 
   TtmvPass a;
   a.n = &n;
@@ -231,8 +240,10 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
       for (int tile = tid; tile < a.plan->tiles(); tile += team)
         tile_fn(a, tile, tmp, partial);
 #pragma omp barrier
-      parts.combine_into(n.values.data(), team,
-                         chunk_range(out_elems, team, tid));
+      const Range mine = chunk_range(out_elems, team, tid);
+      std::fill(n.values.data() + mine.begin, n.values.data() + mine.end,
+                real_t{0});
+      parts.combine_into(n.values.data(), team, mine);
     }
   }
   n.valid = true;

@@ -20,6 +20,14 @@ void Matrix::resize(index_t rows, index_t cols, real_t fill_value) {
   data_.assign(static_cast<std::size_t>(rows) * cols, fill_value);
 }
 
+void Matrix::resize_for_overwrite(index_t rows, index_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  // Emptied first, so a growth past the capacity copies no old entries.
+  data_.clear();
+  data_.resize(static_cast<std::size_t>(rows) * cols);
+}
+
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (index_t i = 0; i < rows_; ++i)

@@ -87,8 +87,15 @@ class Matrix {
   void fill(real_t v);
   void zero() { fill(0); }
 
-  /// Resizes, discarding contents (all entries set to fill_value).
+  /// Resizes, discarding contents: every entry is set to fill_value, in one
+  /// serial pass over the whole matrix.
   void resize(index_t rows, index_t cols, real_t fill_value = 0);
+
+  /// Resizes for a caller that writes every entry before it reads one: the
+  /// contents are unspecified (old values, or uninitialised storage past the
+  /// old size), and no pass over the matrix is made. Storage is reused
+  /// whenever the capacity allows, as with resize.
+  void resize_for_overwrite(index_t rows, index_t cols);
 
   Matrix transposed() const;
 

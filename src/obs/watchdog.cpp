@@ -407,7 +407,7 @@ void Watchdog::run_() {
       last_change_ns = now;
       continue;
     }
-    if (now - last_change_ns < deadline_ns) continue;
+    if (!watchdog_due(last_change_ns, now, deadline_ns)) continue;
 
     // Fired: dump outside the lock (file I/O + registry mutex), once.
     lk.unlock();

@@ -75,6 +75,16 @@ struct WatchdogOptions {
   std::atomic<bool>* cancel = nullptr;
 };
 
+/// The watchdog's fire rule: true once `deadline_ns` or more have passed
+/// since `last_beat_ns`, the (monotonic) clock reading at which a poll last
+/// saw the heartbeat progress advance. The monitor thread applies it at
+/// every poll; it is a function of the three times only, so it can be
+/// checked without threads or a clock.
+constexpr bool watchdog_due(std::uint64_t last_beat_ns, std::uint64_t now_ns,
+                            std::uint64_t deadline_ns) noexcept {
+  return now_ns - last_beat_ns >= deadline_ns;
+}
+
 /// Liveness monitor. Starts its thread in the constructor (when the
 /// deadline is positive) and joins it in stop()/the destructor. Fires at
 /// most once per instance.

@@ -6,10 +6,16 @@
 // storage (and any other std::vector of reals on the numeric path), so the
 // base pointer of every factor matrix, output matrix, and partial slab is a
 // valid aligned-load target.
+//
+// A size-only growth (`std::vector(n)`, `resize(n)`) default-initialises its
+// new elements, which for real_t leaves them unspecified rather than zero, so
+// a kernel that writes every element before reading it pays no fill pass.
+// Growth with a value (`std::vector(n, v)`, `assign(n, v)`) still writes v.
 #pragma once
 
 #include <cstddef>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "util/types.hpp"
@@ -41,6 +47,16 @@ struct AlignedAllocator {
     ::operator delete(p, std::align_val_t{Alignment});
   }
 
+  /// Default-initialises: a size-only growth leaves reals unspecified.
+  template <typename U>
+  void construct(U* p) noexcept(noexcept(::new(static_cast<void*>(p)) U)) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
   template <typename U>
   struct rebind {
     using other = AlignedAllocator<U, Alignment>;
@@ -52,7 +68,8 @@ struct AlignedAllocator {
   }
 };
 
-/// Value storage for dense numeric containers on the microkernel path.
+/// Value storage for dense numeric containers on the microkernel path. A
+/// size-only construction or resize leaves the new elements unspecified.
 using aligned_real_vector = std::vector<real_t, AlignedAllocator<real_t>>;
 
 }  // namespace mdcp

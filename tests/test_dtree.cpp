@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -414,6 +415,95 @@ TEST(DTreeEngine, EmptySlicesGiveZeroRows) {
   Matrix out;
   engine->compute(0, factors, out);
   for (index_t k = 0; k < 4; ++k) EXPECT_DOUBLE_EQ(out(1, k), 0.0);
+}
+
+// A tensor whose mode 0 has empty slices at its first index, in the middle
+// and at its last index (0, 3 and 6 of 7), for the tests below that check
+// compute() writes every output row and every memo-node row.
+CooTensor gapped_tensor() {
+  const auto dense = generate_uniform(shape_t{4, 5, 6, 4}, 300, 61);
+  constexpr std::array<index_t, 4> kUsed{1, 2, 4, 5};
+  CooTensor t(shape_t{7, 5, 6, 4});
+  std::array<index_t, 4> c{};
+  for (nnz_t i = 0; i < dense.nnz(); ++i) {
+    dense.coords(i, c);
+    c[0] = kUsed[c[0]];
+    t.push_back(c, dense.value(i));
+  }
+  return t;
+}
+
+TEST(DTreeEngine, OutputOfOtherShapeIsWhollyRewritten) {
+  // `out` arrives NaN-filled and larger than the result, so its storage is
+  // reused: every row compute() leaves unwritten would still read NaN.
+  const auto t = gapped_tensor();
+  const index_t r = 12;
+  const auto factors = random_factors(t, r, 17);
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  for (auto make : {&make_dtree_flat, &make_dtree_three_level, &make_dtree_bdt}) {
+    auto engine = make(t, {});
+    for (mode_t m = 0; m < t.order(); ++m) {
+      Matrix got(t.dim(m) + 5, r + 3, nan), want;
+      engine->compute(m, factors, got);
+      mttkrp_reference(t, factors, m, want);
+      ASSERT_EQ(got.rows(), want.rows());
+      ASSERT_EQ(got.cols(), want.cols());
+      EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-9)
+          << engine->name() << " mode " << m;
+    }
+    Matrix got(20, 20, nan);
+    engine->compute(0, factors, got);
+    for (const index_t empty : {0u, 3u, 6u})
+      for (index_t k = 0; k < r; ++k) {
+        EXPECT_EQ(got(empty, k), 0.0) << engine->name() << " row " << empty;
+        EXPECT_FALSE(std::signbit(got(empty, k)))
+            << engine->name() << " row " << empty;
+      }
+  }
+}
+
+TEST(DTreeEngine, PoisonedMemoStorageIsWhollyRewritten) {
+  // Every factor NaN puts NaN in every memo node's storage. invalidate_all
+  // keeps that storage, so a later evaluation that skips any row's zeroing
+  // reads NaN back. It must match a fresh engine bit for bit, under both
+  // schedules and at one and four threads.
+  const auto t = gapped_tensor();
+  const index_t r = 12;
+  const auto finite = random_factors(t, r, 19);
+  std::vector<Matrix> poisoned;
+  for (const Matrix& f : finite)
+    poisoned.emplace_back(f.rows(), f.cols(),
+                          std::numeric_limits<real_t>::quiet_NaN());
+  const int threads_before = num_threads();
+  for (const ScheduleMode sched :
+       {ScheduleMode::kOwner, ScheduleMode::kPrivatized}) {
+    for (const int threads : {1, 4}) {
+      set_num_threads(threads);
+      KernelContext ctx;
+      ctx.sched = sched;
+      for (auto make :
+           {&make_dtree_flat, &make_dtree_three_level, &make_dtree_bdt}) {
+        auto used = make(t, ctx);
+        auto fresh = make(t, ctx);
+        Matrix out;
+        for (mode_t m = 0; m < t.order(); ++m)
+          used->compute(m, poisoned, out);
+        used->invalidate_all();
+        for (mode_t m = 0; m < t.order(); ++m) {
+          Matrix got, want;
+          used->compute(m, finite, got);
+          fresh->compute(m, finite, want);
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(real_t)),
+                    0)
+              << used->name() << " mode " << m << " sched "
+              << static_cast<int>(sched) << " threads " << threads;
+        }
+      }
+    }
+  }
+  set_num_threads(threads_before);
 }
 
 // --- Property test: arbitrary random tree shapes are exact ---------------

@@ -181,25 +181,36 @@ TEST(Watchdog, FiresOnQuietRunAndSetsCancelFlag) {
   EXPECT_TRUE(a.complete);
 }
 
+// The fire rule on synthetic times: no thread, no sleep, so no verdict
+// depends on how the host schedules the test. FiresOnQuietRunAndSetsCancelFlag
+// above is the one real-thread smoke test (deadline 15x its sleep).
+TEST(Watchdog, FireRuleAtTheDeadline) {
+  constexpr std::uint64_t kMs = 1000000;
+  constexpr std::uint64_t beat = 5000 * kMs;
+  constexpr std::uint64_t deadline = 200 * kMs;
+  EXPECT_FALSE(obs::watchdog_due(beat, beat, deadline));
+  EXPECT_FALSE(obs::watchdog_due(beat, beat + deadline - 1, deadline));
+  EXPECT_TRUE(obs::watchdog_due(beat, beat + deadline, deadline));
+  EXPECT_TRUE(obs::watchdog_due(beat, beat + 10 * deadline, deadline));
+}
+
 TEST(Watchdog, DoesNotFireWhileHeartbeatsAdvance) {
-  obs::FlightRecorder::instance().reset();
-  const std::string dir = temp_dir("wd-quiet");
-
-  obs::WatchdogOptions wd;
-  wd.deadline_seconds = 0.2;
-  wd.poll_seconds = 0.02;
-  wd.dump_dir = dir;
-  obs::Watchdog dog(wd);
-
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(600);
-  while (std::chrono::steady_clock::now() < until) {
-    obs::fr_beat(obs::FrPhase::kIteration, 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Beats every 20 ms for 600 ms, polled every 20 ms at an offset, against
+  // a 200 ms deadline: the last beat a poll has seen is never 200 ms old.
+  // Once the beats stop, the first poll 200 ms after the last one fires.
+  constexpr std::uint64_t kMs = 1000000;
+  constexpr std::uint64_t deadline = 200 * kMs;
+  std::uint64_t last_beat = 0;
+  std::uint64_t fired_at = 0;
+  for (std::uint64_t now = 7 * kMs; now < 1200 * kMs; now += 20 * kMs) {
+    const std::uint64_t beat = now / (20 * kMs) * (20 * kMs);
+    if (beat <= 600 * kMs) last_beat = beat;
+    if (obs::watchdog_due(last_beat, now, deadline)) {
+      fired_at = now;
+      break;
+    }
   }
-  dog.stop();
-  EXPECT_FALSE(dog.fired());
-  EXPECT_TRUE(find_crash_dump(dir).empty());
+  EXPECT_EQ(fired_at, 807 * kMs);
 }
 
 TEST(Watchdog, PolicyNamesRoundTrip) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "compare_util.hpp"
+#include "number_arg.hpp"
 #include "obs/json.hpp"
 
 namespace {
@@ -132,7 +133,9 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--threshold") {
       if (i + 1 >= argc) usage("missing value for --threshold");
-      threshold = std::atof(argv[++i]);
+      const auto v = mdcp::tools::parse_number(argv[++i]);
+      if (!v) usage(mdcp::tools::not_a_number("threshold", argv[i]).c_str());
+      threshold = *v;
     } else if (a == "--json") {
       json = true;
     } else if (base_path == nullptr) {

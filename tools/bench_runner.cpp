@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mdcp.hpp"
+#include "number_arg.hpp"
 #include "rusage_util.hpp"
 
 namespace {
@@ -101,11 +102,16 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
       return argv[++i];
     };
+    const auto number = [&](const std::string& text) {
+      const auto v = tools::parse_number(text);
+      if (!v) usage(tools::not_a_number(a.substr(2), text).c_str());
+      return *v;
+    };
     if (a == "--bench-dir") bench_dir = next();
     else if (a == "--out") out_path = next();
     else if (a == "--sha") sha = next();
     else if (a == "--only") only = next();
-    else if (a == "--calib-seconds") calib_seconds = std::atof(next().c_str());
+    else if (a == "--calib-seconds") calib_seconds = number(next());
     else usage(("unknown flag: " + a).c_str());
   }
   if (bench_dir.empty()) usage("need --bench-dir");

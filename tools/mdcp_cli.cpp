@@ -42,6 +42,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,6 +54,7 @@
 
 #include "compare_util.hpp"
 #include "mdcp.hpp"
+#include "number_arg.hpp"
 #include "rusage_util.hpp"
 
 namespace {
@@ -146,12 +148,9 @@ class Args {
   double get_num(const std::string& k, double def) const {
     const auto it = kv_.find(k);
     if (it == kv_.end()) return def;
-    const char* s = it->second.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || !std::isfinite(v))
-      usage(("--" + k + " needs a number, got '" + it->second + "'").c_str());
-    return v;
+    const auto v = tools::parse_number(it->second);
+    if (!v) usage(tools::not_a_number(k, it->second).c_str());
+    return *v;
   }
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -175,20 +174,24 @@ CooTensor read_input(const Args& args, const std::string& path) {
 }
 
 shape_t parse_shape(const std::string& s) {
+  // Every 'x'-separated token must be a whole positive number that fits an
+  // index ("10ax20", "10x" and "10.5x20" are all rejected).
+  const std::string bad = "--shape needs positive whole numbers joined by x "
+                          "(e.g. 100x200x300), got '" + s + "'";
   shape_t shape;
   std::size_t pos = 0;
-  while (pos < s.size()) {
+  for (;;) {
     const std::size_t next = s.find('x', pos);
-    const std::string tok = s.substr(pos, next == std::string::npos
-                                               ? std::string::npos
-                                               : next - pos);
-    const long v = std::atol(tok.c_str());
-    if (v <= 0) usage("bad --shape (expect e.g. 100x200x300)");
-    shape.push_back(static_cast<index_t>(v));
+    const auto v = tools::parse_number(s.substr(pos, next == std::string::npos
+                                                          ? std::string::npos
+                                                          : next - pos));
+    if (!v || *v < 1 || *v != std::floor(*v) ||
+        *v > static_cast<double>(std::numeric_limits<index_t>::max()))
+      usage(bad.c_str());
+    shape.push_back(static_cast<index_t>(*v));
     if (next == std::string::npos) break;
     pos = next + 1;
   }
-  if (shape.empty()) usage("empty --shape");
   return shape;
 }
 
