@@ -92,14 +92,10 @@ std::vector<Dataset> standard_datasets() {
 }
 
 std::vector<EngineColumn> engine_columns() {
-  // Column order follows the registry's registration order. The probed auto
-  // variant is skipped — its shortlist sweeps would dominate the table's run
-  // time.
+  // Column order follows the registry's registration order.
   std::vector<EngineColumn> cols;
-  for (const auto& name : EngineRegistry::instance().names()) {
-    if (name == "auto+probe") continue;
+  for (const auto& name : EngineRegistry::instance().names())
     cols.push_back({name, name});
-  }
   return cols;
 }
 

@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
       best_time = std::min(best_time, t);
     }
 
-    // Hybrid model+probe selection (F6b): shortlist 3, measure, re-pick.
-    const auto probed = select_strategy_probed(ds.tensor, rank, 0, params, 3);
+    // Hybrid model+probe selection (F6b): probe the top 3, re-pick.
+    const auto probed = select_strategy_probed(ds.tensor, rank, 0, params);
     const double probed_time = measured[probed.chosen];
 
     table.add_row({ds.name, std::to_string(report.ranked.size()),

@@ -33,16 +33,17 @@ std::unique_ptr<MttkrpEngine> make_cp_engine(const CpAlsOptions& options) {
   // inside the run's reporting window.
   KernelContext ctx;
   ctx.mem_budget = options.memory_budget_bytes;
-  if (options.engine != "auto" && options.engine != "auto+probe")
+  if (options.engine != "auto") {
+    MDCP_CHECK_MSG(!options.probe, "probe applies to the auto engine only, "
+                                   "not '" << options.engine << "'");
     return make_engine(options.engine, ctx);
-  // Built here rather than by the registry only to attach the empirical
-  // overlay knobs.
+  }
+  // Built here rather than by the registry only to attach the tuner's
+  // measured corrections.
   TunerOptions tuner;
-  tuner.use_history = options.use_history && options.history != nullptr;
-  tuner.history = options.history;
-  tuner.trust.min_weight = options.history_min_weight;
-  return std::make_unique<AutoEngine>(options.engine == "auto+probe", ctx,
-                                      tuner);
+  tuner.history = options.use_history ? options.history : nullptr;
+  tuner.probe = options.probe;
+  return std::make_unique<AutoEngine>(ctx, tuner);
 }
 
 CpAlsResult cp_als(const CooTensor& tensor, const CpAlsOptions& options) {
@@ -569,7 +570,7 @@ CpAlsResult run_sweeps(const CooTensor& tensor, MttkrpEngine& engine,
     o.engine_label = result.engine_name;
     o.strategy = obs::strategy_from_engine_label(result.engine_name);
     o.rank = static_cast<std::uint32_t>(rank);
-    o.threads = engine.context().threads;
+    o.threads = engine.effective_threads();
     o.build_id = obs::HistoryStore::current_build_id();
     o.machine_id = obs::HistoryStore::current_machine_id();
     o.iterations = result.iterations;

@@ -36,11 +36,11 @@ struct CpAlsOptions {
   /// become collinear; 0 disables.
   real_t ridge = 0;
   std::uint64_t seed = 42;   ///< factor initialization seed
-  /// EngineRegistry name of the MTTKRP engine; "auto" / "auto+probe" select
-  /// the model-driven tuner.
+  /// EngineRegistry name of the MTTKRP engine; "auto" selects the
+  /// model-driven tuner.
   std::string engine = "dtree-bdt";
   /// Kernel memory budget in bytes (0 = unlimited), enforced on any engine;
-  /// the auto engines also plan a degradation chain under it.
+  /// the auto engine also plans a degradation chain under it.
   std::size_t memory_budget_bytes = 0;
   /// Projected nonnegative ALS: clamp each factor update at zero before
   /// normalization (multilinear NMF-style decompositions for count data).
@@ -60,18 +60,18 @@ struct CpAlsOptions {
   /// typically writes the provenance header first); see obs/report.hpp.
   obs::RunReporter* reporter = nullptr;
   /// Optional cross-run history store (see obs/history.hpp). When set, the
-  /// model-driven engines (auto / auto+probe) consult the measured-best
-  /// plan for this tensor before trusting the analytic ranking, and the
-  /// run's outcome is recorded back so later runs warm-start. The caller
-  /// owns the store.
+  /// auto engine takes the fastest candidate this store holds a run of at
+  /// this exact tensor, rank, thread count, build and machine (else the
+  /// model's pick), and the run's outcome is recorded back so later runs
+  /// warm-start. The caller owns the store.
   obs::HistoryStore* history = nullptr;
-  /// Master switch for the empirical overlay (the CLI's --no-history).
+  /// Whether the auto engine consults `history` (the CLI's --no-history).
   /// Recording the outcome into `history` still happens when off.
   bool use_history = true;
-  /// Warm-start threshold: trust-weighted observations a strategy needs
-  /// before history may override the model (same build/machine runs weigh
-  /// 1 each; see obs::TrustPolicy).
-  double history_min_weight = 1.0;
+  /// Auto engine only: probe the model's top three feasible candidates
+  /// (one warm-up and two timed sweeps each) and take the measured winner,
+  /// without consulting `history`. Any other engine rejects it.
+  bool probe = false;
   /// Cooperative cancellation flag (null = never cancelled). The sweep
   /// driver (ALS and MU) checks it between modes and iterations; when it
   /// flips, the run stops cleanly with result.cancelled = true and a
@@ -125,7 +125,7 @@ struct CpAlsResult {
   std::size_t engine_peak_memory_bytes = 0;
 
   // Tuner prediction for the chosen strategy when the engine was
-  // model-driven (auto / auto+probe); zeros for fixed engines. The measured
+  // model-driven (auto); zeros for fixed engines. The measured
   // counterparts are mttkrp_seconds / iterations and
   // engine_peak_memory_bytes, which makes the paper's model-accuracy
   // experiment reproducible from any ordinary run.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <new>
 #include <sstream>
-#include <string_view>
 
 #include "mttkrp/registry.hpp"
 #include "obs/metrics.hpp"
@@ -16,8 +15,8 @@ namespace mdcp {
 
 namespace {
 
-// Candidates the auto+probe engine measures after the model's ranking.
-constexpr int kProbeShortlist = 3;
+// Candidates select_strategy_probed measures after the model's ranking.
+constexpr std::size_t kProbeCandidates = 3;
 
 // Publishes the tuner's decision so a later measured run can be compared
 // against the prediction (cp_als fills in the measured side and the error
@@ -32,44 +31,25 @@ void record_selection(const TunerReport& report) {
       .set(static_cast<double>(win.prediction.total_memory_bytes()));
 }
 
-// The empirical overlay: once the history store holds enough trusted
-// measurements of a strategy for this exact (tensor fingerprint, rank),
-// prefer the measured winner over the analytic ranking. Only budget-feasible
-// candidates are eligible — a measured-fast plan that no longer fits the
-// budget must not resurrect itself. Returns true when the override fired.
-bool apply_history_overlay(const CooTensor& tensor, index_t rank,
-                           TunerReport& report, const TunerOptions& options) {
-  if (!options.use_history || options.history == nullptr ||
-      options.history->empty())
-    return false;
-  auto& reg = obs::MetricsRegistry::instance();
-  const std::uint64_t fp = obs::tensor_fingerprint(tensor);
-  const auto best = options.history->measured_best(
-      fp, static_cast<std::uint32_t>(rank), options.trust);
-  if (best) {
-    for (std::size_t i = 0; i < report.ranked.size(); ++i) {
-      if (report.ranked[i].fits_budget &&
-          report.ranked[i].strategy.name == best->strategy) {
-        MDCP_TRACE_SPAN("tuner.history", "candidate",
-                        static_cast<std::int64_t>(i));
-        report.chosen = i;
-        report.plan_source = "history";
-        reg.counter("tuner.history_hits").add();
-        reg.gauge("tuner.history_weight").set(best->weight);
-        return true;
-      }
-    }
+// The static selection rule: the first (fastest) strategy that fits the
+// budget; if none fit, the minimum-memory one.
+std::size_t first_feasible(const std::vector<RankedStrategy>& ranked) {
+  for (std::size_t i = 0; i < ranked.size(); ++i)
+    if (ranked[i].fits_budget) return i;
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < ranked.size(); ++i) {
+    if (ranked[i].prediction.total_memory_bytes() <
+        ranked[best].prediction.total_memory_bytes())
+      best = i;
   }
-  reg.counter("tuner.history_misses").add();
-  return false;
+  return best;
 }
 
-}  // namespace
-
-TunerReport select_strategy(const CooTensor& tensor, index_t rank,
+// Predicts every candidate, sorts by predicted seconds and applies the
+// static selection rule.
+TunerReport rank_strategies(const CooTensor& tensor, index_t rank,
                             std::size_t memory_budget_bytes,
-                            const CostModelParams& params,
-                            const TunerOptions& options) {
+                            const CostModelParams& params) {
   MDCP_CHECK(rank > 0);
   MDCP_TRACE_SPAN("tuner.select", "rank", static_cast<std::int64_t>(rank));
   ProjectionCounter counter(tensor);
@@ -87,26 +67,61 @@ TunerReport select_strategy(const CooTensor& tensor, index_t rank,
                      return a.prediction.seconds_per_iteration <
                             b.prediction.seconds_per_iteration;
                    });
+  report.chosen = first_feasible(report.ranked);
+  return report;
+}
 
-  // First (fastest) strategy that fits the budget; if none fit, fall back to
-  // the minimum-memory one.
-  report.chosen = report.ranked.size();
-  for (std::size_t i = 0; i < report.ranked.size(); ++i) {
-    if (report.ranked[i].fits_budget) {
-      report.chosen = i;
+// The history overlay: the fastest budget-feasible candidate with a stored
+// run of this exact (tensor fingerprint, rank, threads, build, machine)
+// replaces the model's pick. A run of an engine that is not a candidate
+// (a fixed engine such as "coo") matches nothing.
+void apply_history_overlay(const CooTensor& tensor, index_t rank, int threads,
+                           TunerReport& report,
+                           const obs::HistoryStore& history) {
+  const std::uint64_t build = obs::HistoryStore::current_build_id();
+  const std::uint64_t machine = obs::HistoryStore::current_machine_id();
+  std::size_t best = report.ranked.size();
+  double best_seconds = 0;
+  for (const obs::RunObservation* o :
+       history.query(obs::tensor_fingerprint(tensor),
+                     static_cast<std::uint32_t>(rank))) {
+    if (o->threads != threads || o->build_id != build ||
+        o->machine_id != machine || o->seconds_per_iteration <= 0)
+      continue;
+    for (std::size_t i = 0; i < report.ranked.size(); ++i) {
+      if (!report.ranked[i].fits_budget ||
+          report.ranked[i].strategy.name != o->strategy)
+        continue;
+      if (best == report.ranked.size() ||
+          o->seconds_per_iteration < best_seconds) {
+        best = i;
+        best_seconds = o->seconds_per_iteration;
+      }
       break;
     }
   }
-  if (report.chosen == report.ranked.size()) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < report.ranked.size(); ++i) {
-      if (report.ranked[i].prediction.total_memory_bytes() <
-          report.ranked[best].prediction.total_memory_bytes())
-        best = i;
-    }
-    report.chosen = best;
+  auto& reg = obs::MetricsRegistry::instance();
+  if (best == report.ranked.size()) {
+    reg.counter("tuner.history_misses").add();
+    return;
   }
-  apply_history_overlay(tensor, rank, report, options);
+  MDCP_TRACE_SPAN("tuner.history", "candidate",
+                  static_cast<std::int64_t>(best));
+  report.chosen = best;
+  report.plan_source = "history";
+  reg.counter("tuner.history_hits").add();
+}
+
+}  // namespace
+
+TunerReport select_strategy(const CooTensor& tensor, index_t rank,
+                            std::size_t memory_budget_bytes,
+                            const CostModelParams& params,
+                            const obs::HistoryStore* history) {
+  TunerReport report =
+      rank_strategies(tensor, rank, memory_budget_bytes, params);
+  if (history != nullptr && !history->empty())
+    apply_history_overlay(tensor, rank, params.threads, report, *history);
   record_selection(report);
   return report;
 }
@@ -114,14 +129,9 @@ TunerReport select_strategy(const CooTensor& tensor, index_t rank,
 TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
                                    std::size_t memory_budget_bytes,
                                    const CostModelParams& params,
-                                   int shortlist, KernelContext ctx,
-                                   const TunerOptions& options) {
-  MDCP_CHECK(shortlist > 0);
+                                   KernelContext ctx) {
   TunerReport report =
-      select_strategy(tensor, rank, memory_budget_bytes, params, options);
-  const std::size_t history_choice =
-      std::string_view(report.plan_source) == "history" ? report.chosen
-                                                        : report.ranked.size();
+      rank_strategies(tensor, rank, memory_budget_bytes, params);
 
   // Probe inputs: fixed-seed factors (probe time, not output, depends on
   // them) shared by all candidates.
@@ -132,13 +142,10 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
 
   double best_time = -1;
   std::size_t best_idx = report.chosen;
-  int probed = 0;
-  for (std::size_t i = 0; i < report.ranked.size(); ++i) {
+  std::size_t probed = 0;
+  for (std::size_t i = 0;
+       i < report.ranked.size() && probed < kProbeCandidates; ++i) {
     if (!report.ranked[i].fits_budget) continue;
-    // A history override outside the model's shortlist is still probed: the
-    // measured winner must defend its title against the shortlist, and the
-    // shortlist must beat it on the clock to take the plan back.
-    if (probed >= shortlist && i != history_choice) continue;
     ++probed;
     MDCP_TRACE_SPAN("tuner.probe", "candidate",
                     static_cast<std::int64_t>(i));
@@ -171,38 +178,16 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
       report.ranked[i].fits_budget = false;
     }
   }
-  report.chosen = best_idx;
-  if (!report.ranked[report.chosen].fits_budget) {
-    // The probed winner (or its fallback) got demoted — re-run the static
-    // selection rule over the updated feasibility flags.
-    report.chosen = report.ranked.size();
-    for (std::size_t i = 0; i < report.ranked.size(); ++i) {
-      if (report.ranked[i].fits_budget) {
-        report.chosen = i;
-        break;
-      }
-    }
-    if (report.chosen == report.ranked.size()) {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < report.ranked.size(); ++i) {
-        if (report.ranked[i].prediction.total_memory_bytes() <
-            report.ranked[best].prediction.total_memory_bytes())
-          best = i;
-      }
-      report.chosen = best;
-    }
-  }
-  // The override only survives if probing kept the history pick on top.
-  report.plan_source = report.chosen == history_choice ? "history" : "model";
-  record_selection(report);  // re-publish: probing may move the winner
+  // The probed winner, unless probing demoted every candidate it measured.
+  report.chosen = report.ranked[best_idx].fits_budget
+                      ? best_idx
+                      : first_feasible(report.ranked);
+  record_selection(report);
   return report;
 }
 
-AutoEngine::AutoEngine(bool probed, KernelContext ctx,
-                       TunerOptions tuner_options)
-    : MttkrpEngine(ctx),
-      probed_(probed),
-      tuner_options_(std::move(tuner_options)) {}
+AutoEngine::AutoEngine(KernelContext ctx, TunerOptions tuner_options)
+    : MttkrpEngine(ctx), tuner_options_(tuner_options) {}
 
 void AutoEngine::do_prepare(index_t rank) {
   MDCP_CHECK_MSG(rank > 0,
@@ -212,14 +197,13 @@ void AutoEngine::do_prepare(index_t rank) {
   // the privatization memory/flop terms participate in strategy ranking.
   CostModelParams params;
   params.threads = effective_threads();
-  report_ = probed_ ? select_strategy_probed(tensor(), rank, budget, params,
-                                             kProbeShortlist, context(),
-                                             tuner_options_)
-                    : select_strategy(tensor(), rank, budget, params,
-                                      tuner_options_);
+  report_ = tuner_options_.probe
+                ? select_strategy_probed(tensor(), rank, budget, params,
+                                         context())
+                : select_strategy(tensor(), rank, budget, params,
+                                  tuner_options_.history);
   record_plan_source(report_.plan_source);
   const auto& win = report_.winner();
-  const char* prefix = probed_ ? "auto+probe:" : "auto:";
 
   // Plan the degradation chain: the dtree winner first, then (under a
   // budget) every registry entry that has a footprint predictor, in
@@ -230,7 +214,7 @@ void AutoEngine::do_prepare(index_t rank) {
   chain_pos_ = 0;
   ChainEntry head;
   head.engine = "";
-  head.label = prefix + win.strategy.name;
+  head.label = "auto:" + win.strategy.name;
   head.predicted_bytes = win.prediction.total_memory_bytes();
   head.fits_budget = win.fits_budget;
   chain_.push_back(std::move(head));
@@ -244,7 +228,7 @@ void AutoEngine::do_prepare(index_t rank) {
       if (fallback.footprint == nullptr) continue;
       ChainEntry e;
       e.engine = fallback.name;
-      e.label = prefix + fallback.name;
+      e.label = "auto:" + fallback.name;
       const std::size_t owner_bytes =
           fallback.footprint(tensor(), rank, &counter, threads);
       e.predicted_bytes = owner_bytes + envelope;
@@ -370,8 +354,7 @@ void AutoEngine::invalidate_all() {
 }
 
 std::string AutoEngine::name() const {
-  if (inner_) return inner_->name();
-  return probed_ ? "auto+probe" : "auto";
+  return inner_ ? inner_->name() : "auto";
 }
 
 std::size_t AutoEngine::memory_bytes() const {

@@ -27,27 +27,22 @@ struct RankedStrategy {
 struct TunerReport {
   std::vector<RankedStrategy> ranked;  ///< ascending predicted seconds
   std::size_t chosen = 0;              ///< index into `ranked`
-  /// How `chosen` was decided: "model" = analytic ranking (possibly
-  /// probe-corrected), "history" = measured-best override from the run
-  /// history (see TunerOptions).
+  /// How `chosen` was decided: "model" = analytic ranking (probe-corrected
+  /// under TunerOptions::probe), "history" = the run history's measured
+  /// fastest candidate (see select_strategy).
   const char* plan_source = "model";
 
   const RankedStrategy& winner() const { return ranked[chosen]; }
 };
 
-/// Empirical-feedback overlay for the tuner. When a history store is
-/// attached and use_history is set, select_strategy() consults the
-/// measured-best plan for this (tensor fingerprint, rank) and — once that
-/// strategy has earned trust.min_weight of trust-weighted observations —
-/// prefers it over the analytic ranking (budget feasibility still wins:
-/// history never overrides onto an over-budget candidate). The probe path
-/// keeps the override only if probing agrees nothing faster was shortlisted.
+/// The AutoEngine's measured corrections to the model's pick, one rule each
+/// (docs/tuning.md).
 struct TunerOptions {
-  bool use_history = true;               ///< master switch (--no-history)
-  const obs::HistoryStore* history = nullptr;  ///< null = overlay disabled
-  /// Trust policy for measured_best(); min_weight is the "warm-start after
-  /// K observations" knob (same build/machine observations weigh 1 each).
-  obs::TrustPolicy trust;
+  /// Run history consulted by select_strategy() (null = none).
+  const obs::HistoryStore* history = nullptr;
+  /// Probe the model's top three feasible candidates and take the measured
+  /// winner (select_strategy_probed); the history is not consulted.
+  bool probe = false;
 };
 
 /// One fallback taken by the AutoEngine's degradation chain: a predicted or
@@ -66,32 +61,35 @@ struct DegradationEvent {
   bool at_prepare = false;  ///< true = planned in prepare(), before any run
 };
 
-/// Ranks all candidate strategies for `tensor` at `rank`.
-/// `memory_budget_bytes` bounds symbolic + peak value memory (0 = unlimited);
-/// if nothing fits, the minimum-memory strategy is chosen and flagged.
+/// Ranks all candidate strategies for `tensor` at `rank` on
+/// `params.threads` threads. `memory_budget_bytes` bounds symbolic + peak
+/// value memory (0 = unlimited); if nothing fits, the minimum-memory
+/// strategy is chosen and flagged. With a `history` store, the fastest
+/// budget-feasible candidate that has a stored run of this exact tensor
+/// fingerprint, rank, thread count, build and machine replaces the model's
+/// pick (plan_source "history"); with no such run the model's pick stands.
 TunerReport select_strategy(const CooTensor& tensor, index_t rank,
                             std::size_t memory_budget_bytes = 0,
                             const CostModelParams& params = {},
-                            const TunerOptions& options = {});
+                            const obs::HistoryStore* history = nullptr);
 
-/// Hybrid model+probe selection: the analytic model shortlists the
-/// `shortlist` budget-feasible candidates, one real MTTKRP sweep of each is
-/// measured, and the measured winner is chosen. Costs ~`shortlist` sweeps up
-/// front (still far below exhaustive autotuning) and removes the residual
-/// model error on tensors whose cache behaviour the flop/byte counts miss.
-/// Returns the report re-ranked with `chosen` pointing at the probed winner.
-/// Probe engines draw scratch from `ctx` (workspace/threads).
+/// Hybrid model+probe selection: the model's top three budget-feasible
+/// candidates each run one warm-up and two timed MTTKRP sweeps (9 sweeps in
+/// all, still far below exhaustive autotuning), and the fastest timed sweep
+/// wins. Removes the residual model error on tensors whose cache behaviour
+/// the flop/byte counts miss. Returns the report with `chosen` pointing at
+/// the probed winner. Probe engines draw scratch from `ctx`
+/// (workspace/threads).
 TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
                                    std::size_t memory_budget_bytes = 0,
                                    const CostModelParams& params = {},
-                                   int shortlist = 3, KernelContext ctx = {},
-                                   const TunerOptions& options = {});
+                                   KernelContext ctx = {});
 
 /// MTTKRP engine whose strategy is chosen by the tuner at prepare() time.
 /// prepare(tensor, rank) runs the model (rank > 0 required — the prediction
-/// is rank-dependent), optionally probes the shortlist, then builds and
+/// is rank-dependent) with the TunerOptions corrections, then builds and
 /// prepares the winning dimension-tree engine. name() reports
-/// "auto:<strategy>" (or "auto+probe:<strategy>") once prepared.
+/// "auto:<strategy>" once prepared.
 ///
 /// Under a memory budget (KernelContext::mem_budget) the engine also plans a
 /// degradation chain: the dtree winner, then every EngineRegistry entry with
@@ -112,8 +110,7 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
 /// inner engine's flops and launches are folded into this engine's stats.
 class AutoEngine final : public MttkrpEngine {
  public:
-  explicit AutoEngine(bool probed = false, KernelContext ctx = {},
-                      TunerOptions tuner_options = {});
+  explicit AutoEngine(KernelContext ctx = {}, TunerOptions tuner_options = {});
 
   void factor_updated(mode_t mode) override;
   void invalidate_all() override;
@@ -168,7 +165,6 @@ class AutoEngine final : public MttkrpEngine {
                         bool at_prepare);
   ScheduleMode effective_inner_sched() const noexcept;
 
-  bool probed_;
   TunerOptions tuner_options_;
   TunerReport report_;
   std::vector<ChainEntry> chain_;

@@ -89,6 +89,10 @@ class MttkrpEngine {
   const KernelContext& context() const noexcept { return ctx_; }
   Workspace& workspace() const noexcept { return *ctx_.workspace; }
 
+  /// Threads the next kernel launch will use (the context override, or the
+  /// library-wide setting).
+  int effective_threads() const noexcept;
+
  protected:
   /// Builds the engine's symbolic structures for tensor() at rank hint
   /// `rank`. Called with the thread override already applied.
@@ -137,10 +141,6 @@ class MttkrpEngine {
 
   /// Schedule override from the context (kAuto = per-mode heuristic).
   ScheduleMode schedule_mode() const noexcept { return ctx_.sched; }
-
-  /// Threads the next kernel launch will use (the context override, or the
-  /// library-wide setting).
-  int effective_threads() const noexcept;
 
   /// The symbolic and numeric phases of `engine` without the probe or any
   /// counter: bind the tensor, install the context budget, apply the thread

@@ -46,13 +46,7 @@ EngineRegistry::EngineRegistry() {
                   });
   register_engine("auto", "model-driven strategy selection (the tuner)",
                   [](KernelContext ctx) {
-                    return std::make_unique<AutoEngine>(/*probed=*/false,
-                                                        ctx);
-                  });
-  register_engine("auto+probe", "model shortlist + measured probe selection",
-                  [](KernelContext ctx) {
-                    return std::make_unique<AutoEngine>(/*probed=*/true,
-                                                        ctx);
+                    return std::make_unique<AutoEngine>(ctx);
                   });
 }
 

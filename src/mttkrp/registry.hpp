@@ -10,7 +10,7 @@
 //
 // Builtin names (registration order): the budget fallbacks first, in the
 // order the AutoEngine's degradation chain tries them, then the rest:
-//   alto, coo, csf, dtree-flat, dtree-3lvl, dtree-bdt, auto, auto+probe
+//   alto, coo, csf, dtree-flat, dtree-3lvl, dtree-bdt, auto
 // `csf` has no predictor: its tries are several times coo's footprint and
 // its sweep is slower than alto's (EXPERIMENTS.md P2), so it is never the
 // fastest engine that fits a budget. It stays as the SPLATT-style baseline.
@@ -78,7 +78,7 @@ std::unique_ptr<MttkrpEngine> make_engine(const std::string& name,
                                           KernelContext ctx = {});
 
 /// Creates an engine by name and prepares it for `tensor` (with `rank` as
-/// the scratch-sizing hint; required > 0 for "auto"/"auto+probe").
+/// the scratch-sizing hint; required > 0 for "auto").
 std::unique_ptr<MttkrpEngine> make_engine(const std::string& name,
                                           const CooTensor& tensor,
                                           index_t rank = 0,

@@ -269,47 +269,6 @@ std::vector<const RunObservation*> HistoryStore::query(
   return out;
 }
 
-double HistoryStore::trust_weight(const RunObservation& obs,
-                                  const TrustPolicy& policy) {
-  const std::uint64_t build =
-      policy.build_id != 0 ? policy.build_id : current_build_id();
-  const std::uint64_t machine =
-      policy.machine_id != 0 ? policy.machine_id : current_machine_id();
-  double w = 1.0;
-  if (obs.build_id != build) w *= policy.decay;
-  if (obs.machine_id != machine) w *= policy.decay;
-  if (policy.threads != 0 && obs.threads != 0 &&
-      obs.threads != policy.threads)
-    w *= policy.decay;
-  return w;
-}
-
-std::optional<HistoryStore::BestPlan> HistoryStore::measured_best(
-    std::uint64_t fingerprint, std::uint32_t rank,
-    const TrustPolicy& policy) const {
-  struct Acc {
-    double weight = 0, weighted_seconds = 0;
-    std::size_t n = 0;
-  };
-  std::map<std::string, Acc> per_strategy;
-  for (const RunObservation* obs : query(fingerprint, rank)) {
-    if (obs->seconds_per_iteration <= 0 || obs->strategy.empty()) continue;
-    const double w = trust_weight(*obs, policy);
-    Acc& acc = per_strategy[obs->strategy];
-    acc.weight += w;
-    acc.weighted_seconds += w * obs->seconds_per_iteration;
-    ++acc.n;
-  }
-  std::optional<BestPlan> best;
-  for (const auto& [strategy, acc] : per_strategy) {
-    if (acc.weight < policy.min_weight || acc.weight <= 0) continue;
-    const double mean = acc.weighted_seconds / acc.weight;
-    if (!best.has_value() || mean < best->seconds_per_iteration)
-      best = BestPlan{strategy, mean, acc.weight, acc.n};
-  }
-  return best;
-}
-
 std::vector<HistoryStore::Group> HistoryStore::groups() const {
   struct Key {
     std::uint64_t fingerprint;

@@ -2,10 +2,9 @@
 // timings by tensor fingerprint + provenance, and answer the two questions
 // the rest of the system asks:
 //
-//   * tuner feedback — "for this (fingerprint, rank), which strategy was
-//     measured fastest, and do we trust those measurements enough to prefer
-//     them over the analytic ranking?" (see measured_best / TrustPolicy,
-//     consumed by select_strategy via TunerOptions)
+//   * tuner feedback — "which runs of this (fingerprint, rank) are there?"
+//     (see query; select_strategy keeps those of this thread count, build
+//     and machine and takes the fastest candidate among them)
 //   * drift analytics — "is this run's per-kernel timing inside the robust
 //     z-score band of the stored history?" (see detect_drift, consumed by
 //     `mdcp_cli drift`). Its band() is the only comparison rule: `mdcp_cli
@@ -32,14 +31,14 @@ namespace mdcp::obs {
 struct RunObservation {
   std::uint64_t fingerprint = 0;  ///< tensor_fingerprint from the header
   std::string engine_label;       ///< summary "engine", e.g. "auto:bdt/asc"
-  /// engine_label with the "auto:" / "auto+probe:" prefix stripped — the
-  /// name the tuner's candidate strategies are matched against ("bdt/asc",
-  /// "greedy", ...; fixed engines keep their registry name).
+  /// engine_label with the "auto:" prefix stripped — the name the tuner's
+  /// candidate strategies are matched against ("bdt/asc", "greedy", ...;
+  /// fixed engines keep their registry name).
   std::string strategy;
   std::uint32_t rank = 0;  ///< 0 when the report predates the rank field
   int threads = 0;         ///< kernel_threads from the header
 
-  // Provenance the trust policy decays on (see TrustPolicy).
+  // Provenance the tuner's overlay matches exactly (see select_strategy).
   std::uint64_t build_id = 0;    ///< hash of compiler + flags + build type
   std::uint64_t machine_id = 0;  ///< hash of host name + hardware threads
 
@@ -74,21 +73,6 @@ struct HistoryIngestStats {
   /// summary and are never ingested, but they are evidence of crashed runs —
   /// surfaced here (and by `mdcp_cli history`) instead of silently skipped.
   std::size_t files_orphaned_tmp = 0;
-};
-
-/// How much a stored observation is believed when consulted for planning.
-/// Each provenance axis that differs from the current process (build,
-/// machine, thread count) multiplies the observation's weight by `decay`, so
-/// history survives a rebuild or a new host but has to be re-earned there.
-struct TrustPolicy {
-  std::uint64_t build_id = 0;    ///< 0 = current_build_id()
-  std::uint64_t machine_id = 0;  ///< 0 = current_machine_id()
-  int threads = 0;               ///< 0 = any (thread axis not decayed)
-  double decay = 0.25;           ///< weight multiplier per mismatched axis
-  /// Minimum summed weight before a strategy's measurements may override
-  /// the analytic model — the "warm-start after K observations" knob
-  /// (same-provenance observations weigh 1 each).
-  double min_weight = 1.0;
 };
 
 /// band() flags a value whose robust z-score is beyond ±kBandSigma.
@@ -126,8 +110,8 @@ struct DriftReport {
 
 class HistoryStore {
  public:
-  /// Provenance of the running process, for TrustPolicy and for stamping
-  /// in-process observations. Stable for the process lifetime.
+  /// Provenance of the running process, for the tuner's overlay and for
+  /// stamping in-process observations. Stable for the process lifetime.
   static std::uint64_t current_build_id();
   static std::uint64_t current_machine_id();
 
@@ -166,25 +150,6 @@ class HistoryStore {
                                            const std::string& strategy = {})
       const;
 
-  /// The measured-best plan for (fingerprint, rank) under `policy`: per
-  /// strategy, observations are trust-weighted and averaged; strategies
-  /// whose summed weight is below policy.min_weight are not yet trusted.
-  /// Returns nullopt when no strategy qualifies.
-  struct BestPlan {
-    std::string strategy;
-    double seconds_per_iteration = 0;  ///< trust-weighted mean
-    double weight = 0;                 ///< summed trust weight
-    std::size_t observations = 0;      ///< raw observation count
-  };
-  std::optional<BestPlan> measured_best(std::uint64_t fingerprint,
-                                        std::uint32_t rank,
-                                        const TrustPolicy& policy = {}) const;
-
-  /// Trust weight of one observation under `policy` (exposed for tests and
-  /// the `history` subcommand).
-  static double trust_weight(const RunObservation& obs,
-                             const TrustPolicy& policy);
-
   /// Aggregate view for `mdcp_cli history`: one row per
   /// (fingerprint, engine label, rank).
   struct Group {
@@ -217,8 +182,9 @@ DriftReport band_kernels(const std::vector<const RunObservation*>& history,
 DriftReport detect_drift(const HistoryStore& store, const RunObservation& run,
                          double threshold = kDriftThreshold);
 
-/// Strips the "auto:" / "auto+probe:" prefix an AutoEngine bakes into its
-/// resolved name, yielding the strategy name history keys on.
+/// Strips the "auto:" prefix an AutoEngine bakes into its resolved name
+/// (and the "auto+probe:" of reports from older builds), yielding the
+/// strategy name history keys on.
 std::string strategy_from_engine_label(const std::string& label);
 
 }  // namespace mdcp::obs

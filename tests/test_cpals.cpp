@@ -413,7 +413,6 @@ TEST(CpAls, MatchesLayerReplayBitwise) {
       for (const bool nonnegative : {false, true}) {
         opt.engine = name;
         opt.nonnegative = nonnegative;
-        // One engine serves both runs, so auto+probe's timed pick is shared.
         auto engine = make_engine(name, t, opt.rank);
         const CpAlsResult result = cp_als(t, *engine, opt);
         const Replay replay = replay_cp_als(t, *engine, opt);

@@ -33,8 +33,8 @@ class ThreadRestore {
 TEST(Determinism, RegistryListsBitwiseCriticalEngines) {
   const auto names = EngineRegistry::instance().names();
   for (const char* expected :
-       {"alto", "coo", "csf", "dtree-flat", "dtree-3lvl", "dtree-bdt", "auto",
-        "auto+probe"}) {
+       {"alto", "coo", "csf", "dtree-flat", "dtree-3lvl", "dtree-bdt",
+        "auto"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "engine \"" << expected
         << "\" missing from the registry-driven determinism matrix";
@@ -47,13 +47,8 @@ TEST(Determinism, MttkrpBitwiseAcrossThreadCounts) {
   const auto factors = random_factors(t, 8, 62);
 
   // Every registered engine must produce bit-identical output regardless of
-  // thread count. "auto+probe" is excluded: its strategy choice depends on
-  // measured probe timings, which can legitimately differ across thread
-  // counts (each chosen strategy is itself deterministic — that is covered
-  // by the dtree names below; plain "auto" picks from the analytic model
-  // only, so it stays in).
+  // thread count ("auto" picks from the analytic model only).
   for (const auto& name : EngineRegistry::instance().names()) {
-    if (name == "auto+probe") continue;
     std::vector<Matrix> results;
     for (int threads : {1, 2, 4}) {
       set_num_threads(threads);
@@ -76,7 +71,6 @@ TEST(Determinism, ForcedOwnerBitwiseAcrossThreadCounts) {
   const auto t = generate_zipf(shape_t{40, 36, 32}, 4000, 1.3, 71);
   const auto factors = random_factors(t, 8, 72);
   for (const auto& name : EngineRegistry::instance().names()) {
-    if (name == "auto+probe") continue;
     KernelContext ctx;
     ctx.sched = ScheduleMode::kOwner;
     std::vector<Matrix> results;
@@ -105,7 +99,6 @@ TEST(Determinism, PrivatizedBitwiseAtFixedThreadCount) {
   KernelContext ctx;
   ctx.sched = ScheduleMode::kPrivatized;
   for (const auto& name : EngineRegistry::instance().names()) {
-    if (name == "auto+probe") continue;
     set_num_threads(4);
     std::vector<Matrix> runs;
     for (int rep = 0; rep < 3; ++rep) {
@@ -128,7 +121,6 @@ TEST(Determinism, PrivatizedDriftAcrossThreadCountsWithinTolerance) {
   KernelContext ctx;
   ctx.sched = ScheduleMode::kPrivatized;
   for (const auto& name : EngineRegistry::instance().names()) {
-    if (name == "auto+probe") continue;
     set_num_threads(1);
     const auto e1 = make_engine(name, t, 8, ctx);
     Matrix out1;
@@ -215,7 +207,6 @@ TEST(Determinism, CpAlsBitwiseAcrossThreadCountsOnUnderflowingFactors) {
   ASSERT_LT(smallest, 1e-290) << "the factors no longer underflow";
 
   for (const auto& name : EngineRegistry::instance().names()) {
-    if (name == "auto+probe") continue;
     // Every MTTKRP on the iterates, owner-computes so that the thread count
     // may not change a bit.
     KernelContext ctx;

@@ -158,7 +158,7 @@ TEST(Differential, MatrixCoversEveryRegisteredEngine) {
   const auto names = EngineRegistry::instance().names();
   for (const char* expected :
         {"alto", "coo", "csf", "dtree-flat", "dtree-3lvl", "dtree-bdt",
-        "auto", "auto+probe"}) {
+        "auto"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "engine \"" << expected << "\" missing from the registry";
   }

@@ -191,7 +191,7 @@ TEST(DegradationChain, PicksFirstLevelTheModelSaysFits) {
     if (budget == 0) continue;
     KernelContext ctx;
     ctx.mem_budget = budget;
-    AutoEngine engine(/*probed=*/false, ctx);
+    AutoEngine engine(ctx);
     try {
       engine.prepare(t, rank);
     } catch (const budget_error&) {
@@ -249,7 +249,7 @@ TEST(DegradationChain, PlannedFallbacksFollowDocumentedOrder) {
 
   KernelContext ctx;
   ctx.mem_budget = dtree_floor - 1;
-  AutoEngine engine(/*probed=*/false, ctx);
+  AutoEngine engine(ctx);
   engine.prepare(t, rank);
   const auto& chain = engine.chain();
   ASSERT_EQ(chain.size(), 3u);
@@ -397,7 +397,7 @@ TEST(DegradationChain, RunTimeFallbackSkipsLevelsPredictedOverBudget) {
   ctx.workspace = &ws;
   ctx.threads = 1;
   ctx.mem_budget = between_coo_and_alto_budget(t, rank);
-  AutoEngine engine(/*probed=*/false, ctx);
+  AutoEngine engine(ctx);
   engine.prepare(t, rank);
   const auto& chain = engine.chain();
   ASSERT_EQ(chain.size(), 3u);
@@ -446,7 +446,7 @@ TEST(DegradationChain, ResultNamesTheEngineThatRan) {
   ctx.workspace = &ws;
   ctx.threads = 1;
   ctx.mem_budget = between_coo_and_alto_budget(t, opt.rank);
-  AutoEngine engine(/*probed=*/false, ctx);
+  AutoEngine engine(ctx);
   engine.prepare(t, opt.rank);
   ASSERT_EQ(engine.chain_position(), 0u);
   ws.release();
@@ -519,7 +519,7 @@ TEST(DegradationChain, LevelOverBudgetAtRunTimeHandsOver) {
   KernelContext ctx;
   ctx.threads = 1;
   ctx.mem_budget = std::size_t{6} << 20;
-  AutoEngine engine(/*probed=*/false, ctx);
+  AutoEngine engine(ctx);
   engine.prepare(t, 8);
   ASSERT_EQ(engine.chain_position(), 0u)
       << "the budget no longer admits the rank-8 winner; retune the test";
@@ -569,7 +569,7 @@ TEST_F(InjectedFaults, AllocFailureSweepNeverEscapesUntyped) {
     // A generous budget keeps the full fallback chain planned, so an
     // injected bad_alloc has somewhere to degrade to.
     ctx.mem_budget = std::size_t{1} << 32;
-    AutoEngine engine(/*probed=*/false, ctx);
+    AutoEngine engine(ctx);
     fault::FaultPlan::instance().parse_spec("alloc.nth=" +
                                             std::to_string(nth));
     try {

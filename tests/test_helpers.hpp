@@ -58,13 +58,12 @@ inline CooTensor small_tensor(mode_t order, index_t dim, nnz_t nnz,
   return generate_uniform(shape, nnz, seed);
 }
 
-/// Every registered engine except "auto" and "auto+probe" (which run one of
-/// the dtree engines under the hood and are tested separately), in
-/// registration order.
+/// Every registered engine except "auto" (which runs one of the dtree
+/// engines under the hood and is tested separately), in registration order.
 inline std::vector<std::string> exact_engine_names() {
   std::vector<std::string> names;
   for (const auto& name : EngineRegistry::instance().names())
-    if (name != "auto" && name != "auto+probe") names.push_back(name);
+    if (name != "auto") names.push_back(name);
   return names;
 }
 

@@ -1,9 +1,9 @@
 // Tests for the cross-run history layer: golden-fixture ingest (including
 // the skip counters for truncated / future-version / incomplete reports),
 // crash-safe report promotion, a real cp_als round-trip through
-// parse_report_file, trust-weight decay, the measured-best tuner override
-// (fires after K trusted observations, not before, and never across a
-// provenance break), and robust-z drift banding.
+// parse_report_file, the tuner's history overlay (the fastest candidate
+// with a run of this exact tensor, rank, thread count, build and machine),
+// and robust-z drift banding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "obs/history.hpp"
 #include "obs/report.hpp"
 #include "tensor/generator.hpp"
+#include "util/parallel.hpp"
 
 namespace mdcp {
 namespace {
@@ -172,7 +173,7 @@ TEST(HistoryRoundTrip, CpAlsReportMatchesInProcessObservation) {
     opt.history = &store;
     obs::RunReporter reporter(path);
     ASSERT_TRUE(reporter.ok());
-    reporter.write_header(tensor, "test_history round-trip", 1);
+    reporter.write_header(tensor, "test_history round-trip", num_threads());
     opt.reporter = &reporter;
     const auto result = mu ? cp_mu(tensor, opt) : cp_als(tensor, opt);
     EXPECT_EQ(result.iterations, 3);
@@ -189,6 +190,8 @@ TEST(HistoryRoundTrip, CpAlsReportMatchesInProcessObservation) {
     EXPECT_EQ(parsed->engine_label, result.engine_name);
     EXPECT_EQ(parsed->strategy, rec.strategy);
     EXPECT_EQ(parsed->rank, 6u);
+    // The thread count the overlay keys on agrees between the two.
+    EXPECT_EQ(parsed->threads, rec.threads);
     EXPECT_EQ(parsed->iterations, 3);
     EXPECT_EQ(parsed->plan_source, "model");
     EXPECT_NEAR(parsed->seconds_per_iteration, rec.seconds_per_iteration,
@@ -203,31 +206,6 @@ TEST(HistoryRoundTrip, CpAlsReportMatchesInProcessObservation) {
   }
 }
 
-TEST(Trust, WeightDecaysPerMismatchedProvenanceAxis) {
-  obs::TrustPolicy policy;
-  policy.build_id = 11;
-  policy.machine_id = 22;
-  policy.threads = 0;  // thread axis not enforced
-
-  obs::RunObservation o;
-  o.build_id = 11;
-  o.machine_id = 22;
-  o.threads = 8;
-  EXPECT_DOUBLE_EQ(obs::HistoryStore::trust_weight(o, policy), 1.0);
-
-  o.build_id = 99;  // rebuilt
-  EXPECT_DOUBLE_EQ(obs::HistoryStore::trust_weight(o, policy), 0.25);
-
-  o.machine_id = 99;  // rebuilt AND moved host
-  EXPECT_DOUBLE_EQ(obs::HistoryStore::trust_weight(o, policy), 0.0625);
-
-  policy.threads = 4;  // now the thread axis is enforced too
-  EXPECT_DOUBLE_EQ(obs::HistoryStore::trust_weight(o, policy),
-                   0.25 * 0.25 * 0.25);
-  o.threads = 4;
-  EXPECT_DOUBLE_EQ(obs::HistoryStore::trust_weight(o, policy), 0.0625);
-}
-
 obs::RunObservation make_obs(std::uint64_t fingerprint,
                              const std::string& strategy, std::uint32_t rank,
                              double spi) {
@@ -236,6 +214,7 @@ obs::RunObservation make_obs(std::uint64_t fingerprint,
   o.engine_label = "auto:" + strategy;
   o.strategy = strategy;
   o.rank = rank;
+  o.threads = 1;  // CostModelParams' default
   o.build_id = obs::HistoryStore::current_build_id();
   o.machine_id = obs::HistoryStore::current_machine_id();
   o.iterations = 1;
@@ -244,38 +223,11 @@ obs::RunObservation make_obs(std::uint64_t fingerprint,
   return o;
 }
 
-TEST(Trust, MeasuredBestNeedsMinWeightAndPicksFastest) {
-  const std::uint64_t fp = 0xabcULL;
-  obs::HistoryStore store;
-  obs::TrustPolicy policy;
-  policy.min_weight = 2.0;
-
-  store.record(make_obs(fp, "slow", 4, 0.5));
-  store.record(make_obs(fp, "slow", 4, 0.5));
-  store.record(make_obs(fp, "fast", 4, 0.1));
-  // "fast" is quicker but has only weight 1 < 2: not yet trusted; "slow"
-  // qualifies, so it is the best *trusted* plan.
-  auto best = store.measured_best(fp, 4, policy);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->strategy, "slow");
-
-  store.record(make_obs(fp, "fast", 4, 0.2));
-  best = store.measured_best(fp, 4, policy);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->strategy, "fast");
-  EXPECT_DOUBLE_EQ(best->seconds_per_iteration, 0.15);  // weighted mean
-  EXPECT_DOUBLE_EQ(best->weight, 2.0);
-  EXPECT_EQ(best->observations, 2u);
-
-  // Wrong rank / wrong tensor: nothing qualifies.
-  EXPECT_FALSE(store.measured_best(fp, 5, policy).has_value());
-  EXPECT_FALSE(store.measured_best(0x999ULL, 4, policy).has_value());
-}
-
-// The tuner-facing behavior the whole layer exists for: after K trusted
-// observations of a strategy, select_strategy prefers the measured plan and
-// says so via plan_source — and does NOT before K, nor across a provenance
-// break, nor when the overlay is switched off.
+// The tuner-facing behavior the whole layer exists for: one run of a
+// candidate at this exact (tensor, rank, threads, build, machine) is enough
+// for select_strategy to prefer the fastest such candidate and say so via
+// plan_source. Runs of other provenance or of fixed engines are not
+// consulted.
 class TunerOverlay : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -296,6 +248,12 @@ class TunerOverlay : public ::testing::Test {
     ASSERT_FALSE(alt_choice_.empty());
   }
 
+  TunerReport select(const obs::HistoryStore& store, int threads = 1) const {
+    CostModelParams params;
+    params.threads = threads;
+    return select_strategy(tensor_, kRank, 0, params, &store);
+  }
+
   static constexpr index_t kRank = 8;
   CooTensor tensor_;
   std::uint64_t fp_ = 0;
@@ -303,61 +261,131 @@ class TunerOverlay : public ::testing::Test {
   std::string alt_choice_;
 };
 
-TEST_F(TunerOverlay, OverridesAfterKObservationsNotBefore) {
+TEST_F(TunerOverlay, PicksTheFastestObservedCandidate) {
   obs::HistoryStore store;
-  TunerOptions topt;
-  topt.history = &store;
-  topt.trust.min_weight = 2.0;  // warm-start after K = 2 runs
+  // One run is enough, even with none of the model's pick.
+  store.record(make_obs(fp_, alt_choice_, kRank, 0.1));
+  TunerReport report = select(store);
+  EXPECT_STREQ(report.plan_source, "history");
+  EXPECT_EQ(report.winner().strategy.name, alt_choice_);
 
-  store.record(make_obs(fp_, alt_choice_, kRank, 1e-5));
-  TunerReport report = select_strategy(tensor_, kRank, 0, {}, topt);
-  EXPECT_STREQ(report.plan_source, "model");
+  store.record(make_obs(fp_, model_choice_, kRank, 0.5));
+  EXPECT_EQ(select(store).winner().strategy.name, alt_choice_);
+
+  store.record(make_obs(fp_, model_choice_, kRank, 0.05));
+  report = select(store);
+  EXPECT_STREQ(report.plan_source, "history");
   EXPECT_EQ(report.winner().strategy.name, model_choice_);
 
+  // Another rank or another tensor: nothing matches.
+  obs::HistoryStore other;
+  other.record(make_obs(fp_, alt_choice_, kRank + 1, 1e-9));
+  other.record(make_obs(fp_ ^ 1, alt_choice_, kRank, 1e-9));
+  report = select(other);
+  EXPECT_STREQ(report.plan_source, "model");
+  EXPECT_EQ(report.winner().strategy.name, model_choice_);
+}
+
+TEST_F(TunerOverlay, EmptyOrAbsentStoreStaysOnModel) {
+  obs::HistoryStore store;
+  TunerReport report = select(store);
+  EXPECT_STREQ(report.plan_source, "model");
+
   store.record(make_obs(fp_, alt_choice_, kRank, 1e-5));
-  report = select_strategy(tensor_, kRank, 0, {}, topt);
+  report = select_strategy(tensor_, kRank, 0, {}, nullptr);  // --no-history
+  EXPECT_STREQ(report.plan_source, "model");
+  EXPECT_EQ(report.winner().strategy.name, model_choice_);
+}
+
+TEST_F(TunerOverlay, FixedEngineObservationDoesNotMaskCandidates) {
+  obs::HistoryStore store;
+  store.record(make_obs(fp_, alt_choice_, kRank, 1e-5));
+  // A "coo" run faster than every candidate: it is no candidate, so it
+  // matches nothing and the candidate's own run still decides.
+  obs::RunObservation coo = make_obs(fp_, "coo", kRank, 1e-9);
+  coo.engine_label = "coo";
+  coo.plan_source = "fixed";
+  store.record(std::move(coo));
+  const TunerReport report = select(store);
   EXPECT_STREQ(report.plan_source, "history");
   EXPECT_EQ(report.winner().strategy.name, alt_choice_);
 }
 
-TEST_F(TunerOverlay, DisabledOverlayAndEmptyStoreStayOnModel) {
+TEST_F(TunerOverlay, OneThreadObservationDoesNotOverrideFourThreadPlan) {
   obs::HistoryStore store;
-  TunerOptions topt;
-  topt.history = &store;
-  topt.trust.min_weight = 1.0;
-
-  // Empty store: nothing to consult.
-  TunerReport report = select_strategy(tensor_, kRank, 0, {}, topt);
+  const TunerReport base = select(store, 4);
+  std::string alt;
+  for (std::size_t i = 0; i < base.ranked.size(); ++i)
+    if (i != base.chosen && base.ranked[i].fits_budget) {
+      alt = base.ranked[i].strategy.name;
+      break;
+    }
+  ASSERT_FALSE(alt.empty());
+  store.record(make_obs(fp_, alt, kRank, 1e-9));  // taken at 1 thread
+  TunerReport report = select(store, 4);
   EXPECT_STREQ(report.plan_source, "model");
+  EXPECT_EQ(report.winner().strategy.name, base.winner().strategy.name);
 
-  store.record(make_obs(fp_, alt_choice_, kRank, 1e-5));
-  store.record(make_obs(fp_, alt_choice_, kRank, 1e-5));
-  topt.use_history = false;  // the --no-history switch
-  report = select_strategy(tensor_, kRank, 0, {}, topt);
-  EXPECT_STREQ(report.plan_source, "model");
-  EXPECT_EQ(report.winner().strategy.name, model_choice_);
+  obs::RunObservation at4 = make_obs(fp_, alt, kRank, 1e-5);
+  at4.threads = 4;
+  store.record(std::move(at4));
+  report = select(store, 4);
+  EXPECT_STREQ(report.plan_source, "history");
+  EXPECT_EQ(report.winner().strategy.name, alt);
 }
 
-TEST_F(TunerOverlay, ProvenanceBreakDecaysTrustBelowThreshold) {
+TEST_F(TunerOverlay, AnotherBuildsObservationsAreNotConsulted) {
   obs::HistoryStore store;
-  // Two observations from a different build: weight 2 × 0.25 = 0.5 < 1.
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < 3; ++i) {
     obs::RunObservation o = make_obs(fp_, alt_choice_, kRank, 1e-5);
     o.build_id ^= 0x1;
     store.record(std::move(o));
   }
-  TunerOptions topt;
-  topt.history = &store;
-  topt.trust.min_weight = 1.0;
-  TunerReport report = select_strategy(tensor_, kRank, 0, {}, topt);
+  obs::RunObservation elsewhere = make_obs(fp_, alt_choice_, kRank, 1e-5);
+  elsewhere.machine_id ^= 0x1;
+  store.record(std::move(elsewhere));
+  TunerReport report = select(store);
   EXPECT_STREQ(report.plan_source, "model");
   EXPECT_EQ(report.winner().strategy.name, model_choice_);
 
-  // Two more from THIS build re-earn the trust.
+  // One run from THIS build on this machine is enough.
   store.record(make_obs(fp_, alt_choice_, kRank, 1e-5));
-  report = select_strategy(tensor_, kRank, 0, {}, topt);
+  report = select(store);
   EXPECT_STREQ(report.plan_source, "history");
   EXPECT_EQ(report.winner().strategy.name, alt_choice_);
+}
+
+TEST_F(TunerOverlay, OverBudgetCandidateIsNotResurrected) {
+  const TunerReport base = select_strategy(tensor_, kRank);
+  // A budget the model's pick fits but the fastest-measured one does not.
+  const auto bytes = [&](const std::string& name) {
+    for (const RankedStrategy& rs : base.ranked)
+      if (rs.strategy.name == name)
+        return rs.prediction.total_memory_bytes();
+    return std::size_t{0};
+  };
+  std::string big;
+  for (const RankedStrategy& rs : base.ranked)
+    if (rs.prediction.total_memory_bytes() > bytes(model_choice_)) {
+      big = rs.strategy.name;
+      break;
+    }
+  ASSERT_FALSE(big.empty()) << "no candidate outgrows the model's pick";
+  obs::HistoryStore store;
+  store.record(make_obs(fp_, big, kRank, 1e-9));
+  const TunerReport report =
+      select_strategy(tensor_, kRank, bytes(model_choice_), {}, &store);
+  EXPECT_STREQ(report.plan_source, "model");
+  EXPECT_EQ(report.winner().strategy.name, model_choice_);
+}
+
+TEST(TunerOptionsProbe, OnlyTheAutoEngineProbes) {
+  CpAlsOptions opt;
+  opt.engine = "coo";
+  opt.probe = true;
+  EXPECT_THROW((void)make_cp_engine(opt), error);
+  opt.engine = "auto";
+  EXPECT_NE(make_cp_engine(opt), nullptr);
 }
 
 obs::RunObservation make_drift_obs(double spi, double jitter) {

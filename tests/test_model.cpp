@@ -447,21 +447,25 @@ TEST(GreedyTree, IncludedInTunerEnumeration) {
 
 TEST(ProbedTuner, PicksBudgetFeasibleMeasuredWinner) {
   const auto t = generate_zipf(shape_t{60, 60, 60, 60}, 2500, 1.1, 57);
-  const auto report = select_strategy_probed(t, 8, 0, {}, 3);
+  const auto report = select_strategy_probed(t, 8);
   ASSERT_LT(report.chosen, report.ranked.size());
   EXPECT_TRUE(report.winner().fits_budget);
-  // The probed winner must come from the model's top-3 shortlist.
+  // The probed winner must come from the model's top three.
   EXPECT_LT(report.chosen, 3u);
 }
 
 TEST(ProbedTuner, EngineIsExact) {
   const auto t = generate_uniform(shape_t{30, 35, 40, 45}, 1500, 59);
   const auto factors = random_factors(t, 5, 60);
-  const auto engine = make_engine("auto+probe", t, 5);
-  EXPECT_EQ(engine->name().rfind("auto+probe:", 0), 0u) << engine->name();
+  TunerOptions probe;
+  probe.probe = true;
+  AutoEngine engine({}, probe);
+  engine.prepare(t, 5);
+  EXPECT_EQ(engine.name().rfind("auto:", 0), 0u) << engine.name();
+  EXPECT_LT(engine.report().chosen, 3u);
   Matrix got, want;
   for (mode_t m = 0; m < t.order(); ++m) {
-    engine->compute(m, factors, got);
+    engine.compute(m, factors, got);
     mttkrp_reference(t, factors, m, want);
     EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-9) << "mode " << m;
   }

@@ -635,9 +635,7 @@ TEST_F(TracerTest, PhaseSpansAddUpToTheResult) {
 // Each logical engine call is instrumented once, wrappers included: over a
 // CP-ALS run the kernel.* metric deltas equal the run's KernelStats, and the
 // trace and the flight recorder hold one mttkrp:* span and one
-// compute-begin event per compute. auto+probe is left out: its probe
-// sweeps are real kernel calls of separate engines, counted in the metrics
-// but not in the run.
+// compute-begin event per compute.
 TEST_F(TracerTest, EveryEngineIsInstrumentedOnce) {
   const auto tensor = generate_uniform({20, 24, 28, 16}, 600, 11);
   auto& metrics = obs::MetricsRegistry::instance();
@@ -647,7 +645,6 @@ TEST_F(TracerTest, EveryEngineIsInstrumentedOnce) {
   auto& tracer = obs::Tracer::instance();
   auto& recorder = obs::FlightRecorder::instance();
   for (const auto& name : EngineRegistry::instance().names()) {
-    if (name == "auto+probe") continue;
     CpAlsOptions opt;
     opt.rank = 4;
     opt.max_iterations = 3;

@@ -20,9 +20,9 @@ namespace {
 using mdcp::testing::random_factors;
 
 TEST(Registry, BuiltinNamesInCanonicalOrder) {
-  const std::vector<std::string> expect{
-      "alto",      "coo",       "csf",  "dtree-flat", "dtree-3lvl",
-      "dtree-bdt", "auto",      "auto+probe"};
+  const std::vector<std::string> expect{"alto",       "coo",       "csf",
+                                        "dtree-flat", "dtree-3lvl",
+                                        "dtree-bdt",  "auto"};
   EXPECT_EQ(EngineRegistry::instance().names(), expect);
   for (const auto& name : expect)
     EXPECT_TRUE(EngineRegistry::instance().contains(name)) << name;
@@ -53,8 +53,9 @@ TEST(Registry, CreatedEnginesReportTheirName) {
     const auto engine = make_engine(name);
     ASSERT_NE(engine, nullptr) << name;
     EXPECT_FALSE(engine->prepared()) << name;
-    if (name != "auto" && name != "auto+probe")  // auto names its strategy
+    if (name != "auto") {  // auto names its strategy
       EXPECT_EQ(engine->name(), name);
+    }
   }
 }
 
@@ -247,7 +248,6 @@ TEST(Runtime, EnginesRecordMicrokernelTile) {
   for (const auto rank : {index_t{7}, index_t{16}, index_t{33}}) {
     const auto factors = random_factors(t, rank, 402 + rank);
     for (const auto& name : EngineRegistry::instance().names()) {
-      if (name == "auto+probe") continue;  // probing benchmarks itself
       const auto engine = make_engine(name, t, rank);
       Matrix out;
       engine->compute(0, factors, out);

@@ -4,14 +4,14 @@
 //   mdcp_cli stats <tensor.tns> [--no-strict]
 //   mdcp_cli generate --kind uniform|zipf|clustered --shape I1xI2x... \
 //                     --nnz N [--seed S] [--zipf-exp E] [--clusters C] --out F
-//   mdcp_cli tune <tensor.tns> [--rank R] [--budget-mb M] [--probe]
+//   mdcp_cli tune <tensor.tns> [--rank R] [--mem-budget MB] [--probe]
 //                 [--no-strict]
 //   mdcp_cli decompose <tensor.tns> [--rank R] [--engine NAME] [--iters K]
 //                      [--tol T] [--seed S] [--restarts N] [--nonnegative]
 //                      [--threads T] [--mem-budget MB] [--no-strict]
 //                      [--out-prefix P]
 //                      [--trace T.json] [--metrics M.json] [--report R.jsonl]
-//                      [--history-dir D] [--no-history] [--history-min-obs K]
+//                      [--history-dir D] [--no-history] [--probe]
 //                      [--watchdog-s N] [--watchdog-policy report|cancel|abort]
 //                      [--timeout-s N] [--crash-dir D]
 //   mdcp_cli profile [tensor.tns] [--rank R] [--engines a,b,...] [--reps N]
@@ -71,7 +71,7 @@ using namespace mdcp;
                "--shape I1xI2x... --nnz N\n"
                "                    [--seed S] [--zipf-exp E] [--clusters C] "
                "--out FILE\n"
-               "  mdcp_cli tune <tensor.tns> [--rank R] [--budget-mb M] "
+               "  mdcp_cli tune <tensor.tns> [--rank R] [--mem-budget MB] "
                "[--probe] [--no-strict]\n"
                "  mdcp_cli decompose <tensor.tns> [--rank R] [--engine E] "
                "[--iters K] [--tol T]\n"
@@ -82,7 +82,7 @@ using namespace mdcp;
                "[--metrics M.json]\n"
                "                     [--report R.jsonl] [--history-dir D] "
                "[--no-history]\n"
-               "                     [--history-min-obs K] [--watchdog-s N] "
+               "                     [--probe] [--watchdog-s N] "
                "[--watchdog-policy P]\n"
                "                     [--timeout-s N] [--crash-dir D]\n"
                "  mdcp_cli profile [tensor.tns] [--rank R] [--engines a,b,...] "
@@ -280,15 +280,18 @@ int cmd_tune(const Args& args) {
   const CooTensor t = read_input(args, args.positional()[0]);
   const auto rank = static_cast<index_t>(args.get_num("rank", 16));
   const auto budget = static_cast<std::size_t>(
-      args.get_num("budget-mb", 0) * 1024.0 * 1024.0);
+      args.get_num("mem-budget", 0) * 1024.0 * 1024.0);
+  // Rank at the thread count the kernels run with, as the auto engine does.
+  CostModelParams params;
+  params.threads = num_threads();
 
   auto& passes =
       obs::MetricsRegistry::instance().counter("tuner.sketch_passes");
   const std::uint64_t passes_before = passes.value();
   const WallTimer timer;
   const TunerReport report =
-      args.has("probe") ? select_strategy_probed(t, rank, budget)
-                        : select_strategy(t, rank, budget);
+      args.has("probe") ? select_strategy_probed(t, rank, budget, params)
+                        : select_strategy(t, rank, budget, params);
   const double select_seconds = timer.seconds();
   std::printf("%-16s %-28s %-12s %-12s %s\n", "strategy", "tree", "pred-time",
               "memory", "fits-budget");
@@ -390,20 +393,17 @@ int cmd_decompose(const Args& args) {
   opt.engine = args.get("engine", "auto");
   if (!EngineRegistry::instance().contains(opt.engine))
     usage(("unknown engine: " + opt.engine).c_str());
+  opt.probe = args.has("probe");
+  if (opt.probe && opt.engine != "auto")
+    usage("--probe applies to --engine auto only");
   opt.nonnegative = args.has("nonnegative");
-  // --mem-budget is the enforced kernel budget (MiB); --budget-mb is kept as
-  // a legacy alias from when the budget only informed model selection.
-  const double budget_mb = args.has("mem-budget")
-                               ? args.get_num("mem-budget", 0)
-                               : args.get_num("budget-mb", 0);
-  opt.memory_budget_bytes =
-      static_cast<std::size_t>(budget_mb * 1024.0 * 1024.0);
+  opt.memory_budget_bytes = static_cast<std::size_t>(
+      args.get_num("mem-budget", 0) * 1024.0 * 1024.0);
   opt.verbose = args.has("verbose");
   opt.reporter = reporter.get();
   if (!history_dir.empty()) {
     opt.history = &history;
     opt.use_history = !args.has("no-history");
-    opt.history_min_weight = args.get_num("history-min-obs", 1.0);
   }
 
   const std::string algorithm = args.get("algorithm", "als");
@@ -622,9 +622,7 @@ int cmd_profile(const Args& args) {
   std::vector<std::string> engines;
   const std::string engines_arg = args.get("engines");
   if (engines_arg.empty()) {
-    // The probing selector is excluded by default: it benchmarks itself.
-    for (const auto& name : EngineRegistry::instance().names())
-      if (name != "auto+probe") engines.push_back(name);
+    engines = EngineRegistry::instance().names();
   } else {
     std::size_t pos = 0;
     while (pos <= engines_arg.size()) {
@@ -1064,13 +1062,13 @@ const Subcommand kSubcommands[] = {
     {"stats", cmd_stats, {}, {"no-strict"}},
     {"generate", cmd_generate,
      {"kind", "shape", "nnz", "seed", "zipf-exp", "clusters", "out"}, {}},
-    {"tune", cmd_tune, {"rank", "budget-mb"}, {"probe", "no-strict"}},
+    {"tune", cmd_tune, {"rank", "mem-budget"}, {"probe", "no-strict"}},
     {"decompose", cmd_decompose,
      {"rank", "engine", "iters", "tol", "seed", "restarts", "algorithm",
-      "threads", "mem-budget", "budget-mb", "out-prefix", "trace", "metrics",
-      "report", "history-dir", "history-min-obs", "watchdog-s",
-      "watchdog-policy", "timeout-s", "crash-dir"},
-     {"nonnegative", "no-strict", "verbose", "no-history"}},
+      "threads", "mem-budget", "out-prefix", "trace", "metrics", "report",
+      "history-dir", "watchdog-s", "watchdog-policy", "timeout-s",
+      "crash-dir"},
+     {"nonnegative", "no-strict", "verbose", "no-history", "probe"}},
     {"profile", cmd_profile,
      {"rank", "engines", "reps", "threads", "calib-seconds", "nnz", "seed",
       "out"},
