@@ -3,10 +3,8 @@
 #include <algorithm>
 
 #include "mttkrp/microkernel.hpp"
-#include "sched/reduce.hpp"
+#include "sched/launch.hpp"
 #include "util/error.hpp"
-#include "util/fpenv.hpp"
-#include "util/parallel.hpp"
 
 namespace mdcp {
 
@@ -63,46 +61,6 @@ void compose_to_leaves(const CsfTensor& csf, mode_t from,
 
 }  // namespace
 
-void csf_mttkrp_root(const CsfTensor& csf, const std::vector<Matrix>& factors,
-                     Matrix& out, Workspace* ws) {
-  MDCP_CHECK_MSG(factors.size() == csf.order(), "one factor per mode required");
-  const index_t r = factors[0].cols();
-  const mode_t root_mode = csf.mode_order()[0];
-  out.resize(csf.shape()[root_mode], r, 0);
-  if (ws == nullptr) ws = &default_workspace();
-
-  const mk::Kernel mk(r);
-  if (csf.order() == 1) {
-    // Degenerate: MTTKRP of a vector is the vector itself (the nonzero value
-    // broadcast over all R columns).
-    for (nnz_t f = 0; f < csf.nnz(); ++f)
-      mk.add_scalar(out.row(csf.fids(0)[f]).data(), csf.values()[f]);
-    return;
-  }
-
-  const nnz_t num_roots = csf.num_fibers(0);
-  const auto root_ptr = csf.fptr(0);
-  const auto root_ids = csf.fids(0);
-
-  // Serial scratch acquisition: growth must not throw inside the region.
-  ws->reserve(num_threads(), Scratch::reals(csf.order(), r) * sizeof(real_t));
-#pragma omp parallel
-  {
-    const FlushSubnormals fp;
-    const Scratch s{ws->thread_scratch<real_t>(Scratch::reals(csf.order(), r)),
-                    mk};
-#pragma omp for schedule(dynamic, 8)
-    for (std::int64_t f = 0; f < static_cast<std::int64_t>(num_roots); ++f) {
-      auto orow = out.row(root_ids[static_cast<nnz_t>(f)]);
-      for (nnz_t c = root_ptr[static_cast<nnz_t>(f)];
-           c < root_ptr[static_cast<nnz_t>(f) + 1]; ++c) {
-        subtree(csf, factors, 1, c, s);
-        mk.accum(orow.data(), s.acc(1));
-      }
-    }
-  }
-}
-
 CsfMttkrpEngine::CsfMttkrpEngine(KernelContext ctx) : MttkrpEngine(ctx) {}
 
 CsfMttkrpEngine::CsfMttkrpEngine(const CooTensor& tensor, KernelContext ctx)
@@ -149,102 +107,66 @@ void CsfMttkrpEngine::do_compute(mode_t mode,
                                  Matrix& out) {
   MDCP_CHECK(mode < csfs_.size());
   const CsfTensor& csf = *csfs_[mode];
+  MDCP_CHECK_MSG(factors.size() == csf.order(), "one factor per mode required");
   const index_t r = factors[0].cols();
+  const index_t rows = csf.shape()[csf.mode_order()[0]];
+  if (mk_.rank() != r) mk_ = mk::Kernel(r);
+  record_tile(mk_.tile());
 
   if (csf.order() == 1) {
-    // Degenerate serial path; nothing to schedule.
-    csf_mttkrp_root(csf, factors, out, ctx_.workspace);
+    // Degenerate: the MTTKRP of a vector is the vector itself, each nonzero
+    // broadcast over all R columns. Serial; nothing to schedule.
+    out.resize(rows, r, 0);
+    for (nnz_t f = 0; f < csf.nnz(); ++f)
+      mk_.add_scalar(out.row(csf.fids(0)[f]).data(), csf.values()[f]);
     record_schedule({sched::Schedule::kOwner, 1, 0.0, 0, "degenerate-order1"});
-    record_tile(mk::select_tile(r));
     count_flops(static_cast<std::uint64_t>(csf.nnz()) * r);
     return;
   }
 
-  MDCP_CHECK_MSG(factors.size() == csf.order(), "one factor per mode required");
-  const mode_t root_mode = csf.mode_order()[0];
-  out.resize(csf.shape()[root_mode], r, 0);
-  Workspace& ws = workspace();
   SchedInfo& si = sched_[mode];
-  const nnz_t roots = csf.num_fibers(0);
   const auto root_ptr = csf.fptr(0);
   const auto root_ids = csf.fids(0);
-
   const sched::WorkShape shape{.total = csf.nnz(),
                                .max_unit = si.max_root,
-                               .units = roots,
-                               .out_rows = csf.shape()[root_mode],
+                               .units = csf.num_fibers(0),
+                               .out_rows = rows,
                                .rank = r,
                                .shared_writes = true};
   const sched::Decision d =
       sched::choose_schedule(shape, effective_threads(), schedule_mode());
   record_schedule(d);
-  if (mk_.rank() != r) mk_ = mk::Kernel(r);
-  record_tile(mk_.tile());
-
-  // Accumulates level-1 children [root_ptr[f]+begin, root_ptr[f]+end) of
-  // root fiber f into `dst` row root_ids[f].
-  const auto accumulate = [&](nnz_t f, nnz_t begin, nnz_t end,
-                              const Scratch& s, real_t* dst) {
-    real_t* drow = dst + static_cast<nnz_t>(root_ids[f]) * r;
-    for (nnz_t c = root_ptr[f] + begin; c < root_ptr[f] + end; ++c) {
-      subtree(csf, factors, 1, c, s);
-      s.mk.accum(drow, s.acc(1));
-    }
-  };
+  const bool owner = d.schedule == sched::Schedule::kOwner;
+  // Owner tiles hold whole root fibers; split tiles cut between the level-1
+  // child subtrees of one.
+  const sched::TilePlan& tp = sched::cached_tiles(
+      owner ? si.owner : si.split, d.tiles, [&](int n) {
+        return owner ? sched::tile_groups(si.root_nnz, n)
+                     : sched::tile_items_split(si.lvl1_nnz, root_ptr, n);
+      });
   const auto root_children = [&](nnz_t f) {
     return root_ptr[f + 1] - root_ptr[f];
   };
   const std::size_t acc_elems = Scratch::reals(csf.order(), r);
 
-  if (d.schedule == sched::Schedule::kOwner) {
-    const sched::TilePlan& tp = sched::cached_tiles(
-        si.owner, d.tiles,
-        [&](int n) { return sched::tile_groups(si.root_nnz, n); });
-    // Serial scratch acquisition: growth must not throw inside the region.
-    ws.reserve(effective_threads(), acc_elems * sizeof(real_t));
-#pragma omp parallel
-    {
-      const FlushSubnormals fp;
-      const Scratch s{ws.thread_scratch<real_t>(acc_elems), mk_};
-#pragma omp for schedule(dynamic, 1)
-      for (int tile = 0; tile < tp.tiles(); ++tile) {
+  // Owner tiles accumulate into `out`; a privatized launch rewrites it.
+  out.resize_for_overwrite(rows, r);
+  if (owner) out.zero();
+  count_flops(sched::run_launch(
+      d, tp, workspace(), effective_threads(), acc_elems, out.data(),
+      out.size(), [&](int tile, real_t* slab, real_t* dst) {
+        const Scratch s{{slab, acc_elems}, mk_};
+        // Level-1 children [root_ptr[f]+begin, root_ptr[f]+end) of root
+        // fiber f accumulate into row root_ids[f] of `dst`.
         sched::for_each_group_range(
             tp, tile, root_children, [&](nnz_t f, nnz_t begin, nnz_t end) {
-              accumulate(f, begin, end, s, out.data());
+              real_t* drow = dst + static_cast<nnz_t>(root_ids[f]) * r;
+              for (nnz_t c = root_ptr[f] + begin; c < root_ptr[f] + end; ++c) {
+                subtree(csf, factors, 1, c, s);
+                s.mk.accum(drow, s.acc(1));
+              }
             });
-      }
-    }
-  } else {
-    const sched::TilePlan& tp = sched::cached_tiles(
-        si.split, d.tiles, [&](int n) {
-          return sched::tile_items_split(si.lvl1_nnz, root_ptr, n);
-        });
-    const nnz_t out_elems = static_cast<nnz_t>(csf.shape()[root_mode]) * r;
-    ws.reserve(effective_threads(), (out_elems + acc_elems) * sizeof(real_t));
-    sched::PartialSet parts;
-#pragma omp parallel
-    {
-      const FlushSubnormals fp;
-      const int team = team_size();
-      const int tid = thread_id();
-      // Traversal accumulators first (padded strides) so every acc(l) and
-      // the partial slab behind them stay 64-byte aligned.
-      const auto slab = ws.thread_scratch<real_t>(acc_elems + out_elems);
-      const Scratch s{slab.first(acc_elems), mk_};
-      real_t* partial = slab.data() + acc_elems;
-      std::fill(partial, partial + out_elems, real_t{0});
-      parts.publish(tid, partial);
-      for (int tile = tid; tile < tp.tiles(); tile += team) {
-        sched::for_each_group_range(
-            tp, tile, root_children, [&](nnz_t f, nnz_t begin, nnz_t end) {
-              accumulate(f, begin, end, s, partial);
-            });
-      }
-#pragma omp barrier
-      parts.combine_into(out.data(), team, chunk_range(out_elems, team, tid));
-    }
-    count_flops(sched::reduction_flops(d.tiles, csf.shape()[root_mode], r));
-  }
+      }));
   count_flops(static_cast<std::uint64_t>(csf.nnz()) * r * csf.order());
 }
 

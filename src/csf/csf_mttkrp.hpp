@@ -1,24 +1,22 @@
 // SPLATT-style MTTKRP on CSF storage.
 //
-// `csf_mttkrp_root` computes the MTTKRP for the CSF's *root* mode with a
-// single bottom-up traversal: each fiber at level l contributes the Hadamard
+// `CsfMttkrpEngine` keeps one CSF per mode (SPLATT's ALLMODE configuration)
+// so every MTTKRP is a traversal of the CSF rooted at the output mode: one
+// bottom-up pass in which each fiber at level l contributes the Hadamard
 // product of its subtree's accumulated value with the level-l factor row,
 // applied once per fiber instead of once per nonzero (SPLATT's factoring).
-//
-// `CsfMttkrpEngine` keeps one CSF per mode (SPLATT's ALLMODE configuration)
-// so every MTTKRP is a root-mode traversal. This is the state-of-the-art
-// baseline the memoized dimension-tree engines are evaluated against: it
-// factors work *within* one mode's traversal but recomputes everything
-// *across* modes — N full traversals per CP-ALS iteration. Per-thread
-// traversal accumulators (one length-R vector per CSF level) come from the
-// workspace, hoisted out of the per-root recursion and reused across
-// compute() calls.
+// This is the state-of-the-art baseline the memoized dimension-tree engines
+// are evaluated against: it factors work *within* one mode's traversal but
+// recomputes everything *across* modes — N full traversals per CP-ALS
+// iteration. Per-thread traversal accumulators (one length-R vector per CSF
+// level) come from the workspace, hoisted out of the per-root recursion and
+// reused across compute() calls.
 // Parallelization: the engine runs the schedule picked by
 // sched::choose_schedule per mode — owner-computes tiles of whole root
 // fibers weighted by subtree nnz (race-free, bitwise deterministic across
 // thread counts) or, when one hub root fiber dominates, tiles cutting
 // between its level-1 child subtrees with per-thread partial outputs
-// combined in fixed thread order.
+// combined in fixed thread order (sched/launch.hpp).
 #pragma once
 
 #include <memory>
@@ -29,12 +27,6 @@
 #include "sched/partition.hpp"
 
 namespace mdcp {
-
-/// out = MTTKRP in mode csf.mode_order()[0]. out is resized to
-/// (dim(root mode) × R). Parallel over root fibers; deterministic. Scratch
-/// comes from `ws` (null = the default workspace).
-void csf_mttkrp_root(const CsfTensor& csf, const std::vector<Matrix>& factors,
-                     Matrix& out, Workspace* ws = nullptr);
 
 class CsfMttkrpEngine final : public MttkrpEngine {
  public:

@@ -96,13 +96,10 @@ void DTreeMttkrpEngine::do_compute(mode_t mode,
     // defines last_schedule; intermediate node launches are counted too.
     record_schedule(ts.last, ts.owner_launches, ts.privatized_launches);
   } else {
-    // Fully memoized compute (every node served from cache): report the
-    // no-op so benches still see a schedule column.
-    record_schedule({sched::Schedule::kOwner, 1, 0.0, 0, "memoized"}, 1, 0);
+    // Fully memoized compute (every node served from cache): nothing ran,
+    // so no launch is counted, but benches still see a schedule column.
+    record_schedule({sched::Schedule::kOwner, 1, 0.0, 0, "memoized"}, 0, 0);
   }
-  if (ts.privatized_launches > 0)
-    count_flops(sched::reduction_flops(ts.last.tiles,
-                                       static_cast<index_t>(ln.tuples), r));
 }
 
 void DTreeMttkrpEngine::factor_updated(mode_t mode) {

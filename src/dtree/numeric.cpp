@@ -8,9 +8,8 @@
 #include "mttkrp/microkernel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sched/reduce.hpp"
+#include "sched/launch.hpp"
 #include "util/error.hpp"
-#include "util/fpenv.hpp"
 #include "util/isa.hpp"
 #include "util/parallel.hpp"
 #include "util/types.hpp"
@@ -154,7 +153,7 @@ MDCP_TARGET_AVX2 void ttmv_tile_avx2(const TtmvPass& a, int tile,
 }
 
 // Computes one node's values from its (already materialized) parent.
-// Returns the multiply/add count of the pass.
+// Returns the multiply/add count of the pass, its combine included.
 std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
                                const std::vector<Matrix>& factors,
                                index_t rank, Workspace& ws,
@@ -203,51 +202,19 @@ std::uint64_t ttmv_from_parent(DimensionTree& tree, int which,
     ts->last = d;
   }
 
-  const index_t padded = a.mk.padded();
-  if (d.schedule == sched::Schedule::kOwner) {
-    a.plan = &sched::cached_tiles(
-        n.owner_tiles, d.tiles,
-        [&](int nt) { return sched::tile_groups(n.red_ptr, nt); });
-    // Serial scratch acquisition: growth must not throw inside the region.
-    ws.reserve(num_threads(), padded * sizeof(real_t));
-#pragma omp parallel
-    {
-      const FlushSubnormals fp;
-      const auto tmp = ws.thread_scratch<real_t>(padded);
-#pragma omp for schedule(dynamic, 1)
-      for (int tile = 0; tile < a.plan->tiles(); ++tile)
-        tile_fn(a, tile, tmp.data(), n.values.data());
-    }
-  } else {
-    a.plan = &sched::cached_tiles(
-        n.split_tiles, d.tiles,
-        [&](int nt) { return sched::tile_groups_split(n.red_ptr, nt); });
-    const nnz_t out_elems = n.tuples * rank;
-    ws.reserve(num_threads(), (padded + out_elems) * sizeof(real_t));
-    sched::PartialSet parts;
-#pragma omp parallel
-    {
-      const FlushSubnormals fp;
-      const int team = team_size();
-      const int tid = thread_id();
-      // Accumulator first (padded stride) so both it and the partial slab
-      // stay 64-byte aligned.
-      const auto slab = ws.thread_scratch<real_t>(padded + out_elems);
-      real_t* tmp = slab.data();
-      real_t* partial = tmp + padded;
-      std::fill(partial, partial + out_elems, real_t{0});
-      parts.publish(tid, partial);
-      for (int tile = tid; tile < a.plan->tiles(); tile += team)
-        tile_fn(a, tile, tmp, partial);
-#pragma omp barrier
-      const Range mine = chunk_range(out_elems, team, tid);
-      std::fill(n.values.data() + mine.begin, n.values.data() + mine.end,
-                real_t{0});
-      parts.combine_into(n.values.data(), team, mine);
-    }
-  }
+  const bool owner = d.schedule == sched::Schedule::kOwner;
+  a.plan = &sched::cached_tiles(
+      owner ? n.owner_tiles : n.split_tiles, d.tiles, [&](int nt) {
+        return owner ? sched::tile_groups(n.red_ptr, nt)
+                     : sched::tile_groups_split(n.red_ptr, nt);
+      });
+  const std::uint64_t combine = sched::run_launch(
+      d, *a.plan, ws, threads, a.mk.padded(), n.values.data(),
+      n.values.size(), [&](int tile, real_t* tmp, real_t* dst) {
+        tile_fn(a, tile, tmp, dst);
+      });
   n.valid = true;
-  return static_cast<std::uint64_t>(a.entries) * rank * (a.nd + 1);
+  return static_cast<std::uint64_t>(a.entries) * rank * (a.nd + 1) + combine;
 }
 
 }  // namespace

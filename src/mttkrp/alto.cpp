@@ -7,7 +7,7 @@
 #include <numeric>
 #include <type_traits>
 
-#include "sched/reduce.hpp"
+#include "sched/launch.hpp"
 #include "util/fpenv.hpp"
 #include "util/parallel.hpp"
 
@@ -226,7 +226,6 @@ void AltoMttkrpEngine::compute_impl(const std::vector<Key>& keys, mode_t mode,
   const CooTensor& t = tensor();
   const index_t r = check_factors(t, factors);
   MDCP_CHECK(mode < t.order());
-  out.resize(t.dim(mode), r, 0);
 
   const mode_t order = t.order();
   const index_t dim = t.dim(mode);
@@ -286,218 +285,153 @@ void AltoMttkrpEngine::compute_impl(const std::vector<Key>& keys, mode_t mode,
     }
   };
 
-  if (mode == 0) {
-    // The stream is already grouped by the output row: same owner /
-    // privatized schedules as the COO engine, minus its permutation
-    // indirection.
-    const auto group_size = [&](nnz_t g) {
-      return row_start_[g + 1] - row_start_[g];
-    };
-    const sched::WorkShape shape{.total = n,
-                                 .max_unit = max_group_,
-                                 .units = rows_.size(),
-                                 .out_rows = dim,
-                                 .rank = r,
-                                 .shared_writes = true};
-    const sched::Decision d =
-        sched::choose_schedule(shape, effective_threads(), schedule_mode());
-    record_schedule(d);
-    if (d.schedule == sched::Schedule::kOwner) {
-      const sched::TilePlan& tp = sched::cached_tiles(
-          owner0_, d.tiles,
-          [&](int nt) { return sched::tile_groups(row_start_, nt); });
-      // Scratch is acquired serially, up front: a budget trip or allocation
-      // failure inside the parallel region could not propagate.
-      ws.reserve(effective_threads(), padded * sizeof(real_t));
-#pragma omp parallel
-      {
-        const FlushSubnormals fp;
-        const auto tmp = ws.thread_scratch<real_t>(padded);
-#pragma omp for schedule(dynamic, 1)
-        for (int tile = 0; tile < tp.tiles(); ++tile) {
-          sched::for_each_group_range(
-              tp, tile, group_size, [&](nnz_t g, nnz_t begin, nnz_t end) {
-                real_t* dst = out.row(rows_[g]).data();
-                accumulate(row_start_[g] + begin, row_start_[g] + end,
-                           tmp.data(), [dst](const Key&) { return dst; });
-              });
-        }
-      }
-    } else {
-      const sched::TilePlan& tp = sched::cached_tiles(
-          split0_, d.tiles,
-          [&](int nt) { return sched::tile_groups_split(row_start_, nt); });
-      const nnz_t out_elems = static_cast<nnz_t>(dim) * r;
-      ws.reserve(effective_threads(), (padded + out_elems) * sizeof(real_t));
-      sched::PartialSet parts;
-#pragma omp parallel
-      {
-        const FlushSubnormals fp;
-        const int team = team_size();
-        const int tid = thread_id();
-        // One slab per thread: the Hadamard accumulator first (padded
-        // stride keeps the partial slab behind it 64-byte aligned), then
-        // the partial output (dim × R).
-        const auto slab = ws.thread_scratch<real_t>(padded + out_elems);
-        real_t* tmp = slab.data();
-        real_t* partial = tmp + padded;
-        std::fill(partial, partial + out_elems, real_t{0});
-        parts.publish(tid, partial);
-        // Static tile→thread assignment: the work each thread accumulates
-        // is a function of (team, tid) only, so the fixed-order combine
-        // below yields bitwise-identical results run to run.
-        for (int tile = tid; tile < tp.tiles(); tile += team) {
-          sched::for_each_group_range(
-              tp, tile, group_size, [&](nnz_t g, nnz_t begin, nnz_t end) {
-                real_t* dst = partial + static_cast<nnz_t>(rows_[g]) * r;
-                accumulate(row_start_[g] + begin, row_start_[g] + end, tmp,
-                           [dst](const Key&) { return dst; });
-              });
-        }
-#pragma omp barrier
-        parts.combine_into(out.data(), team,
-                           chunk_range(out_elems, team, tid));
-      }
-      count_flops(sched::reduction_flops(d.tiles, dim, r));
-    }
-    count_flops(static_cast<std::uint64_t>(n) * r * order);
-    return;
-  }
-
-  // Modes > 0: the stream is not grouped by the output row. Schedule over
-  // the cache-fitting partitions built at prepare().
+  // Mode 0 is grouped by the output row in the sorted stream: row groups,
+  // the COO engine's schedules minus its permutation indirection. Modes > 0
+  // are not; their schedules run over the cache-fitting partitions built at
+  // prepare().
+  const bool grouped = mode == 0;
   const sched::WorkShape shape{.total = n,
-                               .max_unit = max_part_nnz_,
-                               .units = parts_.size(),
+                               .max_unit = grouped ? max_group_ : max_part_nnz_,
+                               .units = grouped ? rows_.size() : parts_.size(),
                                .out_rows = dim,
                                .rank = r,
                                .shared_writes = true};
   const sched::Decision d =
       sched::choose_schedule(shape, effective_threads(), schedule_mode());
   record_schedule(d);
+  const bool owner = d.schedule == sched::Schedule::kOwner;
+  // Owner tiles accumulate into `out`; a privatized launch rewrites it.
+  out.resize_for_overwrite(dim, r);
+  if (owner) out.zero();
+  count_flops(static_cast<std::uint64_t>(n) * r * order);
 
-  if (d.schedule == sched::Schedule::kOwner) {
-    // ALTO partition path. Tight-range partitions own a private dense
-    // accumulator over their [lo, hi] row window; the windows merge into
-    // the output in ascending partition order. A partition whose window for
-    // this mode would exceed the per-partition budget — a sparse-but-wide
-    // interval, where splitting cannot shrink the range — gets no window
-    // (acc_off_[p + 1] == acc_off_[p]); its rows merge directly into the
-    // output under row ownership below. A global cap bounds the combined
-    // window bytes regardless of the partition count. Classification
-    // depends only on the partition geometry, never on the thread count,
-    // and tiles never split a partition, so the result is bitwise identical
-    // across thread counts.
-    const std::size_t nparts = parts_.size();
-    window_offsets(parts_, mode, padded, acc_off_);
-    const std::size_t acc_total = acc_off_.back();
+  if (grouped) {
     const sched::TilePlan& tp = sched::cached_tiles(
-        ownerp_, d.tiles,
-        [&](int nt) { return sched::tile_groups(part_ptr_, nt); });
-    const auto part_size = [&](nnz_t p) {
-      return part_ptr_[p + 1] - part_ptr_[p];
+        owner ? owner0_ : split0_, d.tiles, [&](int nt) {
+          return owner ? sched::tile_groups(row_start_, nt)
+                       : sched::tile_groups_split(row_start_, nt);
+        });
+    const auto group_size = [&](nnz_t g) {
+      return row_start_[g + 1] - row_start_[g];
     };
-    // Scratch is acquired serially, up front: every thread's Hadamard
-    // accumulator first, then the calling thread's slab is extended to hold
-    // the shared partition windows behind its own tmp region — a budget
-    // trip inside the parallel region could not propagate.
-    ws.reserve(effective_threads(), padded * sizeof(real_t));
-    const auto master = ws.thread_scratch<real_t>(padded + acc_total);
-    real_t* const acc = master.data() + padded;
-#pragma omp parallel
-    {
-      const FlushSubnormals fp;
-      real_t* tmp = ws.thread_scratch<real_t>(padded).data();
-#pragma omp for schedule(dynamic, 1)
-      for (int tile = 0; tile < tp.tiles(); ++tile) {
-        sched::for_each_group_range(
-            tp, tile, part_size, [&](nnz_t p, nnz_t begin, nnz_t end) {
-              if (acc_off_[p + 1] == acc_off_[p]) return;  // scattered
-              const AltoPartition& part = parts_[p];
-              real_t* base = mk::assume_aligned(acc + acc_off_[p]);
-              // Whole-partition tiles: ranges always start at 0, so the
-              // window is zeroed exactly once, by the tile that owns it.
-              if (begin == 0)
-                std::fill(base, base + (acc_off_[p + 1] - acc_off_[p]),
-                          real_t{0});
-              const index_t lo = part.lo[mode];
-              accumulate(part.begin + begin, part.begin + end, tmp,
-                         [&](const Key& k) {
-                           return base + static_cast<std::size_t>(
-                                             codec_.extract(k, mode) - lo) *
-                                             padded;
-                         });
-            });
-      }
-      // The omp-for barrier above orders every window write before the
-      // merge. Each thread owns a disjoint row chunk; every row receives
-      // first its windowed contributions, then its scattered ones, each in
-      // ascending partition order — a fixed order independent of the team.
-      const int team = team_size();
-      const int tid = thread_id();
-      const Range rows = chunk_range(dim, team, tid);
-      for (std::size_t p = 0; p < nparts; ++p) {
-        if (acc_off_[p + 1] == acc_off_[p]) continue;  // scattered
-        const index_t lo = parts_[p].lo[mode];
-        const nnz_t rb = std::max<nnz_t>(rows.begin, lo);
-        const nnz_t re = std::min<nnz_t>(
-            rows.end, static_cast<nnz_t>(parts_[p].hi[mode]) + 1);
-        for (nnz_t row = rb; row < re; ++row)
-          mk.accum(out.row(static_cast<index_t>(row)).data(),
-                   acc + acc_off_[p] + (row - lo) * padded);
-      }
-      // Scattered partitions: every thread scans their nonzeros and
-      // accumulates only the rows it owns, straight into the output. The
-      // decode work is replicated across the team; the flops are not.
-      for (std::size_t p = 0; p < nparts; ++p) {
-        if (acc_off_[p + 1] != acc_off_[p]) continue;
-        accumulate(parts_[p].begin, parts_[p].end, tmp,
-                   [&](const Key& k) -> real_t* {
-                     const nnz_t row = codec_.extract(k, mode);
-                     if (row < rows.begin || row >= rows.end) return nullptr;
-                     return out.row(static_cast<index_t>(row)).data();
-                   });
-      }
-    }
-    std::uint64_t merge_rows = 0;
-    for (std::size_t p = 0; p < nparts; ++p)
-      merge_rows += (acc_off_[p + 1] - acc_off_[p]) / std::max<index_t>(
-                                                          padded, 1);
-    count_flops(merge_rows * r);
-  } else {
-    // Privatized fallback: per-thread full-output slabs over uniform
-    // nonzero tiles, combined in fixed thread order.
+    count_flops(sched::run_launch(
+        d, tp, ws, effective_threads(), padded, out.data(), out.size(),
+        [&](int tile, real_t* tmp, real_t* dst) {
+          sched::for_each_group_range(
+              tp, tile, group_size, [&](nnz_t g, nnz_t begin, nnz_t end) {
+                real_t* row = dst + static_cast<nnz_t>(rows_[g]) * r;
+                accumulate(row_start_[g] + begin, row_start_[g] + end, tmp,
+                           [row](const Key&) { return row; });
+              });
+        }));
+    return;
+  }
+
+  if (!owner) {
+    // Privatized: uniform nonzero tiles, each nonzero decoded to its row.
     const sched::TilePlan& tp = sched::cached_tiles(
         splitu_, d.tiles, [&](int nt) { return sched::tile_uniform(n, nt); });
-    const nnz_t out_elems = static_cast<nnz_t>(dim) * r;
-    ws.reserve(effective_threads(), (padded + out_elems) * sizeof(real_t));
-    sched::PartialSet parts;
-#pragma omp parallel
-    {
-      const FlushSubnormals fp;
-      const int team = team_size();
-      const int tid = thread_id();
-      const auto slab = ws.thread_scratch<real_t>(padded + out_elems);
-      real_t* tmp = slab.data();
-      real_t* partial = tmp + padded;
-      std::fill(partial, partial + out_elems, real_t{0});
-      parts.publish(tid, partial);
-      const auto item_count = [&](nnz_t) { return n; };
-      for (int tile = tid; tile < tp.tiles(); tile += team) {
-        sched::for_each_group_range(
-            tp, tile, item_count, [&](nnz_t, nnz_t begin, nnz_t end) {
-              accumulate(begin, end, tmp, [&](const Key& k) {
-                return partial +
-                       static_cast<nnz_t>(codec_.extract(k, mode)) * r;
+    count_flops(sched::run_launch(
+        d, tp, ws, effective_threads(), padded, out.data(), out.size(),
+        [&](int tile, real_t* tmp, real_t* dst) {
+          sched::for_each_group_range(
+              tp, tile, [n](nnz_t) { return n; },
+              [&](nnz_t, nnz_t begin, nnz_t end) {
+                accumulate(begin, end, tmp, [&](const Key& k) {
+                  return dst + static_cast<nnz_t>(codec_.extract(k, mode)) * r;
+                });
               });
-            });
-      }
-#pragma omp barrier
-      parts.combine_into(out.data(), team, chunk_range(out_elems, team, tid));
-    }
-    count_flops(sched::reduction_flops(d.tiles, dim, r));
+        }));
+    return;
   }
-  count_flops(static_cast<std::uint64_t>(n) * r * order);
+
+  // ALTO partition path. Tight-range partitions own a private dense
+  // accumulator over their [lo, hi] row window; the windows merge into
+  // the output in ascending partition order. A partition whose window for
+  // this mode would exceed the per-partition budget — a sparse-but-wide
+  // interval, where splitting cannot shrink the range — gets no window
+  // (acc_off_[p + 1] == acc_off_[p]); its rows merge directly into the
+  // output under row ownership below. A global cap bounds the combined
+  // window bytes regardless of the partition count. Classification
+  // depends only on the partition geometry, never on the thread count,
+  // and tiles never split a partition, so the result is bitwise identical
+  // across thread counts.
+  const std::size_t nparts = parts_.size();
+  window_offsets(parts_, mode, padded, acc_off_);
+  const std::size_t acc_total = acc_off_.back();
+  const sched::TilePlan& tp = sched::cached_tiles(
+      ownerp_, d.tiles,
+      [&](int nt) { return sched::tile_groups(part_ptr_, nt); });
+  const auto part_size = [&](nnz_t p) {
+    return part_ptr_[p + 1] - part_ptr_[p];
+  };
+  // Scratch is acquired serially, up front: every thread's Hadamard
+  // accumulator first, then the calling thread's slab is extended to hold
+  // the shared partition windows behind its own tmp region — a budget
+  // trip inside the parallel region could not propagate.
+  ws.reserve(effective_threads(), padded * sizeof(real_t));
+  const auto master = ws.thread_scratch<real_t>(padded + acc_total);
+  real_t* const acc = master.data() + padded;
+#pragma omp parallel
+  {
+    const FlushSubnormals fp;
+    real_t* tmp = ws.thread_scratch<real_t>(padded).data();
+#pragma omp for schedule(dynamic, 1)
+    for (int tile = 0; tile < tp.tiles(); ++tile) {
+      sched::for_each_group_range(
+          tp, tile, part_size, [&](nnz_t p, nnz_t begin, nnz_t end) {
+            if (acc_off_[p + 1] == acc_off_[p]) return;  // scattered
+            const AltoPartition& part = parts_[p];
+            real_t* base = mk::assume_aligned(acc + acc_off_[p]);
+            // Whole-partition tiles: ranges always start at 0, so the
+            // window is zeroed exactly once, by the tile that owns it.
+            if (begin == 0)
+              std::fill(base, base + (acc_off_[p + 1] - acc_off_[p]),
+                        real_t{0});
+            const index_t lo = part.lo[mode];
+            accumulate(part.begin + begin, part.begin + end, tmp,
+                       [&](const Key& k) {
+                         return base + static_cast<std::size_t>(
+                                           codec_.extract(k, mode) - lo) *
+                                           padded;
+                       });
+          });
+    }
+    // The omp-for barrier above orders every window write before the
+    // merge. Each thread owns a disjoint row chunk; every row receives
+    // first its windowed contributions, then its scattered ones, each in
+    // ascending partition order — a fixed order independent of the team.
+    const int team = team_size();
+    const int tid = thread_id();
+    const Range rows = chunk_range(dim, team, tid);
+    for (std::size_t p = 0; p < nparts; ++p) {
+      if (acc_off_[p + 1] == acc_off_[p]) continue;  // scattered
+      const index_t lo = parts_[p].lo[mode];
+      const nnz_t rb = std::max<nnz_t>(rows.begin, lo);
+      const nnz_t re = std::min<nnz_t>(
+          rows.end, static_cast<nnz_t>(parts_[p].hi[mode]) + 1);
+      for (nnz_t row = rb; row < re; ++row)
+        mk.accum(out.row(static_cast<index_t>(row)).data(),
+                 acc + acc_off_[p] + (row - lo) * padded);
+    }
+    // Scattered partitions: every thread scans their nonzeros and
+    // accumulates only the rows it owns, straight into the output. The
+    // decode work is replicated across the team; the flops are not.
+    for (std::size_t p = 0; p < nparts; ++p) {
+      if (acc_off_[p + 1] != acc_off_[p]) continue;
+      accumulate(parts_[p].begin, parts_[p].end, tmp,
+                 [&](const Key& k) -> real_t* {
+                   const nnz_t row = codec_.extract(k, mode);
+                   if (row < rows.begin || row >= rows.end) return nullptr;
+                   return out.row(static_cast<index_t>(row)).data();
+                 });
+    }
+  }
+  std::uint64_t merge_rows = 0;
+  for (std::size_t p = 0; p < nparts; ++p)
+    merge_rows += (acc_off_[p + 1] - acc_off_[p]) / std::max<index_t>(
+                                                        padded, 1);
+  count_flops(merge_rows * r);
 }
 
 std::size_t AltoMttkrpEngine::memory_bytes() const {

@@ -44,7 +44,7 @@
 //                    and the per-row accumulation order never depend on
 //                    threads. The
 //                    privatized path falls back to per-thread full-output
-//                    slabs combined in fixed thread order (sched/reduce.hpp:
+//                    slabs combined in fixed thread order (sched/launch.hpp:
 //                    bitwise at a fixed count, 1e-12-class drift across
 //                    counts). Rank loops route through the shared mdcp::mk
 //                    microkernel cascade; all scratch comes from the

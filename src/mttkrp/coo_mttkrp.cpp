@@ -4,10 +4,8 @@
 #include <array>
 
 #include "model/cost_model.hpp"
-#include "sched/reduce.hpp"
+#include "sched/launch.hpp"
 #include "util/error.hpp"
-#include "util/fpenv.hpp"
-#include "util/parallel.hpp"
 
 namespace mdcp {
 
@@ -50,11 +48,10 @@ void CooMttkrpEngine::do_compute(mode_t mode,
   const CooTensor& t = tensor();
   const index_t r = check_factors(t, factors);
   MDCP_CHECK(mode < t.order());
-  out.resize(t.dim(mode), r, 0);
+  out.resize_for_overwrite(t.dim(mode), r);
 
   ModePlan& plan = plans_[mode];
   const mode_t order = t.order();
-  Workspace& ws = workspace();
 
   const sched::WorkShape shape{.total = t.nnz(),
                                .max_unit = plan.max_group,
@@ -107,62 +104,23 @@ void CooMttkrpEngine::do_compute(mode_t mode,
     return plan.row_start[g + 1] - plan.row_start[g];
   };
 
-  if (d.schedule == sched::Schedule::kOwner) {
-    const sched::TilePlan& tp = sched::cached_tiles(
-        plan.owner, d.tiles,
-        [&](int n) { return sched::tile_groups(plan.row_start, n); });
-    // Scratch is acquired serially, up front: a budget trip or allocation
-    // failure inside the parallel region could not propagate (an exception
-    // escaping an OpenMP structured block terminates).
-    ws.reserve(effective_threads(), mk_.padded() * sizeof(real_t));
-#pragma omp parallel
-    {
-      const FlushSubnormals fp;
-      const auto tmp = ws.thread_scratch<real_t>(mk_.padded());
-#pragma omp for schedule(dynamic, 1)
-      for (int tile = 0; tile < tp.tiles(); ++tile) {
-        sched::for_each_group_range(
-            tp, tile, group_size, [&](nnz_t g, nnz_t begin, nnz_t end) {
-              accumulate(g, begin, end, tmp.data(), out.row(plan.rows[g]).data());
-            });
-      }
-    }
-  } else {
-    const sched::TilePlan& tp = sched::cached_tiles(
-        plan.split, d.tiles,
-        [&](int n) { return sched::tile_groups_split(plan.row_start, n); });
-    const nnz_t out_elems = static_cast<nnz_t>(t.dim(mode)) * r;
-    ws.reserve(effective_threads(),
-               (mk_.padded() + out_elems) * sizeof(real_t));
-    sched::PartialSet parts;
-#pragma omp parallel
-    {
-      const FlushSubnormals fp;
-      const int team = team_size();
-      const int tid = thread_id();
-      // One slab per thread: the Hadamard accumulator first (padded stride,
-      // so both it and the partial slab behind it stay 64-byte aligned),
-      // then the partial output (dim × R).
-      const auto slab = ws.thread_scratch<real_t>(mk_.padded() + out_elems);
-      real_t* tmp = slab.data();
-      real_t* partial = tmp + mk_.padded();
-      std::fill(partial, partial + out_elems, real_t{0});
-      parts.publish(tid, partial);
-      // Static tile→thread assignment: the work each thread accumulates is
-      // a function of (team, tid) only, so the fixed-order combine below
-      // yields bitwise-identical results run to run.
-      for (int tile = tid; tile < tp.tiles(); tile += team) {
+  const bool owner = d.schedule == sched::Schedule::kOwner;
+  const sched::TilePlan& tp = sched::cached_tiles(
+      owner ? plan.owner : plan.split, d.tiles, [&](int n) {
+        return owner ? sched::tile_groups(plan.row_start, n)
+                     : sched::tile_groups_split(plan.row_start, n);
+      });
+  // Owner tiles accumulate into `out`; a privatized launch rewrites it.
+  if (owner) out.zero();
+  count_flops(sched::run_launch(
+      d, tp, workspace(), effective_threads(), mk.padded(), out.data(),
+      out.size(), [&](int tile, real_t* tmp, real_t* dst) {
         sched::for_each_group_range(
             tp, tile, group_size, [&](nnz_t g, nnz_t begin, nnz_t end) {
               accumulate(g, begin, end, tmp,
-                         partial + static_cast<nnz_t>(plan.rows[g]) * r);
+                         dst + static_cast<nnz_t>(plan.rows[g]) * r);
             });
-      }
-#pragma omp barrier
-      parts.combine_into(out.data(), team, chunk_range(out_elems, team, tid));
-    }
-    count_flops(sched::reduction_flops(d.tiles, t.dim(mode), r));
-  }
+      }));
   count_flops(static_cast<std::uint64_t>(t.nnz()) * r * order);
 }
 

@@ -13,8 +13,8 @@
 //   tile_items_split / — tiles may cut *inside* a group (a hub fiber is
 //   tile_uniform         spread across tiles), which balances power-law
 //                        work exactly but shares output rows between tiles
-//                        — callers must pair these with the privatized
-//                        reduction in sched/reduce.hpp.
+//                        — callers must run these under the privatized
+//                        schedule of sched::run_launch (sched/launch.hpp).
 //
 // A TilePlan is a sorted list of (group, offset) boundaries; offsets are in
 // whatever unit the builder was given (weight units, item indices). Plans

@@ -8,7 +8,7 @@
 //                 (power-law fiber) serializes its tile.
 //   kPrivatized — balanced split tiles; every thread accumulates into a
 //                 private output slab and the slabs are combined in fixed
-//                 thread order (sched/reduce.hpp). Perfectly load-balanced
+//                 thread order (sched/launch.hpp). Perfectly load-balanced
 //                 but costs threads × out_rows × rank extra memory and a
 //                 reduction pass; bitwise deterministic only at a fixed
 //                 thread count.

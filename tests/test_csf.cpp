@@ -95,10 +95,13 @@ TEST(CsfTensor, MemoryBytesPositiveAndSane) {
 TEST(CsfMttkrp, RootModeMatchesReference) {
   const auto t = generate_uniform(shape_t{30, 40, 50}, 2000, 7);
   const auto factors = random_factors(t, 8, 99);
+  // The engine roots mode m's CSF at m, in CsfTensor::default_order.
+  CsfMttkrpEngine engine(t);
   for (mode_t root = 0; root < 3; ++root) {
-    const CsfTensor csf(t, CsfTensor::default_order(t, root));
+    ASSERT_EQ(engine.csf_for_mode(root).mode_order(),
+              CsfTensor::default_order(t, root));
     Matrix got, want;
-    csf_mttkrp_root(csf, factors, got);
+    engine.compute(root, factors, got);
     mttkrp_reference(t, factors, root, want);
     EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-9) << "root " << root;
   }
@@ -116,6 +119,31 @@ TEST(CsfMttkrp, EngineAllModes) {
   }
   EXPECT_EQ(engine.name(), "csf");
   EXPECT_GT(engine.memory_bytes(), 0u);
+}
+
+TEST(CsfMttkrp, BothSchedulesMatchReferenceAndRepeatBitwise) {
+  // Zipf hub roots: the privatized launch cuts one root fiber's level-1
+  // subtrees across four threads' partials.
+  const auto t = generate_zipf(shape_t{40, 300, 400, 50}, 20000, 1.4, 17);
+  const auto factors = random_factors(t, 8, 31);
+  for (const ScheduleMode sched :
+       {ScheduleMode::kOwner, ScheduleMode::kPrivatized}) {
+    KernelContext ctx;
+    ctx.threads = 4;
+    ctx.sched = sched;
+    CsfMttkrpEngine engine(t, ctx);
+    for (mode_t m = 0; m < t.order(); ++m) {
+      Matrix got, again, want;
+      engine.compute(m, factors, got);
+      engine.compute(m, factors, again);
+      mttkrp_reference(t, factors, m, want);
+      EXPECT_LT(Matrix::max_abs_diff(got, want), 1e-9) << "mode " << m;
+      EXPECT_EQ(Matrix::max_abs_diff(got, again), 0.0) << "mode " << m;
+    }
+    EXPECT_GT(sched == ScheduleMode::kOwner ? engine.stats().owner_launches
+                                            : engine.stats().privatized_launches,
+              0u);
+  }
 }
 
 TEST(CsfMttkrp, Order2Works) {

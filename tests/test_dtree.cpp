@@ -506,6 +506,59 @@ TEST(DTreeEngine, PoisonedMemoStorageIsWhollyRewritten) {
   set_num_threads(threads_before);
 }
 
+TEST(DTreeEngine, PrivatizedFlopsCountEveryCombine) {
+  // A privatized node launch adds threads × tuples × R flops in its combine,
+  // for every node a compute evaluates, intermediate nodes included. So a
+  // forced-privatized sweep costs the forced-owner sweep plus that much for
+  // each node it re-evaluates.
+  const auto t = generate_zipf(shape_t{2000, 3000, 4000, 50}, 200000, 1.2, 3);
+  const index_t r = 16;
+  const int threads = 4;
+  const auto factors = random_factors(t, r, 23);
+  std::uint64_t flops[2] = {};
+  nnz_t evaluated = 0;  // tuples over the nodes the privatized sweep evaluates
+  for (const ScheduleMode sched :
+       {ScheduleMode::kOwner, ScheduleMode::kPrivatized}) {
+    const bool priv = sched == ScheduleMode::kPrivatized;
+    KernelContext ctx;
+    ctx.threads = threads;
+    ctx.sched = sched;
+    auto engine = make_dtree_bdt(t, ctx);
+    Matrix out;
+    for (mode_t m = 0; m < t.order(); ++m) {
+      const DimensionTree& tree = engine->tree();
+      // The invalid nodes on the leaf's path up to the first valid one.
+      for (int id = tree.leaf_for_mode(m);
+           priv && !tree.node(id).is_root() && !tree.node(id).valid;
+           id = tree.node(id).parent)
+        evaluated += tree.node(id).tuples;
+      engine->compute(m, factors, out);
+      engine->factor_updated(m);
+    }
+    flops[priv ? 1 : 0] = engine->stats().flops;
+  }
+  EXPECT_GT(flops[0], 0u);
+  EXPECT_EQ(flops[1], flops[0] + static_cast<std::uint64_t>(threads) *
+                                     evaluated * r);
+}
+
+TEST(DTreeEngine, MemoizedComputeCountsNoLaunch) {
+  // A compute served wholly from cache runs nothing: no launch, no flops,
+  // but the schedule column still names why.
+  const auto t = generate_zipf(shape_t{200, 300, 400, 50}, 20000, 1.2, 3);
+  auto engine = make_dtree_bdt(t);
+  const auto factors = random_factors(t, 8, 29);
+  Matrix out;
+  engine->compute(0, factors, out);
+  const KernelStats before = engine->stats();
+  engine->compute(0, factors, out);
+  const KernelStats delta = engine->stats().since(before);
+  EXPECT_EQ(delta.owner_launches, 0u);
+  EXPECT_EQ(delta.privatized_launches, 0u);
+  EXPECT_EQ(delta.flops, 0u);
+  EXPECT_STREQ(engine->stats().last_sched_reason, "memoized");
+}
+
 // --- Property test: arbitrary random tree shapes are exact ---------------
 //
 // Generates random valid dimension trees (random recursive partitions with

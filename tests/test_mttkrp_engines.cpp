@@ -242,11 +242,6 @@ TEST(FpEnv, EveryEngineFlushesSubnormalsWhateverTheCaller) {
         }
       }
     }
-    // The standalone CSF root kernel has a parallel body of its own.
-    const CsfTensor csf(t, CsfTensor::default_order(t, 2));
-    Matrix root;
-    csf_mttkrp_root(csf, factors, root);
-    EXPECT_FALSE(has_subnormal(root)) << "csf_mttkrp_root threads=" << threads;
   }
   set_num_threads(saved_threads);
 }

@@ -1,5 +1,6 @@
-// Property tests for the tile partitioner (sched/partition.hpp) and the
-// schedule heuristic (sched/schedule.hpp).
+// Property tests for the tile partitioner (sched/partition.hpp), the
+// schedule heuristic (sched/schedule.hpp) and the launch runner
+// (sched/launch.hpp).
 //
 // Partitioner invariants, for every builder and random weight profile:
 //   * cover     — the tiles' group ranges are disjoint, contiguous, and
@@ -11,12 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
+#include "sched/launch.hpp"
 #include "sched/partition.hpp"
 #include "sched/schedule.hpp"
 #include "util/rng.hpp"
+#include "util/workspace.hpp"
 
 namespace mdcp::sched {
 namespace {
@@ -260,6 +266,180 @@ TEST(Schedule, OwnerTileCount) {
   EXPECT_EQ(owner_tile_count(5, 4), 5);   // capped by groups
   EXPECT_EQ(owner_tile_count(0, 4), 1);   // never zero tiles
   EXPECT_EQ(owner_tile_count(1000, 1), kOwnerTilesPerThread);
+}
+
+// --- run_launch ------------------------------------------------------------
+
+// A synthetic launch: group g owns row g of a groups × kRank output and
+// holds size(g) items; item i adds vals[i] · (c + 1) into column c through
+// the per-thread scratch. The values span twelve decades, so the addition
+// order shows in the bits.
+struct LaunchCase {
+  static constexpr index_t kRank = 5;
+  static constexpr std::size_t kScratch = 8;  // one 64-byte stride
+  std::vector<nnz_t> ptr;
+  std::vector<real_t> vals;
+
+  LaunchCase() {
+    Rng rng(2024);
+    std::vector<nnz_t> w(64);
+    for (auto& x : w) x = rng.next_below(40);
+    w[7] = 900;  // a hub group the split plans cut
+    ptr = prefix_from_weights(w);
+    vals.resize(ptr.back());
+    for (auto& v : vals)
+      v = (rng.next_real() - 0.5) *
+          std::pow(10.0, static_cast<double>(rng.next_below(12)) - 6.0);
+  }
+  nnz_t groups() const { return ptr.size() - 1; }
+  nnz_t out_elems() const { return groups() * kRank; }
+  WorkShape shape() const {
+    return {.total = ptr.back(),
+            .max_unit = 900,
+            .units = groups(),
+            .out_rows = static_cast<index_t>(groups()),
+            .rank = kRank};
+  }
+  auto body(const TilePlan& plan) const {
+    return [this, &plan](int tile, real_t* scratch, real_t* dst) {
+      for_each_group_range(
+          plan, tile, [&](nnz_t g) { return ptr[g + 1] - ptr[g]; },
+          [&](nnz_t g, nnz_t begin, nnz_t end) {
+            for (nnz_t i = ptr[g] + begin; i < ptr[g] + end; ++i)
+              for (index_t c = 0; c < kRank; ++c) {
+                scratch[c] = vals[i] * static_cast<real_t>(c + 1);
+                dst[g * kRank + c] += scratch[c];
+              }
+          });
+    };
+  }
+};
+
+bool bitwise_equal(const std::vector<real_t>& a, const std::vector<real_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+}
+
+TEST(Launch, OwnerMatchesSerialLoopAtEveryThreadCount) {
+  const LaunchCase lc;
+  // Serial reference: every tile of a one-thread owner plan, in order.
+  const TilePlan serial_plan =
+      tile_groups(lc.ptr, choose_schedule(lc.shape(), 1).tiles);
+  std::vector<real_t> want(lc.out_elems(), 0);
+  std::vector<real_t> scratch(LaunchCase::kScratch);
+  for (int tile = 0; tile < serial_plan.tiles(); ++tile)
+    lc.body(serial_plan)(tile, scratch.data(), want.data());
+
+  for (const int threads : {1, 3, 4}) {
+    const Decision d =
+        choose_schedule(lc.shape(), threads, ScheduleMode::kOwner);
+    ASSERT_EQ(d.schedule, Schedule::kOwner);
+    const TilePlan plan = tile_groups(lc.ptr, d.tiles);
+    Workspace ws;
+    std::vector<real_t> got(lc.out_elems(), 0);
+    EXPECT_EQ(run_launch(d, plan, ws, threads, LaunchCase::kScratch,
+                         got.data(), got.size(), lc.body(plan)),
+              0u)
+        << "threads=" << threads;
+    EXPECT_TRUE(bitwise_equal(got, want)) << "threads=" << threads;
+  }
+}
+
+TEST(Launch, PrivatizedMatchesThreadOrderSum) {
+  const LaunchCase lc;
+  for (const int threads : {1, 3, 4}) {
+    const Decision d =
+        choose_schedule(lc.shape(), threads, ScheduleMode::kPrivatized);
+    ASSERT_EQ(d.schedule, Schedule::kPrivatized);
+    const TilePlan plan = tile_groups_split(lc.ptr, d.tiles);
+    ASSERT_TRUE(plan.splits_groups);
+    // Explicit reference: thread t runs tiles t, t + threads, ... into its
+    // own zeroed partial; the output is +0 plus the partials in thread order.
+    std::vector<std::vector<real_t>> partials(
+        static_cast<std::size_t>(threads),
+        std::vector<real_t>(lc.out_elems(), 0));
+    std::vector<real_t> scratch(LaunchCase::kScratch);
+    for (int t = 0; t < threads; ++t)
+      for (int tile = t; tile < plan.tiles(); tile += threads)
+        lc.body(plan)(tile, scratch.data(),
+                      partials[static_cast<std::size_t>(t)].data());
+    std::vector<real_t> want(lc.out_elems(), 0);
+    for (const auto& part : partials)
+      for (nnz_t i = 0; i < want.size(); ++i) want[i] += part[i];
+
+    for (int run = 0; run < 2; ++run) {
+      Workspace ws;
+      std::vector<real_t> got(lc.out_elems(), 0);
+      run_launch(d, plan, ws, threads, LaunchCase::kScratch, got.data(),
+                 got.size(), lc.body(plan));
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << "threads=" << threads << " run " << run;
+    }
+  }
+}
+
+TEST(Launch, PrivatizedRewritesEveryOutputElement) {
+  const LaunchCase lc;
+  for (const int threads : {1, 4}) {
+    const Decision d =
+        choose_schedule(lc.shape(), threads, ScheduleMode::kPrivatized);
+    const TilePlan plan = tile_groups_split(lc.ptr, d.tiles);
+    Workspace ws;
+    std::vector<real_t> clean(lc.out_elems(), 0);
+    std::vector<real_t> poisoned(lc.out_elems(),
+                                 std::numeric_limits<real_t>::quiet_NaN());
+    run_launch(d, plan, ws, threads, LaunchCase::kScratch, clean.data(),
+               clean.size(), lc.body(plan));
+    run_launch(d, plan, ws, threads, LaunchCase::kScratch, poisoned.data(),
+               poisoned.size(), lc.body(plan));
+    EXPECT_TRUE(bitwise_equal(poisoned, clean)) << "threads=" << threads;
+  }
+}
+
+TEST(Launch, NegativeZeroPartialsCombineToPositiveZero) {
+  // Every tile stores -0 over the whole partial. Zeroing the chunk and then
+  // adding gives +0 + (-0) = +0; seeding the chunk with the first partial
+  // would leave -0.
+  const LaunchCase lc;
+  for (const int threads : {1, 4}) {
+    const Decision d =
+        choose_schedule(lc.shape(), threads, ScheduleMode::kPrivatized);
+    const TilePlan plan = tile_groups_split(lc.ptr, d.tiles);
+    ASSERT_EQ(plan.tiles(), threads);
+    Workspace ws;
+    std::vector<real_t> out(lc.out_elems(), -0.0);
+    const nnz_t n = out.size();
+    run_launch(d, plan, ws, threads, LaunchCase::kScratch, out.data(), n,
+               [n](int, real_t*, real_t* dst) { std::fill(dst, dst + n, -0.0); });
+    for (nnz_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], 0.0);
+      EXPECT_FALSE(std::signbit(out[i])) << "element " << i;
+    }
+  }
+}
+
+TEST(Launch, ReturnsCombineFlops) {
+  const LaunchCase lc;
+  for (const int threads : {1, 3, 4}) {
+    for (const ScheduleMode mode :
+         {ScheduleMode::kOwner, ScheduleMode::kPrivatized}) {
+      const Decision d = choose_schedule(lc.shape(), threads, mode);
+      const TilePlan plan = d.schedule == Schedule::kOwner
+                                ? tile_groups(lc.ptr, d.tiles)
+                                : tile_groups_split(lc.ptr, d.tiles);
+      Workspace ws;
+      std::vector<real_t> out(lc.out_elems(), 0);
+      const std::uint64_t flops =
+          run_launch(d, plan, ws, threads, LaunchCase::kScratch, out.data(),
+                     out.size(), lc.body(plan));
+      EXPECT_EQ(flops, d.schedule == Schedule::kOwner
+                           ? 0
+                           : reduction_flops(d.tiles,
+                                             static_cast<index_t>(lc.groups()),
+                                             LaunchCase::kRank))
+          << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
